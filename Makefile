@@ -10,9 +10,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: ci vet lint lint-stats vuln build test test-race bench-smoke bench bench-json bench-trajectory trace-smoke cluster-smoke workload-smoke fuzz-smoke tools clean
+.PHONY: ci vet lint lint-stats vuln build test test-race perfbench-check bench-smoke bench bench-json bench-trajectory trace-smoke cluster-smoke workload-smoke fuzz-smoke tools clean
 
-ci: vet lint build test test-race bench-smoke trace-smoke cluster-smoke workload-smoke fuzz-smoke vuln
+ci: vet lint build test test-race perfbench-check bench-smoke trace-smoke cluster-smoke workload-smoke fuzz-smoke vuln
 
 vet:
 	$(GO) vet ./...
@@ -69,6 +69,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# perfbench-check runs the benchmark's own checks: perfbench is a nested
+# module, so `go test ./...` at the root never reaches it. Its reference
+# outcome digests, K-slice and worker-count checks are what show that a
+# simulator-only speedup left the modelled outcome unchanged.
+perfbench-check:
+	cd perfbench && $(GO) test ./...
 
 # One pass over every benchmark at a single iteration each: catches
 # benchmark bit-rot without the cost of a full measurement run. The second
@@ -127,8 +134,9 @@ workload-smoke:
 	@echo "workload-smoke: spec sweep identical across workers; replay reproduces the generating run"
 
 # fuzz-smoke runs each fuzz target for a short, bounded burst: long enough to
-# trip a regression in the engine-vs-oracle equivalence or the trace codec
-# round-trip, short enough for every CI run. `go test -fuzz` accepts a single
+# trip a regression in the engine-vs-oracle equivalence, the trace and
+# workload codec round trips, or the spec parsers, short enough for every
+# CI run. `go test -fuzz` accepts a single
 # target per invocation, so each gets its own line.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzEngineVsOracle -fuzztime=30s ./internal/engine
@@ -136,6 +144,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBodyVsGoroutine -fuzztime=30s ./internal/sched
 	$(GO) test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=30s ./internal/lint/dataflow
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadCodec -fuzztime=30s ./internal/workload
+	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/workload
+	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=30s ./internal/task
 
 # bench-json runs the scheduling-core benchmarks (engine, kernel hot paths,
 # many-task scaling, tracing overhead, cluster fan-out, workload

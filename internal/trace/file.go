@@ -7,9 +7,12 @@
 //
 // Sections:
 //
-//	'R' records: length/32 packed 32-byte records, one flushed ring chunk
-//	             per section; chunks from different CPUs are merged by
-//	             sorting on the records' sequence numbers at read time.
+//	'R' records: length/32 packed 32-byte records. A file-backed tracer
+//	             writes one section per full spill buffer, so its sections
+//	             arrive in sequence order; WriteTo writes one section. The
+//	             reader still merges any number of sections by sorting on
+//	             the records' sequence numbers, so files that interleave
+//	             per-CPU chunks out of order decode to the same trace.
 //	'T' threads: u32 count, then per thread
 //	             u32 tid | u16 cpu | u16 priority | u16 namelen | name
 //	'L' lost:    u16 cpus, then cpus × u64 overwritten-record counts
@@ -38,6 +41,8 @@ import (
 const (
 	// recordSize is the packed size of one Record.
 	recordSize = 32
+	// sectionHeaderSize is the packed size of a section's tag and length.
+	sectionHeaderSize = 9
 	// Version is the current trace file format version.
 	Version = 1
 )
@@ -69,10 +74,9 @@ func putRecord(buf []byte, rec Record) {
 	buf[31] = 0
 }
 
-// getRecord unpacks buf[:recordSize], validating the kind and the reserved
-// byte.
-func getRecord(buf []byte) (Record, error) {
-	rec := Record{
+// unpackRecord is the inverse of putRecord.
+func unpackRecord(buf []byte) Record {
+	return Record{
 		Seq:  binary.LittleEndian.Uint64(buf[0:]),
 		At:   engine.Time(binary.LittleEndian.Uint64(buf[8:])),
 		Arg:  binary.LittleEndian.Uint64(buf[16:]),
@@ -80,6 +84,12 @@ func getRecord(buf []byte) (Record, error) {
 		CPU:  binary.LittleEndian.Uint16(buf[28:]),
 		Kind: Kind(buf[30]),
 	}
+}
+
+// getRecord unpacks buf[:recordSize], validating the kind and the reserved
+// byte.
+func getRecord(buf []byte) (Record, error) {
+	rec := unpackRecord(buf)
 	if !rec.Kind.Valid() {
 		return Record{}, formatErr("record seq %d has unknown kind %d", rec.Seq, buf[30])
 	}
@@ -102,36 +112,25 @@ func (tr *Tracer) writeHeader() {
 	tr.err = err
 }
 
-// flushRing spills every record of the full ring r to the sink as one 'R'
-// section and resets the ring. Cold path: runs once per Capacity records
-// per CPU; the encode buffer is pre-allocated at New.
+// flush writes the spill buffer's pending records to the sink as one 'R'
+// section, header and records in a single Write, and empties the buffer.
+// Cold path: runs once per Capacity records; the buffer, section header
+// included, is allocated at New.
 //
 //rtseed:noalloc
-func (tr *Tracer) flushRing(r *cpuRing) {
+func (tr *Tracer) flush() {
 	tr.writeHeader()
-	n := r.w
-	r.w = 0
-	r.spilled += uint64(n)
+	n := tr.pending
+	tr.pending = 0
 	if tr.err != nil || n == 0 {
 		return
 	}
-	var sec [9]byte
-	sec[0] = secRecords
-	binary.LittleEndian.PutUint64(sec[1:], uint64(n*recordSize))
-	if _, err := tr.sink.Write(sec[:]); err != nil {
-		tr.err = err
-		return
-	}
-	for i := 0; i < n; i++ {
-		putRecord(tr.encBuf[i*recordSize:], r.buf[i])
-	}
-	tr.flushed += uint64(n)
-	if _, err := tr.sink.Write(tr.encBuf[:n*recordSize]); err != nil {
-		tr.err = err
-	}
+	tr.spill[0] = secRecords
+	binary.LittleEndian.PutUint64(tr.spill[1:], uint64(n*recordSize))
+	_, tr.err = tr.sink.Write(tr.spill[:sectionHeaderSize+n*recordSize])
 }
 
-// Close finishes a file-backed tracer: remaining ring contents are spilled,
+// Close finishes a file-backed tracer: the pending records are spilled,
 // followed by the thread and lost sections. It reports the first sink error
 // encountered anywhere on the write path. Close is not needed in
 // flight-recorder mode (use WriteTo instead).
@@ -139,10 +138,7 @@ func (tr *Tracer) Close(threads []ThreadInfo) error {
 	if tr.sink == nil {
 		return errors.New("trace: Close on a tracer without a sink")
 	}
-	tr.writeHeader()
-	for i := range tr.rings {
-		tr.flushRing(&tr.rings[i])
-	}
+	tr.flush()
 	if tr.err != nil {
 		return tr.err
 	}
@@ -163,7 +159,7 @@ func (tr *Tracer) WriteTo(w io.Writer, threads []ThreadInfo) error {
 	}
 	recs := tr.Records()
 	if len(recs) > 0 {
-		var sec [9]byte
+		var sec [sectionHeaderSize]byte
 		sec[0] = secRecords
 		binary.LittleEndian.PutUint64(sec[1:], uint64(len(recs)*recordSize))
 		if _, err := w.Write(sec[:]); err != nil {
@@ -269,12 +265,12 @@ func Decode(data []byte) (*Trace, error) {
 	sawThreads, sawLost := false, false
 	rest := data[12:]
 	for len(rest) > 0 {
-		if len(rest) < 9 {
+		if len(rest) < sectionHeaderSize {
 			return nil, formatErr("truncated section header (%d trailing bytes)", len(rest))
 		}
 		tag := rest[0]
 		length := binary.LittleEndian.Uint64(rest[1:])
-		rest = rest[9:]
+		rest = rest[sectionHeaderSize:]
 		if length > uint64(len(rest)) {
 			return nil, formatErr("section %q length %d overruns file (%d bytes left)", tag, length, len(rest))
 		}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -114,6 +116,150 @@ func TestRoundTripFileBackedSpills(t *testing.T) {
 	}
 	if decoded.TotalLost() != 0 {
 		t.Fatalf("lost %d", decoded.TotalLost())
+	}
+}
+
+// decodeSpilled decodes what a file-backed tracer has written to its sink
+// so far: nothing before the first spill, then header and record sections.
+func decodeSpilled(t *testing.T, sink []byte) []Record {
+	t.Helper()
+	if len(sink) == 0 {
+		return nil
+	}
+	tr, err := Decode(sink)
+	if err != nil {
+		t.Fatalf("spilled bytes: %v", err)
+	}
+	return tr.Records
+}
+
+// A file-backed tracer holds every emitted record exactly once: at any
+// moment its spilled sections plus its in-memory Records() tail are the
+// whole stream in emission order, and once closed its file decodes to that
+// stream, the thread table and an all-zero lost table — for any spill
+// buffer capacity and any CPU count.
+func TestFileBackedRecordsAndDecodeAgree(t *testing.T) {
+	threads := []ThreadInfo{{TID: 1, CPU: 0, Priority: 90, Name: "a.mand"}, {TID: 2, CPU: 1, Priority: 80, Name: "a.opt0"}}
+	for _, capacity := range []int{1, 8, 4096} {
+		for _, cpus := range []int{1, 2, 7, 228} {
+			rng := rand.New(rand.NewSource(int64(capacity*1000 + cpus)))
+			var sink bytes.Buffer
+			tr := New(Config{CPUs: cpus, Capacity: capacity, Sink: &sink})
+			var emitted []Record
+			tr.Tap(func(rec Record) { emitted = append(emitted, rec) })
+			n := 2*capacity + 3 + rng.Intn(64)
+			for i := 0; i < n; i++ {
+				tr.Emit(engine.At(time.Duration(i)*time.Microsecond), uint16(rng.Intn(cpus)),
+					uint32(1+rng.Intn(8)), Kind(1+rng.Intn(int(kindMax)-1)), rng.Uint64())
+				// Check on both sides of every spill and at a stride between.
+				if (i+1)%capacity > 1 && i%509 != 0 && i != n-1 {
+					continue
+				}
+				spilled := decodeSpilled(t, sink.Bytes())
+				tail := tr.Records()
+				if len(tail) > capacity {
+					t.Fatalf("cap %d cpus %d: %d records in memory", capacity, cpus, len(tail))
+				}
+				if got := append(spilled, tail...); !reflect.DeepEqual(got, emitted) {
+					t.Fatalf("cap %d cpus %d after %d emits: spilled+Records() has %d records, want the %d emitted",
+						capacity, cpus, i+1, len(got), len(emitted))
+				}
+			}
+			if err := tr.Close(threads); err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := Decode(sink.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := &Trace{Records: emitted, Threads: threads, Lost: make([]uint64, cpus)}
+			if !reflect.DeepEqual(decoded, want) {
+				t.Fatalf("cap %d cpus %d: closed file decodes to %d records, threads %v, lost %v; want %d, %v, %d zeros",
+					capacity, cpus, len(decoded.Records), decoded.Threads, decoded.Lost, len(emitted), threads, cpus)
+			}
+		}
+	}
+}
+
+// perCPULayout encodes recs in the earlier file-backed layout: one ring of
+// capacity records per CPU, each spilled as its own 'R' section when it
+// fills and the rest flushed in CPU order at close, so sections interleave
+// CPUs and arrive out of sequence order.
+func perCPULayout(t *testing.T, recs []Record, cpus, capacity int, threads []ThreadInfo) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	out.Write(magic[:])
+	out.Write([]byte{Version, 0, 0, 0})
+	section := func(chunk []Record) {
+		if len(chunk) == 0 {
+			return
+		}
+		buf := make([]byte, sectionHeaderSize+len(chunk)*recordSize)
+		buf[0] = secRecords
+		binary.LittleEndian.PutUint64(buf[1:], uint64(len(chunk)*recordSize))
+		for i, rec := range chunk {
+			putRecord(buf[sectionHeaderSize+i*recordSize:], rec)
+		}
+		out.Write(buf)
+	}
+	rings := make([][]Record, cpus)
+	for _, rec := range recs {
+		if len(rings[rec.CPU]) == capacity {
+			section(rings[rec.CPU])
+			rings[rec.CPU] = nil
+		}
+		rings[rec.CPU] = append(rings[rec.CPU], rec)
+	}
+	for _, ring := range rings {
+		section(ring)
+	}
+	if err := writeThreads(&out, threads); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeLost(&out, make([]uint64, cpus)); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// Files written with per-CPU record chunks out of sequence order still
+// decode to the same Trace as the shared-buffer layout of the same stream.
+func TestDecodePerCPUChunkLayout(t *testing.T) {
+	const cpus, capacity = 4, 8
+	threads := []ThreadInfo{{TID: 3, CPU: 2, Priority: 70, Name: "solo"}}
+	rng := rand.New(rand.NewSource(7))
+	var sink bytes.Buffer
+	tr := New(Config{CPUs: cpus, Capacity: capacity, Sink: &sink})
+	emitted := randomRecords(rng, tr, 300)
+	if err := tr.Close(threads); err != nil {
+		t.Fatal(err)
+	}
+	legacy := perCPULayout(t, emitted, cpus, capacity, threads)
+	if bytes.Equal(legacy, sink.Bytes()) {
+		t.Fatal("per-CPU layout should frame its sections differently")
+	}
+	var firstSeqs []uint64
+	for rest := legacy[12:]; rest[0] == secRecords; {
+		firstSeqs = append(firstSeqs, binary.LittleEndian.Uint64(rest[sectionHeaderSize:]))
+		rest = rest[sectionHeaderSize+binary.LittleEndian.Uint64(rest[1:]):]
+	}
+	if sort.SliceIsSorted(firstSeqs, func(i, j int) bool { return firstSeqs[i] < firstSeqs[j] }) {
+		t.Fatalf("per-CPU sections start at seqs %v, want them out of order", firstSeqs)
+	}
+	fromLegacy, err := Decode(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromShared, err := Decode(sink.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromLegacy, fromShared) {
+		t.Fatalf("per-CPU layout decodes to %d records, shared layout to %d; traces differ",
+			len(fromLegacy.Records), len(fromShared.Records))
+	}
+	if !reflect.DeepEqual(fromShared.Records, emitted) {
+		t.Fatal("shared layout does not decode to the emitted stream")
 	}
 }
 

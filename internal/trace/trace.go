@@ -1,16 +1,18 @@
 // Package trace is the simulator's ftrace/LTTng-style tracing subsystem:
-// per-CPU fixed-capacity ring buffers of packed 32-byte records emitted from
-// the kernel's dispatch/release/timer/sleep/termination paths and from the
-// middleware's P-RMWP part boundaries, plus a versioned binary file format
-// (file.go), post-hoc analyses (analyze.go), and a Chrome trace_event
-// exporter (perfetto.go).
+// packed 32-byte records emitted from the kernel's
+// dispatch/release/timer/sleep/termination paths and from the middleware's
+// P-RMWP part boundaries, plus a versioned binary file format (file.go),
+// post-hoc analyses (analyze.go), and a Chrome trace_event exporter
+// (perfetto.go).
 //
 // The emit path is allocation-free (//rtseed:noalloc, enforced by
-// rtseed-vet): a record is a value write into a pre-sized per-CPU ring. A
-// ring that fills up never blocks the simulation — in flight-recorder mode
-// it overwrites its oldest records and counts them as lost; with a file sink
-// attached it spills the full ring to the sink instead (the only write path
-// that touches I/O, and only every Capacity events per CPU).
+// rtseed-vet) and never blocks the simulation. It has two modes. A flight
+// recorder (no sink) writes each record by value into a pre-sized per-CPU
+// ring; a full ring overwrites its oldest records and counts them as lost.
+// A file-backed tracer (sink attached) encodes each record into one shared,
+// cache-sized spill buffer and writes the buffer to the sink whenever it
+// fills — the only write path that touches I/O, once every Capacity
+// records in total.
 //
 // Records are stamped with a tracer-global sequence number, so the merged
 // stream of all CPUs has a total order that is a pure function of the
@@ -196,52 +198,63 @@ type ThreadInfo struct {
 	Name     string
 }
 
-// DefaultCapacity is the per-CPU ring capacity (records) used when Config
-// leaves it zero: 4096 records = 128 KiB per active CPU.
+// DefaultCapacity is the record capacity used when Config leaves it zero:
+// 4096 records = 128 KiB, per CPU ring in a flight recorder and for the one
+// shared buffer of a file-backed tracer.
 const DefaultCapacity = 4096
 
 // Config configures a Tracer.
 type Config struct {
-	// CPUs pre-sizes the per-CPU ring table. Emitting on a CPU beyond it
-	// grows the table; rings themselves are allocated on each CPU's first
-	// record either way, so idle CPUs cost nothing.
+	// CPUs is the number of hardware threads records may be emitted on,
+	// sized once from the machine topology. Emitting on a CPU at or beyond
+	// it is a construction bug and panics. A flight recorder allocates one
+	// ring per CPU at New, so Emit never allocates; a file-backed tracer
+	// keeps no per-CPU state and uses CPUs only to bound Emit and to size
+	// the lost table.
 	CPUs int
-	// Capacity is the per-CPU ring capacity in records (DefaultCapacity
-	// when zero).
+	// Capacity is the number of records held in memory (DefaultCapacity
+	// when zero): per CPU ring in a flight recorder, and in the one shared
+	// spill buffer of a file-backed tracer.
 	Capacity int
-	// Sink, when non-nil, makes the tracer file-backed: a ring that fills
-	// spills its records to the sink and keeps going, so no record is ever
-	// lost. When nil the tracer is a flight recorder: a full ring
-	// overwrites its oldest records and counts them in Lost.
+	// Sink, when non-nil, makes the tracer file-backed: Emit encodes every
+	// record straight into the shared spill buffer, and a full buffer is
+	// written to the sink as one record section, so no record is ever lost
+	// and the file's records arrive in emission order. When nil the tracer
+	// is a flight recorder: a full ring overwrites its oldest records and
+	// counts them in Lost.
 	Sink io.Writer
 }
 
-// cpuRing is one CPU's ring buffer. count is the number of records ever
-// stored and spilled the number handed to a file sink; the ring holds the
-// most recent min(count-spilled, len(buf)) records ending at index w.
+// cpuRing is one CPU's flight-recorder ring. count is the number of records
+// ever stored; the ring holds the most recent min(count, len(buf)) of them,
+// ending at index w.
 type cpuRing struct {
-	buf     []Record
-	w       int // next write index
-	count   uint64
-	spilled uint64
+	buf   []Record
+	w     int // next write index
+	count uint64
 }
 
 // Tracer collects trace records. All methods must be called from the
 // simulation's single host-code thread (the kernel handshake already
 // guarantees this); the tracer does no locking.
 type Tracer struct {
-	rings     []cpuRing
+	cpus      int
 	capacity  int
 	seq       uint64
 	observers []func(Record)
 
-	// File-backed state. headerDone latches after the header bytes are
-	// written; err holds the first sink error and stops further writes.
+	// Flight-recorder state: one ring per CPU, nil when a sink is attached.
+	rings []cpuRing
+
+	// File-backed state. spill is a section header followed by room for
+	// capacity encoded records, of which the first pending are filled;
+	// headerDone latches after the file header is written; err holds the
+	// first sink error and stops further writes.
 	sink       io.Writer
-	encBuf     []byte
+	spill      []byte
+	pending    int
 	headerDone bool
 	err        error
-	flushed    uint64
 }
 
 // New builds a tracer.
@@ -250,19 +263,17 @@ func New(cfg Config) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	tr := &Tracer{
-		rings:    make([]cpuRing, cfg.CPUs),
-		capacity: capacity,
-		sink:     cfg.Sink,
+	tr := &Tracer{cpus: cfg.CPUs, capacity: capacity, sink: cfg.Sink}
+	if cfg.Sink != nil {
+		tr.spill = make([]byte, sectionHeaderSize+capacity*recordSize)
+		return tr
 	}
-	// Ring buffers are allocated eagerly so Emit is allocation-free from the
-	// first record: every construction site sizes CPUs from the machine
-	// topology, and a simulated CPU that never runs costs one idle ring.
+	// Rings are allocated eagerly so Emit is allocation-free from the first
+	// record: every construction site sizes CPUs from the machine topology,
+	// and a simulated CPU that never runs costs one idle ring.
+	tr.rings = make([]cpuRing, cfg.CPUs)
 	for i := range tr.rings {
 		tr.rings[i].buf = make([]Record, capacity)
-	}
-	if cfg.Sink != nil {
-		tr.encBuf = make([]byte, capacity*recordSize)
 	}
 	return tr
 }
@@ -272,39 +283,46 @@ func New(cfg Config) *Tracer {
 // run segments without bounding history to the ring capacity.
 func (tr *Tracer) Tap(fn func(Record)) { tr.observers = append(tr.observers, fn) }
 
-// Emit appends one record to cpu's ring. This is the hot path: it never
-// blocks and never allocates — rings are sized and allocated at New from
-// the machine topology. Emitting on a CPU beyond the configured count is a
-// construction bug, not a growth event, and panics.
+// Emit records one event on cpu. This is the hot path: it never blocks and
+// never allocates — every buffer is sized at New. A flight recorder stores
+// the record in cpu's ring; a file-backed tracer encodes it into the shared
+// spill buffer, writing the buffer to the sink first if it is full.
+// Emitting on a CPU beyond the configured count is a construction bug, not
+// a growth event, and panics.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
 func (tr *Tracer) Emit(at engine.Time, cpu uint16, tid uint32, kind Kind, arg uint64) {
-	if int(cpu) >= len(tr.rings) {
-		panic(fmt.Sprintf("trace: Emit on CPU %d, but the tracer was built for %d CPUs", cpu, len(tr.rings)))
+	if int(cpu) >= tr.cpus {
+		panic(fmt.Sprintf("trace: Emit on CPU %d, but the tracer was built for %d CPUs", cpu, tr.cpus))
 	}
-	r := &tr.rings[cpu]
 	tr.seq++
 	rec := Record{Seq: tr.seq, At: at, Arg: arg, TID: tid, CPU: cpu, Kind: kind}
 	for _, fn := range tr.observers {
 		fn(rec)
 	}
-	if r.w == len(r.buf) {
-		if tr.sink != nil {
-			tr.flushRing(r) // spill the full ring; keeps every record
-		} else {
-			r.w = 0 // flight recorder: wrap, overwriting the oldest
+	if tr.sink == nil {
+		r := &tr.rings[cpu]
+		if r.w == len(r.buf) {
+			r.w = 0 // wrap, overwriting the oldest
 		}
+		r.buf[r.w] = rec
+		r.w++
+		r.count++
+		return
 	}
-	r.buf[r.w] = rec
-	r.w++
-	r.count++
+	if tr.pending == tr.capacity {
+		tr.flush()
+	}
+	off := sectionHeaderSize + tr.pending*recordSize
+	putRecord(tr.spill[off:off+recordSize], rec)
+	tr.pending++
 }
 
 // Lost returns the per-CPU counts of records overwritten by ring wraparound
 // (flight-recorder mode; always zero per CPU when a sink is attached).
 func (tr *Tracer) Lost() []uint64 {
-	lost := make([]uint64, len(tr.rings))
+	lost := make([]uint64, tr.cpus)
 	for i := range tr.rings {
 		lost[i] = tr.rings[i].lost()
 	}
@@ -324,25 +342,17 @@ func (tr *Tracer) TotalLost() uint64 {
 // any the rings have overwritten.
 func (tr *Tracer) Emitted() uint64 { return tr.seq }
 
-// lost is how many of the ring's records have been overwritten. Records
-// spilled to a sink are persisted, not lost, so a file-backed ring always
-// reports zero.
+// lost is how many of the ring's records have been overwritten.
 func (r *cpuRing) lost() uint64 {
-	live := r.count - r.spilled
-	if n := uint64(len(r.buf)); live > n {
-		return live - n
+	if n := uint64(len(r.buf)); r.count > n {
+		return r.count - n
 	}
 	return 0
 }
 
-// retained returns the ring's surviving (unspilled) records in emission
-// order.
+// retained returns the ring's surviving records in emission order.
 func (r *cpuRing) retained() []Record {
-	live := r.count - r.spilled
-	if r.buf == nil || live == 0 {
-		return nil
-	}
-	if live <= uint64(len(r.buf)) {
+	if r.count <= uint64(len(r.buf)) {
 		return r.buf[:r.w]
 	}
 	// Wrapped: oldest surviving record is at w.
@@ -352,12 +362,18 @@ func (r *cpuRing) retained() []Record {
 	return out
 }
 
-// Records returns the retained records of every CPU merged into emission
-// (sequence) order. In flight-recorder mode this is the tracer's whole
-// surviving history; with a sink attached it is only what has not yet been
-// spilled — use the sink's file for the full stream.
+// Records returns the tracer's in-memory records in emission (sequence)
+// order. In flight-recorder mode this is the merged surviving history of
+// every CPU; with a sink attached it is only what has not yet been spilled
+// — use the sink's file for the full stream.
 func (tr *Tracer) Records() []Record {
 	var out []Record
+	if tr.sink != nil {
+		for i := 0; i < tr.pending; i++ {
+			out = append(out, unpackRecord(tr.spill[sectionHeaderSize+i*recordSize:]))
+		}
+		return out
+	}
 	for i := range tr.rings {
 		out = append(out, tr.rings[i].retained()...)
 	}

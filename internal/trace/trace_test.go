@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"time"
 
@@ -182,30 +183,72 @@ func TestCloseWithoutSinkErrors(t *testing.T) {
 	}
 }
 
-// The emit hot path must not allocate: rings are pre-sized, the record is a
-// value, and the observer call boxes nothing.
+// countingSink counts the writes a file-backed tracer makes.
+type countingSink struct{ writes int }
+
+func (s *countingSink) Write(p []byte) (int, error) {
+	s.writes++
+	return len(p), nil
+}
+
+// The emit hot path must not allocate in either mode: the flight recorder's
+// rings and the file-backed tracer's spill buffer are sized at New, the
+// record is a value, the observer call boxes nothing, and a spill writes the
+// preallocated buffer. The file-backed case emits across all 228 CPUs of
+// the paper's topology and spills many times inside the measured run.
 func TestEmitZeroAlloc(t *testing.T) {
-	tr := New(Config{CPUs: 1, Capacity: 1024})
-	var count int
-	tr.Tap(func(rec Record) { count++ })
-	tr.Emit(at(0), 0, 1, KindReady, 0) // warm: allocates the ring
-	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Emit(at(time.Millisecond), 0, 1, KindDispatch, 7)
-	})
-	if allocs != 0 {
-		t.Fatalf("Emit allocates %.1f per op, want 0", allocs)
+	sink := &countingSink{}
+	modes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"ring/cpus=1", Config{CPUs: 1, Capacity: 1024}},
+		{"file/cpus=228", Config{CPUs: 228, Capacity: 64, Sink: sink}},
 	}
-	if count == 0 {
-		t.Fatal("tap not invoked")
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			tr := New(m.cfg)
+			var count int
+			tr.Tap(func(rec Record) { count++ })
+			cpu := 0
+			allocs := testing.AllocsPerRun(1000, func() {
+				tr.Emit(at(time.Millisecond), uint16(cpu), 1, KindDispatch, 7)
+				cpu = (cpu + 1) % m.cfg.CPUs
+			})
+			if allocs != 0 {
+				t.Fatalf("Emit allocates %.1f per op, want 0", allocs)
+			}
+			if count == 0 {
+				t.Fatal("tap not invoked")
+			}
+		})
+	}
+	// 1001 records through a 64-record buffer: the header plus 15 spills.
+	if sink.writes < 15 {
+		t.Fatalf("file-backed run wrote %d times, want a spill every 64 records", sink.writes)
 	}
 }
 
 func BenchmarkTraceEmit(b *testing.B) {
-	tr := New(Config{CPUs: 1, Capacity: 4096})
-	tr.Emit(at(0), 0, 1, KindReady, 0) // warm the ring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Emit(at(time.Duration(i)), 0, 1, KindDispatch, uint64(i))
+	modes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"ring/cpus=1", Config{CPUs: 1}},
+		{"file/cpus=228", Config{CPUs: 228, Sink: io.Discard}},
+	}
+	for _, m := range modes {
+		b.Run(m.name, func(b *testing.B) {
+			tr := New(m.cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			cpu := 0
+			for i := 0; i < b.N; i++ {
+				tr.Emit(at(time.Duration(i)), uint16(cpu), 1, KindDispatch, uint64(i))
+				if cpu++; cpu == m.cfg.CPUs {
+					cpu = 0
+				}
+			}
+		})
 	}
 }

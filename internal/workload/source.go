@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -186,6 +187,10 @@ type SpecSource struct {
 	profile *rateProfile
 }
 
+// errEmptyWindow is wrapped by Compile's error for a window too narrow to
+// span a nanosecond at the horizon; a recorded trace could not carry it.
+var errEmptyWindow = errors.New("workload: empty window")
+
 // CompileConfig parameterizes spec compilation.
 type CompileConfig struct {
 	// Clients is the population size.
@@ -214,6 +219,11 @@ func Compile(spec Spec, cfg CompileConfig) (*SpecSource, error) {
 		horizon: cfg.Horizon,
 		params:  make([]ClientParams, cfg.Clients),
 		profile: newRateProfile(spec.Windows, cfg.Horizon),
+	}
+	for _, w := range src.profile.windows {
+		if w.End <= w.Start {
+			return nil, fmt.Errorf("%w: %q spans no time at horizon %v", errEmptyWindow, w.Name, cfg.Horizon)
+		}
 	}
 
 	totalWeight := 0.0

@@ -33,9 +33,15 @@ func (s *SpecSource) SynthTicks(count int) []Tick {
 		sigma := 0.0008 * math.Sqrt(rate)
 		drift := -0.0004 * (rate - 1)
 		logPrice[sym] += drift + sigma*st.Norm()
-		mid := 100 * math.Exp(logPrice[sym])
-		// Spread widens with volatility, floored at one tenth of a cent.
+		// The mid is floored at one cent, so a window rate high enough to
+		// drive the walk toward zero still prints a positive bid.
+		mid := math.Max(0.01, 100*math.Exp(logPrice[sym]))
+		// Spread widens with volatility, floored at one tenth of a cent and
+		// capped at the mid.
 		spread := math.Max(0.001, mid*0.0002*rate)
+		if spread > mid {
+			spread = mid
+		}
 		ticks[i] = Tick{
 			Symbol: sym,
 			At:     at,

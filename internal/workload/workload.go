@@ -274,6 +274,9 @@ func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("workload: spec needs a name")
 	}
+	if len(s.Name) > maxSectionName {
+		return fmt.Errorf("workload: spec name is %d bytes, limit %d", len(s.Name), maxSectionName)
+	}
 	if s.Symbols < 1 || s.Symbols > maxSymbols {
 		return fmt.Errorf("workload: symbols %d outside [1, %d]", s.Symbols, maxSymbols)
 	}
@@ -323,6 +326,9 @@ func (s Spec) Validate() error {
 	for i, w := range s.Windows {
 		if w.Name == "" {
 			return fmt.Errorf("workload: window %d needs a name", i)
+		}
+		if len(w.Name) > maxSectionName {
+			return fmt.Errorf("workload: window %d name is %d bytes, limit %d", i, len(w.Name), maxSectionName)
 		}
 		if w.Start != prevEnd {
 			return fmt.Errorf("workload: window %q starts at %v, want %v (windows must tile [0, 1])",

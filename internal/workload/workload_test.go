@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -56,6 +57,8 @@ func TestSpecValidate(t *testing.T) {
 		{"bad window rate", func(s *Spec) { s.Windows[0].Rate = 0 }, "rate"},
 		{"short windows", func(s *Spec) { s.Windows = s.Windows[:2] }, "tile [0, 1]"},
 		{"bad symbols", func(s *Spec) { s.Symbols = -4 }, "symbols"},
+		{"long name", func(s *Spec) { s.Name = strings.Repeat("n", maxSectionName+1) }, "spec name is"},
+		{"long window name", func(s *Spec) { s.Windows[1].Name = strings.Repeat("w", maxSectionName+1) }, "window 1 name is"},
 	}
 	for _, c := range cases {
 		s := base()
@@ -310,4 +313,61 @@ func durApart(a, b time.Duration) time.Duration {
 		return a - b
 	}
 	return b - a
+}
+
+// FuzzWorkloadSpec: ParseSpec must never panic on arbitrary input, and a
+// spec it accepts must compile for a 16-client population with every
+// arrival inside the horizon, then record to .rtk bytes that decode back to
+// the same trace.
+func FuzzWorkloadSpec(f *testing.F) {
+	for _, name := range BuiltinSpecNames() {
+		spec, _ := BuiltinSpec(name)
+		var buf bytes.Buffer
+		if err := WriteSpec(&buf, spec); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(`{"name":"one","cohorts":[{"name":"c","class":"hft","weight":1,"tasks":[1,1],` +
+		`"util":[0.1,0.1],"period":["1ms","1ms"]}],"windows":[{"name":"w","start":0,"end":1,"rate":1}]}`))
+	// A window rate that drives the one symbol's price walk toward zero,
+	// and a window too narrow to span a nanosecond at the horizon.
+	f.Add([]byte(`{"name":"hot","symbols":1,"cohorts":[{"name":"c","class":"hft","weight":1,"tasks":[1,1],` +
+		`"util":[0.1,0.1],"period":["1ms","1ms"]}],"windows":[{"name":"w","start":0,"end":1,"rate":1e6}]}`))
+	f.Add([]byte(`{"name":"blip","cohorts":[{"name":"c","class":"hft","weight":1,"tasks":[1,1],` +
+		`"util":[0.1,0.1],"period":["1ms","1ms"]}],"windows":[{"name":"a","start":0,"end":1e-12,"rate":1},` +
+		`{"name":"b","start":1e-12,"end":1,"rate":1}]}`))
+	f.Add([]byte(`{"name":"x","cohorts":[]}`))
+	f.Add([]byte("{}"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		const horizon = 100 * time.Millisecond
+		src, err := Compile(spec, CompileConfig{Clients: 16, Seed: 5, Horizon: horizon})
+		if errors.Is(err, errEmptyWindow) {
+			return // a window narrower than a nanosecond at this horizon
+		}
+		if err != nil {
+			t.Fatalf("accepted spec does not compile: %v", err)
+		}
+		for id := 0; id < src.Len(); id++ {
+			if at := src.Params(id).Arrival; at < 0 || at > horizon {
+				t.Fatalf("client %d arrives at %v, outside [0, %v]", id, at, horizon)
+			}
+		}
+		tr := src.Trace(32)
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		back, err := Decode(buf.Bytes())
+		if err != nil {
+			t.Fatalf("recorded trace rejected: %v", err)
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("round trip changed the trace:\n%+v\nwant\n%+v", back.Meta, tr.Meta)
+		}
+	})
 }

@@ -2,10 +2,12 @@ package rtseed
 
 // Tracing-overhead benchmarks: the per-event cost the tracing subsystem
 // adds to the scheduling core, in three modes — tracing off (the nil-check
-// baseline), ring-only (flight recorder, records overwritten in place), and
-// file-backed (full ring spilled to a sink). The workload is the release-
-// only many-task sweep of BenchmarkManyTaskKernel, so every event is
-// scheduling-core work and the emit path runs on each of them.
+// baseline), ring-only (flight recorder, per-CPU rings overwritten in
+// place), and file-backed (records encoded into one shared spill buffer
+// that is written to a sink whenever it fills). The workload is the
+// release-only many-task sweep of BenchmarkManyTaskKernel on the 228-thread
+// Xeon Phi topology, so every event is scheduling-core work and the emit
+// path runs on each of them.
 //
 // BENCH_PR4.json (make bench-json) records these; the acceptance bar is
 // tracing-off within noise of the PR 3 BenchmarkKernelEventThroughput
