@@ -155,9 +155,12 @@ fuzz-smoke:
 # second pass repeats the continuation-executor headline benchmarks 5× so
 # the record carries medians, and the -baseline flag embeds the previous
 # stack point's medians from results/BENCH_PR$(BENCH_BASE).json next to
-# them. Override per stack point: `make bench-json BENCH_PR=10 BENCH_BASE=9`.
-BENCH_PR ?= 9
-BENCH_BASE ?= 8
+# them. BENCH_BASE defaults to the newest committed results/BENCH_PR<N>.json
+# (numeric order, the _BASELINE report excluded) and BENCH_PR to the next
+# number, so a run records a new point instead of overwriting an old one.
+# Override per stack point: `make bench-json BENCH_PR=10 BENCH_BASE=9`.
+BENCH_BASE ?= $(shell git ls-files 'results/BENCH_PR*.json' | sed -n 's|^results/BENCH_PR\([0-9][0-9]*\)\.json$$|\1|p' | sort -n | tail -n 1)
+BENCH_PR ?= $(shell expr $(BENCH_BASE) + 1)
 bench-json:
 	@mkdir -p results
 	( $(GO) test -run=NONE \
@@ -171,7 +174,8 @@ bench-json:
 
 # bench-trajectory folds every committed per-PR benchmark report into one
 # longitudinal record, results/BENCH_TRAJECTORY.json: each benchmark's
-# ns/op median across the PR stack, oldest point first. Pure file merge —
+# ns/op median across the PR stack, oldest point first (rtseed-benchjson
+# orders the points by PR number, not by this lexical list). Pure file merge —
 # no benchmarks run, so it is cheap enough for every CI pass. The
 # _BASELINE report is excluded: it is PR 6's before-measurement, not a
 # stack point of its own.

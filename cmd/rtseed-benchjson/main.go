@@ -19,10 +19,12 @@
 //
 //	rtseed-benchjson -trajectory [-o FILE] results/BENCH_PR3.json results/BENCH_PR6.json ...
 //
-// Each positional argument is a prior report; its BENCH_-stripped basename
-// ("PR3") becomes the point label. Every benchmark that appears in any
-// report gets a series of ns/op medians across the points it was measured
-// at, so a hot path's history across the PR stack reads out of one file.
+// Each positional argument is a prior report named BENCH_PR<N>.json; its
+// BENCH_-stripped basename ("PR3") becomes the point label. Points are
+// ordered by N, whatever the argument order — a shell glob or make's $(sort)
+// lists PR13 before PR3. Every benchmark that appears in any report gets a
+// series of ns/op medians across the points it was measured at, so a hot
+// path's history across the PR stack reads out of one file.
 package main
 
 import (
@@ -180,10 +182,31 @@ func pointLabel(path string) string {
 	return strings.TrimPrefix(base, "BENCH_")
 }
 
-// buildTrajectory reads the per-PR reports in argument order and merges them
-// into one record. Benchmarks keep first-seen order across the reports, so
-// the output is a pure function of the inputs.
+// prNumber parses a point label's position in the PR stack: "PR13" → 13.
+func prNumber(label string) (int, bool) {
+	digits, ok := strings.CutPrefix(label, "PR")
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
+}
+
+// buildTrajectory reads the per-PR reports in PR-number order and merges
+// them into one record. Benchmarks keep first-seen order across the
+// reports, so the output is a pure function of the inputs.
 func buildTrajectory(paths []string) (*Trajectory, error) {
+	pr := make(map[string]int, len(paths))
+	for _, path := range paths {
+		n, ok := prNumber(pointLabel(path))
+		if !ok {
+			return nil, fmt.Errorf("rtseed-benchjson: report %s is not named BENCH_PR<N>.json", path)
+		}
+		pr[path] = n
+	}
+	paths = append([]string(nil), paths...)
+	sort.SliceStable(paths, func(i, j int) bool { return pr[paths[i]] < pr[paths[j]] })
+
 	traj := &Trajectory{}
 	series := map[string][]TrajectoryPoint{}
 	var order []string

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -178,15 +181,47 @@ func TestBuildTrajectory(t *testing.T) {
 		t.Errorf("late entry = %+v", traj.Benchmarks[2])
 	}
 
-	if _, err := buildTrajectory([]string{dir + "/missing.json"}); err == nil {
+	if _, err := buildTrajectory([]string{dir + "/BENCH_PR7.json"}); err == nil {
 		t.Error("missing report file must error")
 	}
-	bad := dir + "/BENCH_BAD.json"
+	bad := dir + "/BENCH_PR99.json"
 	if err := writeFile(bad, "not json"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := buildTrajectory([]string{bad}); err == nil {
 		t.Error("malformed report file must error")
+	}
+	if _, err := buildTrajectory([]string{pr3, dir + "/BENCH_PR6_BASELINE.json"}); err == nil {
+		t.Error("a report without a PR number must error: it has no place in the stack")
+	}
+}
+
+// The points follow the PR stack even when the files arrive in lexical
+// order, as a glob or make's $(sort) lists them: PR13 sorts before PR3.
+func TestBuildTrajectoryOrdersByPRNumber(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for _, p := range []struct {
+		name string
+		ns   float64
+	}{{"BENCH_PR13.json", 30}, {"BENCH_PR3.json", 20}, {"BENCH_PR9.json", 25}} {
+		path := dir + "/" + p.name
+		if err := writeFile(path, fmt.Sprintf(`{"benchmarks":[{"name":"BenchmarkHot","ns_per_op":%g}]}`, p.ns)); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	traj, err := buildTrajectory(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"PR3", "PR9", "PR13"}; !reflect.DeepEqual(traj.Points, want) {
+		t.Fatalf("points = %v, want %v", traj.Points, want)
+	}
+	hot := traj.Benchmarks[0]
+	if hot.Series[0].Point != "PR3" || hot.Series[2].Point != "PR13" || hot.Delta != 1.5 {
+		t.Fatalf("series = %+v delta %v, want PR3→PR13 with delta 30/20 = 1.5", hot.Series, hot.Delta)
 	}
 }
 

@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"rtseed/internal/analysis"
@@ -25,12 +27,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	tk := task.PracticalTask{
 		Name: "two-stage-trader",
 		Sections: []task.Section{
@@ -53,7 +55,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("task-level OD = %v; per-section optional deadlines = %v\n\n", od, sectionODs)
+	fmt.Fprintf(w, "task-level OD = %v; per-section optional deadlines = %v\n\n", od, sectionODs)
 
 	mach, err := machine.New(machine.XeonPhi3120A(), machine.NoLoad, machine.DefaultCostModel(), 5)
 	if err != nil {
@@ -72,7 +74,7 @@ func run() error {
 		OptionalDeadline:  od,
 		Jobs:              5,
 		OnWindup: func(job int, progress []float64) {
-			fmt.Printf("job %d: stage-1 parts %.0f%% / %.0f%%, stage-2 part %.0f%%\n",
+			fmt.Fprintf(w, "job %d: stage-1 parts %.0f%% / %.0f%%, stage-2 part %.0f%%\n",
 				job, progress[0]*100, progress[1]*100, progress[2]*100)
 		},
 	})
@@ -82,7 +84,7 @@ func run() error {
 	p.Start()
 	k.Run()
 	st := p.Stats()
-	fmt.Printf("\n%d jobs, %d deadline misses, mean QoS %.2f (%d parts terminated)\n",
+	fmt.Fprintf(w, "\n%d jobs, %d deadline misses, mean QoS %.2f (%d parts terminated)\n",
 		st.Jobs, st.DeadlineMisses, st.MeanQoS, st.TerminatedParts)
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rtseed/internal/engine"
 	"rtseed/internal/kernel"
 	"rtseed/internal/machine"
 	"rtseed/internal/task"
@@ -20,14 +19,16 @@ type PracticalConfig struct {
 	// MandatoryCPU pins the mandatory thread.
 	MandatoryCPU machine.HWThread
 	// OptionalCPUs pins the optional threads, section-major (section 0's
-	// parts first); its length must equal Task.NumOptional().
+	// parts first); its length must equal Task.NumOptional(), and the
+	// first entry must equal MandatoryCPU, as in Config.
 	OptionalCPUs []machine.HWThread
 	// OptionalDeadline is the task-level relative OD (from the RMWP
 	// analysis of Task.Flatten()); per-section deadlines are derived with
 	// Task.SectionDeadlines unless SectionDeadlines is set explicitly.
 	OptionalDeadline time.Duration
 	// SectionDeadlines optionally overrides the per-section relative
-	// optional deadlines (strictly increasing, last <= OptionalDeadline).
+	// optional deadlines (positive, strictly increasing, last <=
+	// OptionalDeadline).
 	SectionDeadlines []time.Duration
 	// Jobs is how many jobs to execute.
 	Jobs int
@@ -38,53 +39,16 @@ type PracticalConfig struct {
 	OnWindup func(job int, progress []float64)
 }
 
-// PracticalProcess runs a practical imprecise task: within each job the
-// sections execute in order — mandatory part, then that section's parallel
-// optional parts until the section's optional deadline — and the single
-// wind-up part closes the job.
-type PracticalProcess struct {
-	k    *kernel.Kernel
-	cfg  PracticalConfig
-	term Termination
-
-	sectionODs []time.Duration // relative, one per section
-	flat       []partRef       // section-major part index
-
-	mandatory *kernel.Thread
-	optionals []*kernel.Thread
-	mandCond  *kernel.CondVar
-	optConds  []*kernel.CondVar
-	endLock   *kernel.Mutex
-
-	running     bool
-	partPending []bool
-	remaining   int
-	curJob      int
-	curOD       engine.Time
-	curParts    []task.PartRecord
-
-	records []task.JobRecord
-}
-
-type partRef struct {
-	section int
-	length  time.Duration
-}
-
-// NewPracticalProcess validates and builds the process.
-func NewPracticalProcess(k *kernel.Kernel, cfg PracticalConfig) (*PracticalProcess, error) {
+// NewPracticalProcess validates and builds a process for a practical
+// imprecise task: within each job the sections execute in order — mandatory
+// part, then that section's parallel optional parts until the section's
+// optional deadline — and the single wind-up part closes the job. The
+// process runs the flattened task (task.PracticalTask.Flatten) on the
+// Process protocol, one fork-join per section; part indexes in its records
+// and trace are section-major.
+func NewPracticalProcess(k *kernel.Kernel, cfg PracticalConfig) (*Process, error) {
 	if err := cfg.Task.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.MandatoryPriority < RTQMin || cfg.MandatoryPriority > RTQMax {
-		return nil, fmt.Errorf("core: mandatory priority %d outside RTQ", cfg.MandatoryPriority)
-	}
-	if cfg.Jobs <= 0 {
-		return nil, fmt.Errorf("core: jobs must be positive")
-	}
-	np := cfg.Task.NumOptional()
-	if len(cfg.OptionalCPUs) != np {
-		return nil, fmt.Errorf("core: %d optional CPUs for %d parts", len(cfg.OptionalCPUs), np)
 	}
 	ods := cfg.SectionDeadlines
 	if ods == nil {
@@ -97,178 +61,31 @@ func NewPracticalProcess(k *kernel.Kernel, cfg PracticalConfig) (*PracticalProce
 	if len(ods) != len(cfg.Task.Sections) {
 		return nil, fmt.Errorf("core: %d section deadlines for %d sections", len(ods), len(cfg.Task.Sections))
 	}
+	if ods[0] <= 0 {
+		return nil, fmt.Errorf("core: section deadlines must be positive, got %v", ods)
+	}
 	for i := 1; i < len(ods); i++ {
 		if ods[i] <= ods[i-1] {
 			return nil, fmt.Errorf("core: section deadlines must increase, got %v", ods)
 		}
 	}
-	if last := ods[len(ods)-1]; last > cfg.OptionalDeadline || cfg.OptionalDeadline > cfg.Task.Period {
+	if last := ods[len(ods)-1]; last > cfg.OptionalDeadline {
 		return nil, fmt.Errorf("core: section deadlines %v exceed optional deadline %v", ods, cfg.OptionalDeadline)
 	}
-	term := cfg.Termination
-	if term == nil {
-		term = SigjmpTermination{}
+	sections := make([]section, len(ods))
+	lo := 0
+	for i, s := range cfg.Task.Sections {
+		sections[i] = section{mandatory: s.Mandatory, lo: lo, hi: lo + len(s.Optional), od: ods[i]}
+		lo = sections[i].hi
 	}
-	optPrio, err := OptionalPriority(cfg.MandatoryPriority)
-	if err != nil {
-		return nil, err
-	}
-
-	p := &PracticalProcess{
-		k:           k,
-		cfg:         cfg,
-		term:        term,
-		sectionODs:  ods,
-		running:     true,
-		partPending: make([]bool, np),
-		mandCond:    k.NewCondVar(cfg.Task.Name + ".mandatory"),
-		endLock:     k.NewMutex(cfg.Task.Name + ".end"),
-		optConds:    make([]*kernel.CondVar, np),
-		optionals:   make([]*kernel.Thread, np),
-	}
-	for si, s := range cfg.Task.Sections {
-		for _, o := range s.Optional {
-			p.flat = append(p.flat, partRef{section: si, length: o})
-		}
-	}
-	p.mandatory, err = k.NewThread(kernel.ThreadConfig{
-		Name:     cfg.Task.Name + ".mand",
-		Priority: cfg.MandatoryPriority,
-		CPU:      cfg.MandatoryCPU,
-	}, p.mandatoryBody)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < np; i++ {
-		i := i
-		p.optConds[i] = k.NewCondVar(fmt.Sprintf("%s.opt%d", cfg.Task.Name, i))
-		p.optionals[i], err = k.NewThread(kernel.ThreadConfig{
-			Name:     fmt.Sprintf("%s.opt%d", cfg.Task.Name, i),
-			Priority: optPrio,
-			CPU:      cfg.OptionalCPUs[i],
-		}, func(c *kernel.TCB) { p.optionalBody(c, i) })
-		if err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// Start launches the process's threads.
-func (p *PracticalProcess) Start() {
-	for _, t := range p.optionals {
-		t.Start()
-	}
-	p.mandatory.Start()
-}
-
-// Records returns the accumulated job records (parts section-major).
-func (p *PracticalProcess) Records() []task.JobRecord {
-	out := make([]task.JobRecord, len(p.records))
-	copy(out, p.records)
-	return out
-}
-
-// Stats summarizes the accumulated job records.
-func (p *PracticalProcess) Stats() task.Stats { return task.Summarize(p.records) }
-
-// SectionODs returns the per-section relative optional deadlines in use.
-func (p *PracticalProcess) SectionODs() []time.Duration {
-	out := make([]time.Duration, len(p.sectionODs))
-	copy(out, p.sectionODs)
-	return out
-}
-
-func (p *PracticalProcess) mandatoryBody(c *kernel.TCB) {
-	t := p.cfg.Task
-	np := t.NumOptional()
-	for job := 0; job < p.cfg.Jobs; job++ {
-		release := engine.At(time.Duration(job) * t.Period)
-		c.SleepUntil(release)
-		mandStart := c.Now()
-		p.curJob = job
-		p.curParts = make([]task.PartRecord, np)
-
-		base := 0
-		for si, s := range t.Sections {
-			c.Compute(s.Mandatory)
-			sectionOD := release.Add(p.sectionODs[si])
-			p.curOD = sectionOD
-			nparts := len(s.Optional)
-			if nparts == 0 {
-				continue
-			}
-			if c.Now() < sectionOD {
-				p.remaining = nparts
-				for k := 0; k < nparts; k++ {
-					p.partPending[base+k] = true
-				}
-				for k := 0; k < nparts; k++ {
-					c.CondSignal(p.optConds[base+k])
-				}
-				for p.remaining > 0 {
-					c.CondWait(p.mandCond)
-				}
-			} else {
-				for k := 0; k < nparts; k++ {
-					p.curParts[base+k] = task.PartRecord{
-						Outcome: task.PartDiscarded,
-						Length:  s.Optional[k],
-					}
-				}
-			}
-			base += nparts
-		}
-
-		windupStart := c.Now()
-		c.Compute(t.Windup)
-		if fn := p.cfg.OnWindup; fn != nil {
-			progress := make([]float64, np)
-			for k, pr := range p.curParts {
-				progress[k] = pr.Progress()
-			}
-			fn(job, progress)
-		}
-		p.records = append(p.records, task.JobRecord{
-			Job:            job,
-			Release:        release.Duration(),
-			MandatoryStart: mandStart.Duration(),
-			WindupStart:    windupStart.Duration(),
-			Finish:         c.Now().Duration(),
-			Deadline:       release.Add(t.Period).Duration(),
-			Parts:          p.curParts,
-		})
-	}
-	p.running = false
-	for _, cv := range p.optConds {
-		c.CondSignal(cv)
-	}
-}
-
-func (p *PracticalProcess) optionalBody(c *kernel.TCB, idx int) {
-	ref := p.flat[idx]
-	for {
-		for p.running && !p.partPending[idx] {
-			c.CondWait(p.optConds[idx])
-		}
-		if !p.partPending[idx] {
-			return
-		}
-		p.partPending[idx] = false
-		od := p.curOD
-		completed, ran := p.term.RunOptional(c, od, ref.length)
-		outcome := task.PartTerminated
-		if completed {
-			outcome = task.PartCompleted
-		}
-		p.curParts[idx] = task.PartRecord{Outcome: outcome, Executed: ran, Length: ref.length}
-		c.MutexLock(p.endLock)
-		c.ChargeOp(machine.OpEndOptional)
-		p.remaining--
-		last := p.remaining == 0
-		c.MutexUnlock(p.endLock)
-		if last {
-			c.CondSignal(p.mandCond)
-		}
-	}
+	return newSectionedProcess(k, Config{
+		Task:              cfg.Task.Flatten(),
+		MandatoryPriority: cfg.MandatoryPriority,
+		MandatoryCPU:      cfg.MandatoryCPU,
+		OptionalCPUs:      cfg.OptionalCPUs,
+		OptionalDeadline:  cfg.OptionalDeadline,
+		Jobs:              cfg.Jobs,
+		Termination:       cfg.Termination,
+		App:               App{OnWindup: cfg.OnWindup},
+	}, sections)
 }

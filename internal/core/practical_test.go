@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
 	"rtseed/internal/assign"
+	"rtseed/internal/kernel"
 	"rtseed/internal/machine"
 	"rtseed/internal/task"
+	"rtseed/internal/trace"
 )
 
 // practicalTask builds a two-section practical task: T=100ms, sections
@@ -21,6 +25,31 @@ func practicalTask(o time.Duration) task.PracticalTask {
 		Windup: ms(20),
 		Period: ms(100),
 	}
+}
+
+// runPractical runs tk for the given jobs with a 70ms task-level optional
+// deadline, the mandatory thread on CPU 0 and the parts placed one by one.
+func runPractical(t *testing.T, k *kernel.Kernel, tk task.PracticalTask, jobs int, term Termination) *Process {
+	t.Helper()
+	cpus, err := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, tk.NumOptional())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPracticalProcess(k, PracticalConfig{
+		Task:              tk,
+		MandatoryPriority: 90,
+		MandatoryCPU:      0,
+		OptionalCPUs:      cpus,
+		OptionalDeadline:  ms(70),
+		Jobs:              jobs,
+		Termination:       term,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	k.Run()
+	return p
 }
 
 func TestPracticalValidate(t *testing.T) {
@@ -88,24 +117,7 @@ func TestSectionDeadlines(t *testing.T) {
 
 func TestPracticalProcessRuns(t *testing.T) {
 	k := newSim(t, machine.NoLoad)
-	tk := practicalTask(time.Second) // all parts overrun
-	cpus, err := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, tk.NumOptional())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPracticalProcess(k, PracticalConfig{
-		Task:              tk,
-		MandatoryPriority: 90,
-		MandatoryCPU:      0,
-		OptionalCPUs:      cpus,
-		OptionalDeadline:  ms(70),
-		Jobs:              4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	k.Run()
+	p := runPractical(t, k, practicalTask(time.Second), 4, nil) // all parts overrun
 	st := p.Stats()
 	if st.Jobs != 4 {
 		t.Fatalf("jobs %d, want 4", st.Jobs)
@@ -130,21 +142,7 @@ func TestPracticalProcessRuns(t *testing.T) {
 func TestPracticalSectionsInterleave(t *testing.T) {
 	k := newSim(t, machine.NoLoad)
 	// Short optional parts complete within their section windows.
-	tk := practicalTask(ms(2))
-	cpus, _ := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, tk.NumOptional())
-	p, err := NewPracticalProcess(k, PracticalConfig{
-		Task:              tk,
-		MandatoryPriority: 90,
-		MandatoryCPU:      0,
-		OptionalCPUs:      cpus,
-		OptionalDeadline:  ms(70),
-		Jobs:              2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	k.Run()
+	p := runPractical(t, k, practicalTask(ms(2)), 2, nil)
 	st := p.Stats()
 	if st.CompletedParts != 6 {
 		t.Fatalf("completed %d, want 6", st.CompletedParts)
@@ -154,35 +152,116 @@ func TestPracticalSectionsInterleave(t *testing.T) {
 	}
 }
 
+// The periodic check and try-catch mechanisms end each section's parts
+// with their Table I behaviour, as the default sigjmp one does.
+func TestPracticalTerminationMechanisms(t *testing.T) {
+	// Periodic check: every part polls past its section's optional
+	// deadline by at most one 1ms check period, so all 12 parts are
+	// terminated and the wind-up starts within 1ms of the 70ms OD.
+	p := runPractical(t, newSim(t, machine.NoLoad), practicalTask(time.Second), 4, PeriodicCheckTermination{})
+	if st := p.Stats(); st.Jobs != 4 || st.TerminatedParts != 12 || st.DeadlineMisses != 0 {
+		t.Fatalf("periodic check: %+v, want 4 jobs, 12 terminated, no misses", st)
+	}
+	for _, rec := range p.Records() {
+		if lag := rec.WindupStart - rec.Release - ms(70); lag < 0 || lag > time.Millisecond {
+			t.Fatalf("periodic check: job %d wind-up %v after the OD, want within one check period", rec.Job, lag)
+		}
+	}
+
+	// Try-catch terminates job 0's three parts but leaves SIGALRM
+	// masked: job 1's section-0 parts then run to completion (1s each),
+	// and job 1 and every later job miss.
+	p = runPractical(t, newSim(t, machine.NoLoad), practicalTask(time.Second), 4, TryCatchTermination{})
+	st := p.Stats()
+	if st.CompletedParts != 2 || st.TerminatedParts != 3 || st.DiscardedParts != 7 || st.DeadlineMisses != 3 {
+		t.Fatalf("try-catch: %+v, want done=2 cut=3 drop=7 and 3 misses", st)
+	}
+	recs := p.Records()
+	for k, part := range recs[0].Parts {
+		if part.Outcome != task.PartTerminated {
+			t.Fatalf("try-catch: job 0 part %d %v, want terminated", k, part.Outcome)
+		}
+	}
+	for k, part := range recs[1].Parts[:2] {
+		if part.Outcome != task.PartCompleted || part.Executed != time.Second {
+			t.Fatalf("try-catch: job 1 part %d %+v, want completed after 1s", k, part)
+		}
+	}
+}
+
+// The middleware trace of a two-section task agrees with the job records:
+// one release latency and response per job, and the same part and miss
+// counts. Try-catch makes every counter nonzero.
+func TestPracticalTraceMatchesStats(t *testing.T) {
+	k := newSim(t, machine.NoLoad)
+	tr := trace.New(trace.Config{CPUs: k.Machine().Topology().NumHWThreads()})
+	k.SetTrace(tr)
+	p := runPractical(t, k, practicalTask(time.Second), 4, TryCatchTermination{})
+	st := p.Stats()
+	a := trace.Analyze(&trace.Trace{Records: tr.Records(), Threads: k.ThreadInfos(), Lost: tr.Lost()})
+	if a.Lost != 0 {
+		t.Fatalf("flight recorder overwrote %d records", a.Lost)
+	}
+	ts := a.TaskByName("prac")
+	if ts == nil {
+		t.Fatalf("no task prac in the trace analysis: %+v", a.Tasks)
+	}
+	if ts.Jobs != st.Jobs || ts.Completed != st.CompletedParts || ts.Terminated != st.TerminatedParts ||
+		ts.Discarded != st.DiscardedParts || ts.Misses != st.DeadlineMisses {
+		t.Fatalf("trace jobs=%d done=%d cut=%d drop=%d misses=%d, records %+v",
+			ts.Jobs, ts.Completed, ts.Terminated, ts.Discarded, ts.Misses, st)
+	}
+	if ts.ReleaseLat.N != uint64(st.Jobs) || ts.Response.N != uint64(st.Jobs) {
+		t.Fatalf("%d release latencies and %d responses for %d jobs", ts.ReleaseLat.N, ts.Response.N, st.Jobs)
+	}
+}
+
 func TestPracticalWithOneSectionMatchesParallelExtended(t *testing.T) {
 	// With a single section the practical model reduces to the
-	// parallel-extended model: same outcomes, same deadline behaviour.
-	k1 := newSim(t, machine.NoLoad)
+	// parallel-extended model: the same job records and the same trace
+	// bytes as the flattened task.
 	single := task.PracticalTask{
 		Name:     "one",
 		Sections: []task.Section{{Mandatory: ms(25), Optional: []time.Duration{time.Second, time.Second}}},
 		Windup:   ms(25),
 		Period:   ms(100),
 	}
-	cpus, _ := assign.HWThreads(k1.Machine().Topology(), assign.OneByOne, 2)
-	pp, err := NewPracticalProcess(k1, PracticalConfig{
-		Task: single, MandatoryPriority: 90, MandatoryCPU: 0,
-		OptionalCPUs: cpus, OptionalDeadline: ms(70), Jobs: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
+	run := func(build func(k *kernel.Kernel, cpus []machine.HWThread) (*Process, error)) ([]task.JobRecord, []byte) {
+		k := newSim(t, machine.NoLoad)
+		var buf bytes.Buffer
+		k.SetTrace(trace.New(trace.Config{CPUs: k.Machine().Topology().NumHWThreads(), Sink: &buf}))
+		cpus, err := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := build(k, cpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Start()
+		k.Run()
+		if err := k.Trace().Close(k.ThreadInfos()); err != nil {
+			t.Fatal(err)
+		}
+		return p.Records(), buf.Bytes()
 	}
-	pp.Start()
-	k1.Run()
-
-	k2 := newSim(t, machine.NoLoad)
-	pe := newProcess(t, k2, paperTask(2, time.Second), 3, nil, Probes{}, App{})
-	pe.Start()
-	k2.Run()
-
-	a, b := pp.Stats(), pe.Stats()
-	if a.TerminatedParts != b.TerminatedParts || a.DeadlineMisses != b.DeadlineMisses {
-		t.Fatalf("practical %+v vs parallel-extended %+v", a, b)
+	practical, practicalTrace := run(func(k *kernel.Kernel, cpus []machine.HWThread) (*Process, error) {
+		return NewPracticalProcess(k, PracticalConfig{
+			Task: single, MandatoryPriority: 90, MandatoryCPU: 0,
+			OptionalCPUs: cpus, OptionalDeadline: ms(70), Jobs: 3,
+		})
+	})
+	flat, flatTrace := run(func(k *kernel.Kernel, cpus []machine.HWThread) (*Process, error) {
+		return NewProcess(k, Config{
+			Task: single.Flatten(), MandatoryPriority: 90, MandatoryCPU: 0,
+			OptionalCPUs: cpus, OptionalDeadline: ms(70), Jobs: 3,
+		})
+	})
+	if len(practical) != 3 || !reflect.DeepEqual(practical, flat) {
+		t.Fatalf("practical records %+v\nparallel-extended records %+v", practical, flat)
+	}
+	if !bytes.Equal(practicalTrace, flatTrace) {
+		t.Fatalf("trace files differ: practical %d bytes, parallel-extended %d bytes", len(practicalTrace), len(flatTrace))
 	}
 }
 
@@ -202,6 +281,12 @@ func TestPracticalConfigValidation(t *testing.T) {
 		func(c *PracticalConfig) { c.SectionDeadlines = []time.Duration{ms(40)} },
 		func(c *PracticalConfig) { c.SectionDeadlines = []time.Duration{ms(50), ms(40)} },
 		func(c *PracticalConfig) { c.SectionDeadlines = []time.Duration{ms(40), ms(90)} },
+		func(c *PracticalConfig) {
+			c.OptionalDeadline = -ms(1)
+			c.SectionDeadlines = []time.Duration{-ms(10), -ms(5)}
+		},
+		func(c *PracticalConfig) { c.SectionDeadlines = []time.Duration{0, ms(40)} },
+		func(c *PracticalConfig) { c.MandatoryCPU = 1 }, // first part must share it (§IV)
 	}
 	for i, mutate := range bad {
 		cfg := base
@@ -212,5 +297,10 @@ func TestPracticalConfigValidation(t *testing.T) {
 	}
 	if _, err := NewPracticalProcess(k, base); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+	hpq := base
+	hpq.MandatoryPriority = HPQPriority
+	if _, err := NewPracticalProcess(k, hpq); err != nil {
+		t.Fatalf("HPQ priority rejected: %v", err)
 	}
 }

@@ -131,11 +131,14 @@ func (cfg *Config) validate() error {
 }
 
 // Process is a running parallel-extended imprecise task: one mandatory
-// thread plus np parallel optional threads on a simulated kernel.
+// thread plus np parallel optional threads on a simulated kernel. A
+// practical task (NewPracticalProcess) runs on the same protocol with one
+// fork-join section per task.Section.
 type Process struct {
-	k    *kernel.Kernel
-	cfg  Config
-	term Termination
+	k        *kernel.Kernel
+	cfg      Config
+	term     Termination
+	sections []section
 
 	mandatory *kernel.Thread
 	optionals []*kernel.Thread
@@ -149,9 +152,8 @@ type Process struct {
 	// time — the O(np) ending overhead of Fig. 13.
 	endLock *kernel.Mutex
 
-	// Protocol state. Host code is serialized by the kernel handshake, so
-	// plain fields are safe; the happens-before edges come from the
-	// resume/yield channels.
+	// Protocol state. Both bodies step inline on the event loop, one Step
+	// at a time, so plain fields are safe.
 	running     bool
 	activeParts int
 	skipped     int
@@ -164,9 +166,28 @@ type Process struct {
 	records []task.JobRecord
 }
 
+// section is one fork-join stage of a job: the mandatory burst, then the
+// parallel optional parts [lo, hi) signalled with the section's optional
+// deadline od, relative to the release.
+type section struct {
+	mandatory time.Duration
+	lo, hi    int
+	od        time.Duration
+}
+
 // NewProcess builds the process and its threads (sched_setscheduler +
 // sched_setaffinity of Fig. 6). Threads start when Start is called.
 func NewProcess(k *kernel.Kernel, cfg Config) (*Process, error) {
+	return newSectionedProcess(k, cfg, []section{{
+		mandatory: cfg.Task.Mandatory,
+		hi:        cfg.Task.NumOptional(),
+		od:        cfg.OptionalDeadline,
+	}})
+}
+
+// newSectionedProcess validates cfg and builds a process whose jobs run
+// the given sections in order before the wind-up part.
+func newSectionedProcess(k *kernel.Kernel, cfg Config, sections []section) (*Process, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -183,6 +204,7 @@ func NewProcess(k *kernel.Kernel, cfg Config) (*Process, error) {
 		k:           k,
 		cfg:         cfg,
 		term:        term,
+		sections:    sections,
 		running:     true,
 		activeParts: np,
 		partPending: make([]bool, np),
@@ -291,13 +313,14 @@ const (
 	pmAwake
 	// pmMigrated: the migration completed; start the mandatory part.
 	pmMigrated
-	// pmAfterMand: the mandatory burst completed; fork the optional parts.
+	// pmAfterMand: a section's mandatory burst completed; fork its
+	// optional parts.
 	pmAfterMand
 	// pmSignal: a pthread_cond_signal of the wake-up loop completed; signal
 	// the next part or block for the parts to end.
 	pmSignal
 	// pmWait: a CondWait on the mandatory condvar returned; re-check
-	// remaining (spurious-wakeup loop) or wind up.
+	// remaining (spurious-wakeup loop) or join the section.
 	pmWait
 	// pmAfterWind: the wind-up burst completed; record the job and loop.
 	pmAfterWind
@@ -307,10 +330,10 @@ const (
 )
 
 // mandBody is the mandatory thread's program (Fig. 6, left column) in
-// continuation form: sleep to the release, execute the mandatory part, wake
-// the parallel optional threads, wait for them all to end, execute the
-// wind-up part, sleep until the next release. Each blocking call of the
-// goroutine form is one returned action here; everything between two actions
+// continuation form: sleep to the release; for each section, execute its
+// mandatory part, wake its parallel optional threads and wait for them all
+// to end; then execute the wind-up part and sleep until the next release.
+// Each kernel action is one returned Next; everything between two actions
 // is host code and runs inside one Step.
 type mandBody struct {
 	p         *Process
@@ -318,10 +341,11 @@ type mandBody struct {
 
 	pc        mandPC
 	job       int
+	sec       int
 	release   engine.Time
 	mandStart engine.Time
 	bStart    engine.Time
-	active    int
+	sigEnd    int
 	sigIdx    int
 }
 
@@ -344,7 +368,7 @@ func (b *mandBody) Step(c *kernel.TCB, r kernel.Resume) kernel.Next {
 		return b.fork(c)
 	case pmSignal:
 		b.sigIdx++
-		if b.sigIdx < b.active {
+		if b.sigIdx < b.sigEnd {
 			return kernel.CondSignal(b.p.optConds[b.sigIdx])
 		}
 		if fn := b.p.cfg.Probes.OnSignalLoop; fn != nil {
@@ -357,12 +381,12 @@ func (b *mandBody) Step(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			b.pc = pmWait
 			return kernel.CondWait(b.p.mandCond)
 		}
-		return b.windup(c)
+		return b.join(c)
 	case pmWait:
 		if b.p.remaining > 0 {
 			return kernel.CondWait(b.p.mandCond)
 		}
-		return b.windup(c)
+		return b.join(c)
 	case pmAfterWind:
 		return b.finishJob(c)
 	case pmDrain:
@@ -407,6 +431,8 @@ func (b *mandBody) startJob(c *kernel.TCB) kernel.Next {
 	}
 }
 
+// startMandatory begins a released job: its part records, then the first
+// section's mandatory burst.
 func (b *mandBody) startMandatory(c *kernel.TCB) kernel.Next {
 	p := b.p
 	b.mandStart = c.Now()
@@ -415,58 +441,69 @@ func (b *mandBody) startMandatory(c *kernel.TCB) kernel.Next {
 	if fn := p.cfg.Probes.OnRelease; fn != nil {
 		fn(b.job, b.release, b.mandStart)
 	}
+	p.curJob = b.job
+	p.curParts = make([]task.PartRecord, p.cfg.Task.NumOptional())
+	b.sec = 0
 	b.pc = pmAfterMand
-	return kernel.Compute(p.cfg.Task.Mandatory)
+	return kernel.Compute(p.sections[0].mandatory)
 }
 
-// fork runs after the mandatory part: wake the active parallel optional
-// threads (Δb is the signal loop), or discard every part when the optional
-// deadline has already passed.
+// fork runs after a section's mandatory part: wake the section's active
+// parallel optional threads (Δb is the signal loop), or discard every part
+// of the section when its optional deadline has already passed.
 func (b *mandBody) fork(c *kernel.TCB) kernel.Next {
-	p, t := b.p, b.p.cfg.Task
-	np := t.NumOptional()
+	p, s := b.p, b.p.sections[b.sec]
 	if fn := p.cfg.App.OnMandatory; fn != nil {
 		fn(b.job)
 	}
-	od := b.release.Add(p.cfg.OptionalDeadline)
-	p.curJob = b.job
+	od := b.release.Add(s.od)
 	p.curOD = od
-	p.curParts = make([]task.PartRecord, np)
 
-	active := np
+	active := s.hi - s.lo
 	if p.cfg.Adaptive != nil {
 		active = p.activeParts
 	}
 	if active > 0 && c.Now() < od {
 		// Wake the active parallel optional threads (Δb is this
 		// loop); the rest are discarded this job.
+		b.sigEnd = s.lo + active
 		p.remaining = active
-		for k := 0; k < active; k++ {
+		for k := s.lo; k < b.sigEnd; k++ {
 			p.partPending[k] = true
 		}
-		for k := active; k < np; k++ {
-			p.curParts[k] = task.PartRecord{
-				Outcome: task.PartDiscarded,
-				Length:  t.Optional[k],
-			}
-			p.emit(c, trace.KindOptDiscard, trace.PackJobPart(b.job, k))
-		}
+		b.discard(c, b.sigEnd, s.hi)
 		b.bStart = c.Now()
 		p.emit(c, trace.KindOptFork, uint64(b.job))
-		b.active = active
-		b.sigIdx = 0
+		b.sigIdx = s.lo
 		b.pc = pmSignal
-		return kernel.CondSignal(p.optConds[0])
+		return kernel.CondSignal(p.optConds[s.lo])
 	}
 	// No time left before the optional deadline: the parts are
 	// discarded — the optional threads never receive the wake-up
 	// signal (Fig. 1).
-	for k := 0; k < np; k++ {
+	b.discard(c, s.lo, s.hi)
+	return b.join(c)
+}
+
+// discard records parts [lo, hi) of the current job as discarded.
+func (b *mandBody) discard(c *kernel.TCB, lo, hi int) {
+	p := b.p
+	for k := lo; k < hi; k++ {
 		p.curParts[k] = task.PartRecord{
 			Outcome: task.PartDiscarded,
-			Length:  t.Optional[k],
+			Length:  p.cfg.Task.Optional[k],
 		}
 		p.emit(c, trace.KindOptDiscard, trace.PackJobPart(b.job, k))
+	}
+}
+
+// join runs once a section's optional parts have all ended: start the next
+// section's mandatory burst, or the wind-up part after the last section.
+func (b *mandBody) join(c *kernel.TCB) kernel.Next {
+	b.sec++
+	if b.sec < len(b.p.sections) {
+		b.pc = pmAfterMand
+		return kernel.Compute(b.p.sections[b.sec].mandatory)
 	}
 	return b.windup(c)
 }
@@ -605,7 +642,12 @@ func (b *optBody) await(c *kernel.TCB, r kernel.Resume) kernel.Next {
 	}
 	b.st.Reset(p.curOD, p.cfg.Task.Optional[b.k])
 	b.pc = poTerm
-	next, _ := p.term.StepOptional(&b.st, c, r)
+	next, done := p.term.StepOptional(&b.st, c, r)
+	if done {
+		// The mechanism ended the part without a kernel action: periodic
+		// check on a zero-length part or past the optional deadline.
+		return b.endPart(c)
+	}
 	return next
 }
 

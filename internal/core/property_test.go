@@ -137,29 +137,34 @@ func TestProcessWithoutOptionalParts(t *testing.T) {
 }
 
 // Zero-length optional parts complete instantly.
+// Zero-length parts complete under every mechanism — including periodic
+// check, which ends such a part before issuing any kernel action.
 func TestProcessZeroLengthOptionals(t *testing.T) {
-	k := newSim(t, machine.NoLoad)
-	tk := task.Uniform("z", ms(20), ms(20), 0, 2, ms(100))
-	cpus, _ := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, 2)
-	p, err := NewProcess(k, Config{
-		Task:              tk,
-		MandatoryPriority: 90,
-		MandatoryCPU:      0,
-		OptionalCPUs:      cpus,
-		OptionalDeadline:  ms(70),
-		Jobs:              2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	k.Run()
-	st := p.Stats()
-	if st.CompletedParts != 4 {
-		t.Fatalf("completed %d, want 4", st.CompletedParts)
-	}
-	if st.DeadlineMisses != 0 {
-		t.Fatalf("misses %d", st.DeadlineMisses)
+	for _, term := range []Termination{SigjmpTermination{}, PeriodicCheckTermination{}, TryCatchTermination{}} {
+		k := newSim(t, machine.NoLoad)
+		tk := task.Uniform("z", ms(20), ms(20), 0, 2, ms(100))
+		cpus, _ := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, 2)
+		p, err := NewProcess(k, Config{
+			Task:              tk,
+			MandatoryPriority: 90,
+			MandatoryCPU:      0,
+			OptionalCPUs:      cpus,
+			OptionalDeadline:  ms(70),
+			Jobs:              2,
+			Termination:       term,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Start()
+		k.Run()
+		st := p.Stats()
+		if st.CompletedParts != 4 {
+			t.Fatalf("%s: completed %d, want 4", term.Name(), st.CompletedParts)
+		}
+		if st.DeadlineMisses != 0 {
+			t.Fatalf("%s: misses %d", term.Name(), st.DeadlineMisses)
+		}
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 
 // Termination is a mechanism for ending a parallel optional part at its
 // optional deadline in the user space (paper §IV-D, Fig. 7, Table I). A
-// mechanism runs one optional part of up to `length` execution time, with
-// the optional deadline at absolute time od, and reports whether the part
-// completed along with the CPU time it consumed.
+// mechanism runs one optional part of up to TermState.Length execution
+// time, with the optional deadline at absolute time TermState.OD, and
+// reports whether the part completed along with the CPU time it consumed.
 type Termination interface {
 	// Name returns the mechanism's label as used in Table I.
 	Name() string
@@ -23,24 +23,18 @@ type Termination interface {
 	// mask after a termination, so the next job's optional-deadline timer
 	// can fire (Table I column "Signal Mask Restoration").
 	RestoresSignalMask() bool
-	// RunOptional executes the part on the calling thread. This is the
-	// blocking form for goroutine-executor bodies (PracticalProcess keeps
-	// using it); continuation bodies drive StepOptional instead.
-	RunOptional(c *kernel.TCB, od engine.Time, length time.Duration) (completed bool, ran time.Duration)
-	// StepOptional advances the mechanism's continuation form by one kernel
-	// action. The caller Resets st before the first call, then calls
+	// StepOptional runs the part on the calling thread, one kernel action
+	// per call. The caller Resets st before the first call, then calls
 	// StepOptional once per kernel resume, executing each returned action,
-	// until done is reported; st.Completed and st.Ran then hold what
-	// RunOptional would have returned (the returned Next is the zero value
-	// and must not be executed). Both forms issue identical kernel request
-	// sequences — that is what makes the executors trace-identical.
+	// until done is reported; st.Completed and st.Ran then hold whether
+	// the part completed and the CPU time it consumed (the returned Next
+	// is the zero value and must not be executed).
 	StepOptional(st *TermState, c *kernel.TCB, r kernel.Resume) (next kernel.Next, done bool)
 }
 
 // TermState is the resumable state of one optional part run under a
-// termination mechanism's continuation form. It lives in the optional
-// thread's body (one per thread, reused across jobs), so steady-state
-// stepping allocates nothing.
+// termination mechanism. It lives in the optional thread's body (one per
+// thread, reused across jobs), so steady-state stepping allocates nothing.
 type TermState struct {
 	// OD is the absolute optional deadline for this run.
 	OD engine.Time
@@ -76,26 +70,9 @@ func (SigjmpTermination) AnyTime() bool { return true }
 // RestoresSignalMask implements Termination.
 func (SigjmpTermination) RestoresSignalMask() bool { return true }
 
-// RunOptional implements Termination, following Fig. 7: save context, arm
+// StepOptional implements Termination, following Fig. 7: save context, arm
 // the one-shot timer, execute; on completion disarm the timer, on SIGALRM
 // pay the siglongjmp restore and clear the handler's signal mask.
-func (SigjmpTermination) RunOptional(c *kernel.TCB, od engine.Time, length time.Duration) (bool, time.Duration) {
-	c.ChargeOp(machine.OpSigSetjmp)
-	c.TimerSet(od)
-	completed, ran := c.ComputeInterruptible(length)
-	if completed {
-		c.TimerStop()
-		return true, ran
-	}
-	// timer_handler ran siglongjmp: restore stack context AND signal mask.
-	c.ChargeOp(machine.OpSigLongjmp)
-	c.SetAlarmMask(false)
-	return false, ran
-}
-
-// StepOptional implements Termination: the Fig. 7 sequence as a resumable
-// state machine, one kernel action per step, mirroring RunOptional's request
-// sequence exactly.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
@@ -148,31 +125,10 @@ func (PeriodicCheckTermination) AnyTime() bool { return false }
 // so restoration is unnecessary (Table I).
 func (PeriodicCheckTermination) RestoresSignalMask() bool { return true }
 
-// RunOptional implements Termination.
-func (p PeriodicCheckTermination) RunOptional(c *kernel.TCB, od engine.Time, length time.Duration) (bool, time.Duration) {
-	period := p.Period
-	if period <= 0 {
-		period = time.Millisecond
-	}
-	var ran time.Duration
-	for ran < length {
-		if c.Now() >= od {
-			return false, ran
-		}
-		chunk := period
-		if rest := length - ran; rest < chunk {
-			chunk = rest
-		}
-		c.Compute(chunk)
-		ran += chunk
-	}
-	return true, ran
-}
-
 // StepOptional implements Termination: the chunked polling loop as a
 // resumable state machine. st.Ran accumulates across chunks; the loop-head
-// checks run in host code between compute actions, exactly as in
-// RunOptional.
+// checks (part done, optional deadline passed) run in host code between
+// compute actions.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
@@ -219,23 +175,9 @@ func (TryCatchTermination) AnyTime() bool { return true }
 // RestoresSignalMask implements Termination.
 func (TryCatchTermination) RestoresSignalMask() bool { return false }
 
-// RunOptional implements Termination.
-func (TryCatchTermination) RunOptional(c *kernel.TCB, od engine.Time, length time.Duration) (bool, time.Duration) {
-	c.TimerSet(od)
-	completed, ran := c.ComputeInterruptible(length)
-	if completed {
-		c.TimerStop()
-		return true, ran
-	}
-	// The exception unwinds the stack (priced like the longjmp restore),
-	// but the signal mask is NOT cleared: SIGALRM stays blocked.
-	c.ChargeOp(machine.OpSigLongjmp)
-	return false, ran
-}
-
 // StepOptional implements Termination: try/catch as a resumable state
-// machine. Like RunOptional, it never issues SetAlarmMask — a terminated
-// part leaves SIGALRM blocked, which is the defect §IV-D describes.
+// machine. It never issues SetAlarmMask — a terminated part leaves SIGALRM
+// blocked, which is the defect §IV-D describes.
 //
 //rtseed:noalloc
 //rtseed:kernelctx

@@ -11,10 +11,11 @@
 // dispatch path, so a context switch is a function call and a simulation
 // needs no goroutines regardless of thread count. The goroutine executor
 // (NewThread) models a body as an ordinary blocking Go function on its own
-// goroutine, hand-shaken with the kernel through unbuffered channels; it is
-// retained as the differential oracle (both executors produce byte-identical
-// traces for the same program) and for tests where a blocking script reads
-// better. Either way exactly one simulated thread executes host code at a
+// goroutine, hand-shaken with the kernel through unbuffered channels. No
+// production code uses it: it remains the differential oracle (both
+// executors produce byte-identical traces for the same program) and the
+// executor for tests written as blocking scripts, most of them the kernel's
+// own. Either way exactly one simulated thread executes host code at a
 // time, so simulations are fully deterministic. Virtual time passes only
 // inside kernel primitives, priced by the machine cost model.
 package kernel

@@ -194,10 +194,10 @@ func (t *Thread) preemptible() bool { return t.state == StateComputing }
 // NewThread creates a simulated thread on the goroutine executor: the body
 // is a blocking function hand-shaken with the kernel over channels. The
 // body runs when the thread is started and first dispatched. NewThread
-// returns an error for out-of-range priorities or CPUs. New code should
-// prefer the continuation executor (NewBodyThread); the goroutine form is
-// retained as the differential oracle and for test scenarios where a
-// blocking script reads better.
+// returns an error for out-of-range priorities or CPUs. No production code
+// uses NewThread; simulations build their threads with NewBodyThread. The
+// goroutine form remains the differential oracle for the continuation
+// executor and the executor for tests written as blocking scripts.
 func (k *Kernel) NewThread(cfg ThreadConfig, body func(*TCB)) (*Thread, error) {
 	t, err := k.newThread(cfg)
 	if err != nil {

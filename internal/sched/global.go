@@ -157,8 +157,3 @@ func ready(active []*globalJob, now time.Duration) []*globalJob {
 	}
 	return out
 }
-
-// SimulatePRMWPMigrations returns the migration count of partitioned
-// scheduling, which is zero by construction (tasks never migrate); it
-// exists so the ablation benchmark reads symmetrically.
-func SimulatePRMWPMigrations() GlobalResult { return GlobalResult{} }

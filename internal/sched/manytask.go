@@ -34,12 +34,6 @@ type ManyTaskConfig struct {
 	// cost of running task host code. The scaling benchmarks use this mode
 	// to compare queue implementations; compute mode to measure end-to-end.
 	ReleaseOnly bool
-	// GoroutineOracle runs each task body on the legacy goroutine executor
-	// (one goroutine per task, channel handshake per context switch) instead
-	// of the continuation executor. The workload is identical — the
-	// differential fuzzer runs the same task set in both modes and requires
-	// byte-identical traces. Production and benchmarks leave this false.
-	GoroutineOracle bool
 }
 
 // ManyTaskSystem is a built many-task workload: one kernel thread per task,
@@ -142,52 +136,23 @@ func NewManyTask(k *kernel.Kernel, cfg ManyTaskConfig) (*ManyTaskSystem, error) 
 	sys := &ManyTaskSystem{Set: set}
 	nhw := k.Machine().Topology().NumHWThreads()
 	for i, tk := range set.Tasks {
-		tk := tk
-		tcfg := kernel.ThreadConfig{
+		th, err := k.NewBodyThread(kernel.ThreadConfig{
 			Name:     tk.Name,
 			Priority: prios[i],
 			CPU:      machine.HWThread(i % nhw),
-		}
-		var th *kernel.Thread
-		var err error
-		if cfg.GoroutineOracle {
-			th, err = k.NewThread(tcfg, sys.goroutineBody(tk, cfg.ReleaseOnly))
-		} else {
-			th, err = k.NewBodyThread(tcfg, &manyTaskBody{
-				sys:         sys,
-				period:      tk.Period,
-				mandatory:   tk.Mandatory,
-				windup:      tk.Windup,
-				releaseOnly: cfg.ReleaseOnly,
-			})
-		}
+		}, &manyTaskBody{
+			sys:         sys,
+			period:      tk.Period,
+			mandatory:   tk.Mandatory,
+			windup:      tk.Windup,
+			releaseOnly: cfg.ReleaseOnly,
+		})
 		if err != nil {
 			return nil, err
 		}
 		sys.Threads = append(sys.Threads, th)
 	}
 	return sys, nil
-}
-
-// goroutineBody is the legacy blocking form of the task body, retained as
-// the differential oracle for the continuation executor.
-func (s *ManyTaskSystem) goroutineBody(tk task.Task, releaseOnly bool) func(*kernel.TCB) {
-	if releaseOnly {
-		return func(c *kernel.TCB) {
-			for release := c.Now(); ; release = release.Add(tk.Period) {
-				c.SleepUntil(release)
-				s.jobs++
-			}
-		}
-	}
-	return func(c *kernel.TCB) {
-		for release := c.Now(); ; release = release.Add(tk.Period) {
-			c.SleepUntil(release)
-			c.Compute(tk.Mandatory)
-			c.Compute(tk.Windup)
-			s.jobs++
-		}
-	}
 }
 
 // Start makes every task thread ready at the current virtual time.

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -260,9 +258,6 @@ func TestGlobalVsPartitionedMigrations(t *testing.T) {
 	if g.Migrations == 0 {
 		t.Fatal("three tasks on two processors must migrate under global scheduling")
 	}
-	if p := SimulatePRMWPMigrations(); p.Migrations != 0 {
-		t.Fatal("partitioned scheduling must not migrate")
-	}
 }
 
 func TestGlobalSimValidation(t *testing.T) {
@@ -489,40 +484,6 @@ func TestGRMWPReleaseLatencyExceedsPRMWP(t *testing.T) {
 
 	if gLag <= pLag {
 		t.Fatalf("G-RMWP release latency %v should exceed P-RMWP %v (migration overhead)", gLag, pLag)
-	}
-}
-
-func TestExportJSON(t *testing.T) {
-	k := newSim(t)
-	rec := NewRecorder(k)
-	th := k.MustNewThread(kernel.ThreadConfig{Name: "t", Priority: 55, CPU: 2}, func(c *kernel.TCB) {
-		c.Compute(ms(10))
-		c.Sleep(ms(5))
-		c.Compute(ms(5))
-	})
-	th.Start()
-	k.Run()
-	var buf bytes.Buffer
-	if err := ExportJSON(&buf, rec, []*kernel.Thread{th}, engine.At(0), engine.At(ms(30))); err != nil {
-		t.Fatal(err)
-	}
-	var out TraceJSON
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.HorizonNs != int64(ms(30)) {
-		t.Fatalf("horizon %d", out.HorizonNs)
-	}
-	if len(out.Segments) != 2 {
-		t.Fatalf("%d segments, want 2", len(out.Segments))
-	}
-	for _, s := range out.Segments {
-		if s.Thread != "t" || s.CPU != 2 || s.Priority != 55 {
-			t.Fatalf("segment metadata %+v", s)
-		}
-		if s.FromNs < 0 || s.ToNs <= s.FromNs || s.ToNs > out.HorizonNs {
-			t.Fatalf("segment bounds %+v", s)
-		}
 	}
 }
 
