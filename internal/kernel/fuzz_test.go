@@ -1,90 +1,299 @@
 package kernel
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"rtseed/internal/engine"
 	"rtseed/internal/machine"
+	"rtseed/internal/trace"
 )
 
-// Randomized robustness: a handful of threads run random programs of
-// computes, sleeps, condvar traffic, mutex sections, timers and
-// interruptible bursts. Whatever the interleaving, the simulation must
-// terminate, stay deterministic, and leave every thread exited.
-func TestPropertyRandomPrograms(t *testing.T) {
-	run := func(seed uint64) (engine.Time, uint64) {
-		model := machine.DefaultCostModel()
-		model.JitterFrac = 0
-		mach, err := machine.New(machine.Topology{Cores: 4, ThreadsPerCore: 2}, machine.CPULoad, model, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := engine.New()
-		k := New(eng, mach)
-		rng := engine.NewRand(seed)
-		cv := k.NewCondVar("cv")
-		mu := k.NewMutex("mu")
+// Randomized programs: two to six threads run random programs of 4-17 ops
+// drawn from every kernel request kind — plain, interruptible and
+// zero-length computes; absolute, relative and already-due sleeps; condvar
+// waits, signals and broadcasts; plain and priority-inheritance mutex
+// sections; timers that terminate a burst or stay pending; alarm masks;
+// local and remote charged ops; migrations, to another CPU or the current
+// one; yields and early exits — on a jittered machine under CPU load.
+// A wait nobody signals stays blocked until Shutdown unwinds it.
 
-		const nThreads = 5
-		for i := 0; i < nThreads; i++ {
-			prio := 40 + rng.Intn(20)
-			cpu := machine.HWThread(rng.Intn(8))
-			ops := make([]int, 12)
-			for j := range ops {
-				ops[j] = rng.Intn(8)
-			}
-			durs := make([]time.Duration, len(ops))
-			for j := range durs {
-				durs[j] = time.Duration(rng.Intn(5)+1) * time.Millisecond
-			}
-			th := k.MustNewThread(ThreadConfig{Name: "f", Priority: prio, CPU: cpu}, func(c *TCB) {
-				for j, op := range ops {
-					switch op {
-					case 0:
-						c.Compute(durs[j])
-					case 1:
-						c.Sleep(durs[j])
-					case 2:
-						c.CondSignal(cv)
-					case 3:
-						// Wait only when someone is bound to signal later:
-						// signal unconditionally first to avoid guaranteed
-						// deadlock, then do a timed compute instead of an
-						// unbounded wait.
-						c.CondSignal(cv)
-						c.Compute(durs[j] / 2)
-					case 4:
-						c.MutexLock(mu)
-						c.Compute(durs[j])
-						c.MutexUnlock(mu)
-					case 5:
-						c.TimerSet(c.Now().Add(durs[j] / 2))
-						c.ComputeInterruptible(durs[j])
-						c.TimerStop()
-						c.SetAlarmMask(false)
-					case 6:
-						c.ChargeOp(machine.OpSigSetjmp)
-					case 7:
-						c.TimerSet(c.Now().Add(durs[j]))
-						c.Compute(durs[j] / 2)
-						c.TimerStop()
-					}
+// programSteps is one thread's program as seq steps.
+type programSteps []func(*TCB, Resume) Next
+
+// randomProgram draws the program of seed and creates its threads on k,
+// unstarted, in creation order. The draws depend on seed alone, so every
+// kernel gets the same program.
+func randomProgram(k *Kernel, seed uint64, blocking bool) []*Thread {
+	rng := engine.NewRand(seed)
+	cv := k.NewCondVar("cv")
+	mutexes := [2]*Mutex{k.NewMutex("mu"), k.NewPIMutex("pi")}
+	nhw := k.Machine().Topology().NumHWThreads()
+	anyCPU := func() machine.HWThread { return machine.HWThread(rng.Intn(nhw)) }
+	var threads []*Thread
+	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
+		cfg := ThreadConfig{Name: fmt.Sprintf("p%d", i), Priority: 40 + rng.Intn(20), CPU: anyCPU()}
+		var steps programSteps
+		for j, ops := 0, 4+rng.Intn(14); j < ops; j++ {
+			d := time.Duration(rng.Intn(5)+1) * time.Millisecond
+			switch rng.Intn(19) {
+			case 0:
+				steps = append(steps, act(Compute(d)))
+			case 1:
+				steps = append(steps, act(Compute(0)))
+			case 2:
+				// An interruptible burst its own timer may cut short; a
+				// terminated burst leaves SIGALRM masked until restored.
+				steps = append(steps,
+					func(c *TCB, r Resume) Next { return TimerSet(c.Now().Add(d / 2)) },
+					act(ComputeInterruptible(d)),
+					func(c *TCB, r Resume) Next {
+						if r.Completed {
+							return TimerStop()
+						}
+						return SetAlarmMask(false)
+					})
+			case 3:
+				steps = append(steps, func(c *TCB, r Resume) Next { return SleepUntil(c.Now().Add(d)) })
+			case 4:
+				steps = append(steps, func(c *TCB, r Resume) Next { return SleepUntil(c.Now()) })
+			case 5:
+				steps = append(steps, act(Sleep(d)))
+			case 6:
+				steps = append(steps, act(CondWait(cv)))
+			case 7:
+				steps = append(steps, act(CondSignal(cv)))
+			case 8:
+				steps = append(steps, act(CondBroadcast(cv)))
+			case 9:
+				// The timer fires inside an uninterruptible burst; unless
+				// stopped, the alarm stays pending for the next
+				// interruptible one.
+				steps = append(steps,
+					func(c *TCB, r Resume) Next { return TimerSet(c.Now().Add(d / 2)) },
+					act(Compute(d)))
+				if rng.Intn(2) == 0 {
+					steps = append(steps, act(TimerStop()))
 				}
-			})
+			case 10:
+				steps = append(steps, act(SetAlarmMask(rng.Intn(2) == 0)))
+			case 11:
+				steps = append(steps, act(ChargeOp(machine.OpSigSetjmp)))
+			case 12:
+				steps = append(steps, act(ChargeOpRemote(machine.OpCondSignal, anyCPU())))
+			case 13, 14:
+				m := mutexes[rng.Intn(2)]
+				steps = append(steps, act(MutexLock(m)), act(Compute(d)), act(MutexUnlock(m)))
+			case 15:
+				steps = append(steps, act(Migrate(anyCPU())))
+			case 16:
+				steps = append(steps, func(c *TCB, r Resume) Next { return Migrate(c.HWThread()) })
+			case 17:
+				steps = append(steps, act(Yield()))
+			case 18:
+				steps = append(steps, act(Done()))
+			}
+		}
+		if blocking {
+			threads = append(threads, k.MustNewThread(cfg, blockingBody(steps)))
+		} else {
+			threads = append(threads, k.MustNewBodyThread(cfg, &seq{steps: steps}))
+		}
+	}
+	return threads
+}
+
+// blockingBody runs steps on the goroutine executor, issuing each returned
+// action through the blocking TCB method it mirrors.
+func blockingBody(steps programSteps) func(*TCB) {
+	return func(c *TCB) {
+		r := Resume{First: true}
+		for _, step := range steps {
+			req := step(c, r).req
+			if req.kind == reqExit {
+				return
+			}
+			r = blockingDo(c, req)
+		}
+	}
+}
+
+func blockingDo(c *TCB, req request) Resume {
+	switch req.kind {
+	case reqCompute:
+		if req.interruptible {
+			done, ran := c.ComputeInterruptible(req.dur)
+			return Resume{Completed: done, Ran: ran}
+		}
+		c.Compute(req.dur)
+	case reqSleepUntil:
+		if req.rel {
+			c.Sleep(req.dur)
+		} else {
+			c.SleepUntil(req.at)
+		}
+	case reqCondWait:
+		c.CondWait(req.cv)
+	case reqCondSignal:
+		c.CondSignal(req.cv)
+	case reqCondBroadcast:
+		c.CondBroadcast(req.cv)
+	case reqTimerSet:
+		c.TimerSet(req.at)
+	case reqTimerStop:
+		c.TimerStop()
+	case reqSetAlarmMask:
+		c.SetAlarmMask(req.mask)
+	case reqChargeOp:
+		c.ChargeOp(req.op)
+	case reqChargeOpRemote:
+		c.ChargeOpRemote(req.op, req.remote)
+	case reqMutexLock:
+		c.MutexLock(req.mutex)
+	case reqMutexUnlock:
+		c.MutexUnlock(req.mutex)
+	case reqMigrate:
+		c.Migrate(req.remote)
+	case reqYield:
+		c.Yield()
+	default:
+		panic(fmt.Sprintf("blockingDo: unexpected request %v", req.kind))
+	}
+	return Resume{Completed: true}
+}
+
+// programMachine is the machine a random program runs on.
+func programMachine(t testing.TB, seed uint64) *machine.Machine {
+	t.Helper()
+	m, err := machine.New(machine.Topology{Cores: 4, ThreadsPerCore: 2}, machine.CPULoad, machine.DefaultCostModel(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// programStepLimit bounds a random program's run: the longest program
+// finishes in a few thousand engine events.
+const programStepLimit = 100000
+
+// runProgram runs the program of seed to completion and returns its trace
+// file, after checking that it finished within programStepLimit events and
+// left every thread exited.
+func runProgram(t testing.TB, seed uint64, blocking bool, w *traceWatch) []byte {
+	t.Helper()
+	file, drained, k := tracedRun(t, programMachine(t, seed), programStepLimit, w, func(k *Kernel) {
+		for _, th := range randomProgram(k, seed, blocking) {
 			th.Start()
 		}
-		k.Run()
-		return eng.Now(), eng.Steps()
+	})
+	if !drained {
+		t.Fatalf("seed %d: still running after %d events", seed, programStepLimit)
 	}
-	f := func(seed uint64) bool {
-		t1, s1 := run(seed)
-		t2, s2 := run(seed)
-		return t1 == t2 && s1 == s2 && t1 > 0
+	for _, th := range k.Threads() {
+		if th.State() != StateExited {
+			t.Fatalf("seed %d: thread %v still %v after Shutdown", seed, th, th.State())
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	return file
+}
+
+// tracedRun builds a kernel on mach with a file-backed tracer, lets build
+// create and start its threads, runs at most maxSteps engine events, shuts
+// the kernel down and returns the trace file, whether the event queue
+// drained, and the kernel. w, when non-nil, checks every record.
+func tracedRun(t testing.TB, mach *machine.Machine, maxSteps int, w *traceWatch, build func(k *Kernel)) ([]byte, bool, *Kernel) {
+	t.Helper()
+	eng := engine.New()
+	k := New(eng, mach)
+	var buf bytes.Buffer
+	tr := trace.New(trace.Config{CPUs: mach.Topology().NumHWThreads(), Sink: &buf})
+	k.SetTrace(tr)
+	if w != nil {
+		w.attach(t, tr)
+	}
+	build(k)
+	drained := false
+	for i := 0; i < maxSteps && !drained; i++ {
+		drained = !eng.Step()
+	}
+	if !drained {
+		drained = eng.Pending() == 0
+	}
+	k.Shutdown()
+	if err := tr.Close(k.ThreadInfos()); err != nil {
 		t.Fatal(err)
+	}
+	return buf.Bytes(), drained, k
+}
+
+// trigram is three consecutive trace-record kinds of one thread: the
+// coverage feature the frozen corpus is selected by.
+type trigram [3]trace.Kind
+
+// traceWatch checks two invariants on every record of a run — a hardware
+// thread runs at most one thread at a time, and its timestamps never go
+// backwards — and collects the run's per-thread trigrams.
+type traceWatch struct {
+	trigrams map[trigram]bool
+
+	t       testing.TB
+	running map[uint16]uint32 // hardware thread -> running TID
+	on      map[uint32]uint16 // running TID -> its hardware thread
+	last    map[uint16]engine.Time
+	recent  map[uint32][]trace.Kind
+}
+
+func (w *traceWatch) attach(t testing.TB, tr *trace.Tracer) {
+	w.t = t
+	w.trigrams = map[trigram]bool{}
+	w.running = map[uint16]uint32{}
+	w.on = map[uint32]uint16{}
+	w.last = map[uint16]engine.Time{}
+	w.recent = map[uint32][]trace.Kind{}
+	tr.Tap(w.observe)
+}
+
+func (w *traceWatch) observe(rec trace.Record) {
+	if last, ok := w.last[rec.CPU]; ok && rec.At < last {
+		w.t.Fatalf("cpu %d: record at %v after one at %v", rec.CPU, rec.At, last)
+	}
+	w.last[rec.CPU] = rec.At
+	// Only run-state transitions move a thread on or off its CPU.
+	switch rec.Kind {
+	case trace.KindDispatch:
+		if tid, busy := w.running[rec.CPU]; busy {
+			w.t.Fatalf("cpu %d: thread %d dispatched at %v while thread %d runs", rec.CPU, rec.TID, rec.At, tid)
+		}
+		w.running[rec.CPU] = rec.TID
+		w.on[rec.TID] = rec.CPU
+	case trace.KindReady, trace.KindPreempt, trace.KindBlock, trace.KindSleep, trace.KindExit:
+		if cpu, ok := w.on[rec.TID]; ok {
+			delete(w.on, rec.TID)
+			delete(w.running, cpu)
+		}
+	}
+	h := append(w.recent[rec.TID], rec.Kind)
+	if len(h) > 3 {
+		h = h[1:]
+	}
+	if len(h) == 3 {
+		w.trigrams[trigram{h[0], h[1], h[2]}] = true
+	}
+	w.recent[rec.TID] = h
+}
+
+// TestPropertyRandomPrograms is the differential over the generator: every
+// seed's program runs on both executors, and the trace files must be
+// byte-identical.
+func TestPropertyRandomPrograms(t *testing.T) {
+	for seed := uint64(1); seed <= frozenSeeds; seed++ {
+		cont := runProgram(t, seed, false, &traceWatch{})
+		gor := runProgram(t, seed, true, &traceWatch{})
+		if !bytes.Equal(cont, gor) {
+			t.Fatalf("seed %d: trace bytes differ between executors (continuation %d bytes, goroutine %d bytes)", seed, len(cont), len(gor))
+		}
 	}
 }
 
