@@ -134,14 +134,14 @@ workload-smoke:
 	@echo "workload-smoke: spec sweep identical across workers; replay reproduces the generating run"
 
 # fuzz-smoke runs each fuzz target for a short, bounded burst: long enough to
-# trip a regression in the engine-vs-oracle equivalence, the trace and
-# workload codec round trips, or the spec parsers, short enough for every
-# CI run. `go test -fuzz` accepts a single
+# trip a regression in the engine-vs-oracle equivalence, the kernel's
+# random-program invariants, the trace and workload codec round trips, or
+# the spec parsers, short enough for every CI run. `go test -fuzz` accepts a single
 # target per invocation, so each gets its own line.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzEngineVsOracle -fuzztime=30s ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzTraceCodec -fuzztime=30s ./internal/trace
-	$(GO) test -run=NONE -fuzz=FuzzBodyVsGoroutine -fuzztime=30s ./internal/sched
+	$(GO) test -run=NONE -fuzz=FuzzKernelPrograms -fuzztime=30s ./internal/kernel
 	$(GO) test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=30s ./internal/lint/dataflow
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadCodec -fuzztime=30s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/workload

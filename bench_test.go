@@ -342,42 +342,73 @@ func BenchmarkAblationSignalVsBroadcast(b *testing.B) {
 			done := k.NewCondVar("done")
 			remaining := 0
 			for i := 0; i < benchNP; i++ {
-				i := i
+				wait := conds[i]
+				if mode == "broadcast" {
+					wait = shared
+				}
+				// Each round: wait for the wake-up; the last waiter woken
+				// signals the master.
+				round, woken := 0, false
 				cpu := machine.HWThread(1 + i%227)
-				w := k.MustNewThread(kernel.ThreadConfig{Name: "w", Priority: 41, CPU: cpu}, func(c *kernel.TCB) {
-					for round := 0; round < b.N; round++ {
-						if mode == "broadcast" {
-							c.CondWait(shared)
-						} else {
-							c.CondWait(conds[i])
+				w := k.MustNewBodyThread(kernel.ThreadConfig{Name: "w", Priority: 41, CPU: cpu},
+					kernel.StepFunc(func(c *kernel.TCB, r kernel.Resume) kernel.Next {
+						if woken {
+							woken = false
+							round++
+							remaining--
+							if remaining == 0 {
+								return kernel.CondSignal(done)
+							}
 						}
-						remaining--
-						if remaining == 0 {
-							c.CondSignal(done)
+						if round == b.N {
+							return kernel.Done()
 						}
-					}
-				})
+						woken = true
+						return kernel.CondWait(wait)
+					}))
 				w.Start()
 			}
+			// Each round: sleep so the waiters park, wake them (timed), then
+			// wait until the last one has run.
 			var wakeTotal time.Duration
-			m := k.MustNewThread(kernel.ThreadConfig{Name: "m", Priority: 90, CPU: 0}, func(c *kernel.TCB) {
-				for round := 0; round < b.N; round++ {
-					c.Sleep(time.Millisecond) // let waiters park
-					remaining = benchNP
-					start := c.Now()
-					if mode == "broadcast" {
-						c.CondBroadcast(shared)
-					} else {
-						for _, cv := range conds {
-							c.CondSignal(cv)
+			var start engine.Time
+			round, pc, signalled := 0, 0, 0
+			m := k.MustNewBodyThread(kernel.ThreadConfig{Name: "m", Priority: 90, CPU: 0},
+				kernel.StepFunc(func(c *kernel.TCB, r kernel.Resume) kernel.Next {
+					for {
+						switch pc {
+						case 0: // next round
+							if round == b.N {
+								return kernel.Done()
+							}
+							pc = 1
+							return kernel.Sleep(time.Millisecond)
+						case 1: // start the timed wake-up
+							remaining = benchNP
+							start = c.Now()
+							if mode == "broadcast" {
+								pc = 3
+								return kernel.CondBroadcast(shared)
+							}
+							pc, signalled = 2, 0
+						case 2: // signal-each: one signal per waiter
+							if signalled < len(conds) {
+								signalled++
+								return kernel.CondSignal(conds[signalled-1])
+							}
+							pc = 3
+						case 3: // wake-up issued
+							wakeTotal += c.Now().Sub(start)
+							pc = 4
+						default: // wait until the last waiter has run
+							if remaining > 0 {
+								return kernel.CondWait(done)
+							}
+							round++
+							pc = 0
 						}
 					}
-					wakeTotal += c.Now().Sub(start)
-					for remaining > 0 {
-						c.CondWait(done)
-					}
-				}
-			})
+				}))
 			m.Start()
 			k.Run()
 			b.ReportMetric(float64(wakeTotal)/float64(b.N), "wake-ns/round")

@@ -8,8 +8,8 @@
 //
 //	rtseed-overhead [-fig 10|11|12|13|0] [-jobs N] [-quick] [-workers N]
 //
-// -fig 0 (default) prints every figure. -quick reduces the sweep and job
-// count for a fast sanity run. -workers bounds how many sweep cells are
+// -fig 0 (default) prints every figure. -quick reduces the sweep to three
+// part counts and at most 10 jobs per measurement for a fast sanity run. -workers bounds how many sweep cells are
 // simulated in parallel (default GOMAXPROCS); every cell is an independent
 // deterministic simulation, so the figures are identical for any value.
 package main
@@ -59,6 +59,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	}
 	if err := sweep.ValidateWorkers(o.workers); err != nil {
 		return nil, err
+	}
+	if o.jobs < 1 {
+		return nil, fmt.Errorf("-jobs %d: want at least 1 job per measurement", o.jobs)
 	}
 	return o, nil
 }
@@ -116,10 +119,7 @@ func runDistributions(jobs int, seed uint64) error {
 func run(fig, jobs int, quick bool, seed uint64, csvPath string, workers int) error {
 	cfg := overhead.SweepConfig{Jobs: jobs, Seed: seed, Workers: workers}
 	if quick {
-		cfg.NumParts = []int{4, 57, 228}
-		if jobs > 10 {
-			cfg.Jobs = 10
-		}
+		cfg = cfg.Quick()
 	}
 	var kinds []overhead.Kind
 	for _, k := range overhead.Kinds() {

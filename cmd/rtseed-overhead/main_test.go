@@ -50,6 +50,21 @@ func TestParseFlagsRejectsNonPositiveWorkers(t *testing.T) {
 	}
 }
 
+// -jobs below 1 is rejected at the flag level (exit 2), alone and with the
+// flags that used to swallow it.
+func TestParseFlagsRejectsNonPositiveJobs(t *testing.T) {
+	for _, bad := range []string{"0", "-1"} {
+		for _, args := range [][]string{{"-jobs", bad}, {"-jobs", bad, "-dist"}} {
+			if _, err := parseFlags(testFlagSet(), args); err == nil || !strings.Contains(err.Error(), "-jobs") {
+				t.Errorf("%v: error %v, want a -jobs error", args, err)
+			}
+		}
+	}
+	if o, err := parseFlags(testFlagSet(), []string{"-jobs", "1"}); err != nil || o.jobs != 1 {
+		t.Errorf("-jobs 1: got %+v, %v; want accepted", o, err)
+	}
+}
+
 func TestRunQuickSingleFigure(t *testing.T) {
 	if err := run(13, 3, true, 0, "", 2); err != nil {
 		t.Fatal(err)

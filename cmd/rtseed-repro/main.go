@@ -68,6 +68,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if err := sweep.ValidateWorkers(o.workers); err != nil {
 		return nil, err
 	}
+	if o.jobs < 1 {
+		return nil, fmt.Errorf("-jobs %d: want at least 1 job per measurement", o.jobs)
+	}
 	return o, nil
 }
 
@@ -107,8 +110,12 @@ func main() {
 
 func run(w io.Writer, jobs int, quick bool, workers int) error {
 	started := now()
+	sweepCfg := overhead.SweepConfig{Jobs: jobs, Workers: workers}
+	if quick {
+		sweepCfg = sweepCfg.Quick()
+	}
 	fmt.Fprintf(w, "# RT-Seed reproduction report\n\n")
-	fmt.Fprintf(w, "Simulated Xeon Phi 3120A (57 cores x 4 HW threads); %d jobs per measurement.\n\n", jobs)
+	fmt.Fprintf(w, "Simulated Xeon Phi 3120A (57 cores x 4 HW threads); %d jobs per measurement.\n\n", sweepCfg.Jobs)
 
 	if err := sectionFig8(w); err != nil {
 		return err
@@ -116,7 +123,7 @@ func run(w io.Writer, jobs int, quick bool, workers int) error {
 	if err := sectionFig3(w); err != nil {
 		return err
 	}
-	if err := sectionOverheads(w, jobs, quick, workers); err != nil {
+	if err := sectionOverheads(w, sweepCfg); err != nil {
 		return err
 	}
 	if err := sectionTableI(w); err != nil {
@@ -234,12 +241,7 @@ func sectionFig3(w io.Writer) error {
 	return nil
 }
 
-func sectionOverheads(w io.Writer, jobs int, quick bool, workers int) error {
-	cfg := overhead.SweepConfig{Jobs: jobs, Workers: workers}
-	if quick {
-		cfg.NumParts = []int{4, 57, 228}
-		cfg.Jobs = 10
-	}
+func sectionOverheads(w io.Writer, cfg overhead.SweepConfig) error {
 	figs, err := overhead.SweepAll(cfg)
 	if err != nil {
 		return err

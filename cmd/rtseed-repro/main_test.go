@@ -66,6 +66,21 @@ func TestFooterUsesInjectedClock(t *testing.T) {
 	}
 }
 
+// -jobs below 1 is rejected at the flag level (exit 2), alone and with the
+// flags that used to swallow it.
+func TestParseFlagsRejectsNonPositiveJobs(t *testing.T) {
+	for _, bad := range []string{"0", "-1"} {
+		for _, args := range [][]string{{"-jobs", bad}, {"-jobs", bad, "-quick"}} {
+			if _, err := parseFlags(testFlagSet(), args); err == nil || !strings.Contains(err.Error(), "-jobs") {
+				t.Errorf("%v: error %v, want a -jobs error", args, err)
+			}
+		}
+	}
+	if o, err := parseFlags(testFlagSet(), []string{"-jobs", "1"}); err != nil || o.jobs != 1 {
+		t.Errorf("-jobs 1: got %+v, %v; want accepted", o, err)
+	}
+}
+
 func TestRunQuickReport(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, 3, true, 2); err != nil {
@@ -74,6 +89,7 @@ func TestRunQuickReport(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"# RT-Seed reproduction report",
+		"; 3 jobs per measurement.",
 		"Fig. 8", "Fig. 3",
 		"Figure 10", "Figure 11", "Figure 12", "Figure 13",
 		"Table I", "acceptance ratio",

@@ -143,8 +143,8 @@ func TraceFileName(index int) string {
 }
 
 // runUntil advances the machine's virtual clock to end. It steps the engine
-// directly: kernel.RunUntil would also shut the kernel down, killing the
-// periodic threads between epochs.
+// directly: kernel.RunUntil would shut the kernel down after the first
+// epoch, and a shut-down kernel refuses to run again.
 func (s *sim) runUntil(end engine.Time) { s.eng.RunUntil(end) }
 
 // rtBusy sums the busy time of the machine's RT cores (each core's first

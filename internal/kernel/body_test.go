@@ -1,191 +1,28 @@
 package kernel
 
 import (
-	"bytes"
 	"runtime"
 	"testing"
 	"time"
 
 	"rtseed/internal/engine"
 	"rtseed/internal/machine"
-	"rtseed/internal/trace"
 )
 
-// seq is a test helper: a continuation body that runs a fixed sequence of
-// steps, one kernel action each, then exits. It makes porting a blocking
-// test script mechanical — each blocking call becomes one element.
-type seq struct {
-	steps []func(c *TCB, r Resume) Next
-	i     int
-}
-
-func (s *seq) Step(c *TCB, r Resume) Next {
-	if s.i >= len(s.steps) {
-		return Done()
-	}
-	f := s.steps[s.i]
-	s.i++
-	return f(c, r)
-}
-
-// act adapts a bare action to a seq step.
-func act(n Next) func(*TCB, Resume) Next {
-	return func(*TCB, Resume) Next { return n }
-}
-
-func TestBodyThreadRunsToExit(t *testing.T) {
-	k := testKernel(t, machine.NoLoad)
-	ran := false
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(Compute(time.Millisecond)),
-		func(c *TCB, r Resume) Next {
-			ran = r.Completed
-			return Done()
-		},
-	}})
-	th.Start()
-	k.Run()
-	if !ran {
-		t.Fatal("continuation body did not run to the post-compute step")
-	}
-	if th.State() != StateExited {
-		t.Fatalf("state %v, want exited", th.State())
-	}
-}
-
-func TestBodyComputeAdvancesVirtualTime(t *testing.T) {
-	k := testKernel(t, machine.NoLoad)
-	var end engine.Time
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(Compute(10 * time.Millisecond)),
-		func(c *TCB, r Resume) Next {
-			end = c.Now()
-			return Done()
-		},
-	}})
-	th.Start()
-	k.Run()
-	if end < engine.At(10*time.Millisecond) || end > engine.At(11*time.Millisecond) {
-		t.Fatalf("end %v, want 10ms + dispatch overhead", end)
-	}
-}
-
-func TestBodyHigherPriorityPreempts(t *testing.T) {
-	k := testKernel(t, machine.NoLoad)
-	var loEnd, hiEnd engine.Time
-	lo := k.MustNewBodyThread(ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(Compute(10 * time.Millisecond)),
-		func(c *TCB, r Resume) Next {
-			loEnd = c.Now()
-			return Done()
-		},
-	}})
-	hi := k.MustNewBodyThread(ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(SleepUntil(engine.At(2 * time.Millisecond))),
-		act(Compute(5 * time.Millisecond)),
-		func(c *TCB, r Resume) Next {
-			hiEnd = c.Now()
-			return Done()
-		},
-	}})
-	lo.Start()
-	hi.Start()
-	k.Run()
-	if hiEnd >= loEnd {
-		t.Fatalf("high-priority thread should finish first: hi=%v lo=%v", hiEnd, loEnd)
-	}
-	if loEnd < engine.At(15*time.Millisecond) {
-		t.Fatalf("lo finished at %v; preemption lost compute time", loEnd)
-	}
-}
-
-func TestBodyEqualPriorityFIFO(t *testing.T) {
-	k := testKernel(t, machine.NoLoad)
-	var order []string
-	mk := func(name string, d time.Duration) *Thread {
-		return k.MustNewBodyThread(ThreadConfig{Name: name, Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-			act(Compute(d)),
-			func(c *TCB, r Resume) Next {
-				order = append(order, name)
-				return Done()
-			},
-		}})
-	}
-	a := mk("a", 5*time.Millisecond)
-	b := mk("b", time.Millisecond)
-	a.Start()
-	b.Start()
-	k.Run()
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("SCHED_FIFO order %v, want [a b]", order)
-	}
-}
-
-func TestBodyCondVarHandshake(t *testing.T) {
-	k := testKernel(t, machine.NoLoad)
-	cv := k.NewCondVar("cv")
-	got := false
-	consumer := k.MustNewBodyThread(ThreadConfig{Name: "c", Priority: 60, CPU: 1}, &seq{steps: []func(*TCB, Resume) Next{
-		act(CondWait(cv)),
-		func(c *TCB, r Resume) Next {
-			got = true
-			return Done()
-		},
-	}})
-	producer := k.MustNewBodyThread(ThreadConfig{Name: "p", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(Compute(time.Millisecond)),
-		act(CondSignal(cv)),
-	}})
-	consumer.Start()
-	producer.Start()
-	k.Run()
-	if !got {
-		t.Fatal("consumer never woke from CondWait")
-	}
-}
-
-func TestBodyMutexSerializes(t *testing.T) {
-	k := testKernel(t, machine.NoLoad)
-	mu := k.NewMutex("mu")
-	var order []string
-	mk := func(name string, cpu machine.HWThread) *Thread {
-		return k.MustNewBodyThread(ThreadConfig{Name: name, Priority: 50, CPU: cpu}, &seq{steps: []func(*TCB, Resume) Next{
-			act(MutexLock(mu)),
-			act(Compute(2 * time.Millisecond)),
-			func(c *TCB, r Resume) Next {
-				order = append(order, name)
-				return MutexUnlock(mu)
-			},
-		}})
-	}
-	a := mk("a", 0)
-	b := mk("b", 1)
-	a.Start()
-	b.Start()
-	k.Run()
-	if len(order) != 2 {
-		t.Fatalf("order %v, want both threads through the critical section", order)
-	}
-	if mu.Locked() {
-		t.Fatal("mutex still held after run")
-	}
-}
-
-// TestBodyTimerTerminatesInterruptibleBurst is the sigjmp-termination shape
-// on the continuation executor: arm the one-shot timer, start an
-// interruptible burst, and observe the termination through Resume.
+// TestBodyTimerTerminatesInterruptibleBurst is the sigjmp-termination shape:
+// arm the one-shot timer, start an interruptible burst, and observe the
+// termination through Resume.
 func TestBodyTimerTerminatesInterruptibleBurst(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var completed bool
 	var ran time.Duration
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
+	th := script(k, "t", 50, 0,
 		func(c *TCB, r Resume) Next { return TimerSet(c.Now().Add(5 * time.Millisecond)) },
-		act(ComputeInterruptible(50 * time.Millisecond)),
+		act(ComputeInterruptible(50*time.Millisecond)),
 		func(c *TCB, r Resume) Next {
 			completed, ran = r.Completed, r.Ran
 			return SetAlarmMask(false)
-		},
-	}})
+		})
 	th.Start()
 	k.Run()
 	if completed {
@@ -199,8 +36,8 @@ func TestBodyTimerTerminatesInterruptibleBurst(t *testing.T) {
 func TestBodyRelativeSleepResolvesAtExecution(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var afterCompute, woke engine.Time
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(Compute(3 * time.Millisecond)),
+	th := script(k, "t", 50, 0,
+		act(Compute(3*time.Millisecond)),
 		func(c *TCB, r Resume) Next {
 			afterCompute = c.Now()
 			return Sleep(7 * time.Millisecond)
@@ -208,8 +45,7 @@ func TestBodyRelativeSleepResolvesAtExecution(t *testing.T) {
 		func(c *TCB, r Resume) Next {
 			woke = c.Now()
 			return Done()
-		},
-	}})
+		})
 	th.Start()
 	k.Run()
 	if want := afterCompute.Add(7 * time.Millisecond); woke < want {
@@ -220,7 +56,7 @@ func TestBodyRelativeSleepResolvesAtExecution(t *testing.T) {
 func TestBodyMigrateMovesThread(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var before, after machine.HWThread
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
+	th := script(k, "t", 50, 0,
 		func(c *TCB, r Resume) Next {
 			before = c.HWThread()
 			return Migrate(3)
@@ -228,8 +64,7 @@ func TestBodyMigrateMovesThread(t *testing.T) {
 		func(c *TCB, r Resume) Next {
 			after = c.HWThread()
 			return Compute(time.Millisecond)
-		},
-	}})
+		})
 	th.Start()
 	k.Run()
 	if before != 0 || after != 3 {
@@ -243,7 +78,7 @@ func TestBodyMigrateMovesThread(t *testing.T) {
 // TestBodyImmediateActionsTrampoline drives a long chain of actions that
 // resolve without suspending the thread — zero-length computes, same-CPU
 // migrations, mask toggles, sleeps already in the past. The trampoline in
-// stepThread must flatten the chain instead of recursing, so the run
+// resumeThread must flatten the chain instead of recursing, so the run
 // completes without growing the stack with the body's program length.
 func TestBodyImmediateActionsTrampoline(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
@@ -302,132 +137,31 @@ func TestNewBodyThreadValidation(t *testing.T) {
 	}
 }
 
-// TestShutdownLeavesNoGoroutines is the leak check for both executors: after
-// Run (which shuts the kernel down), no goroutine created for a simulated
-// thread may remain — continuation threads never create one, goroutine
-// threads are unwound by kill.
+// TestShutdownLeavesNoGoroutines is the leak check: a simulation creates no
+// goroutine for its threads, running or parked at Shutdown.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
-	for _, mode := range []string{"continuation", "goroutine", "mixed"} {
-		t.Run(mode, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			k := testKernel(t, machine.NoLoad)
-			cv := k.NewCondVar("never")
-			for i := 0; i < 16; i++ {
-				cfg := ThreadConfig{Name: "t", Priority: 50, CPU: machine.HWThread(i % 8)}
-				goroutineForm := mode == "goroutine" || (mode == "mixed" && i%2 == 1)
-				if i%4 == 0 {
-					// Parked forever on a condition variable: unwound only
-					// by Shutdown.
-					if goroutineForm {
-						k.MustNewThread(cfg, func(c *TCB) { c.CondWait(cv) }).Start()
-					} else {
-						k.MustNewBodyThread(cfg, &seq{steps: []func(*TCB, Resume) Next{
-							act(CondWait(cv)),
-						}}).Start()
-					}
-					continue
-				}
-				if goroutineForm {
-					k.MustNewThread(cfg, func(c *TCB) { c.Compute(time.Millisecond) }).Start()
-				} else {
-					k.MustNewBodyThread(cfg, &seq{steps: []func(*TCB, Resume) Next{
-						act(Compute(time.Millisecond)),
-					}}).Start()
-				}
+	t.Run("continuation", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		k := testKernel(t, machine.NoLoad)
+		cv := k.NewCondVar("never")
+		for i := 0; i < 16; i++ {
+			cpu := machine.HWThread(i % 8)
+			if i%4 == 0 {
+				// Parked forever on a condition variable: unwound only by
+				// Shutdown.
+				script(k, "t", 50, cpu, act(CondWait(cv))).Start()
+				continue
 			}
-			k.Run()
-			for _, th := range k.Threads() {
-				if th.State() != StateExited {
-					t.Fatalf("thread %v still %v after shutdown", th, th.State())
-				}
-			}
-			// Goroutine teardown after kill's done-channel receive is
-			// asynchronous by a scheduler tick; poll briefly.
-			deadline := time.Now().Add(2 * time.Second)
-			for {
-				runtime.Gosched()
-				if runtime.NumGoroutine() <= before {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("goroutines leaked: %d before, %d after shutdown", before, runtime.NumGoroutine())
-				}
-				time.Sleep(time.Millisecond)
-			}
-		})
-	}
-}
-
-// TestBodyVsGoroutineIdenticalTrace runs one mixed scenario — sleeps,
-// computes, an interruptible burst with a timer, condvar traffic, a mutex
-// section, a yield and a migration — through both executors and requires
-// byte-identical trace files. The sched package fuzzes the same property
-// over random task sets (FuzzBodyVsGoroutine); this is the deterministic
-// in-kernel anchor.
-func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
-	run := func(continuation bool) []byte {
-		model := machine.DefaultCostModel()
-		model.JitterFrac = 0
-		m, err := machine.New(machine.Topology{Cores: 4, ThreadsPerCore: 2}, machine.NoLoad, model, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := New(engine.New(), m)
-		var buf bytes.Buffer
-		k.SetTrace(trace.New(trace.Config{CPUs: m.Topology().NumHWThreads(), Sink: &buf}))
-		cv := k.NewCondVar("cv")
-		mu := k.NewMutex("mu")
-
-		if continuation {
-			k.MustNewBodyThread(ThreadConfig{Name: "w", Priority: 60, CPU: 1}, &seq{steps: []func(*TCB, Resume) Next{
-				act(CondWait(cv)),
-				act(MutexLock(mu)),
-				act(Compute(2 * time.Millisecond)),
-				act(MutexUnlock(mu)),
-			}}).Start()
-			k.MustNewBodyThread(ThreadConfig{Name: "m", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-				act(SleepUntil(engine.At(time.Millisecond))),
-				act(MutexLock(mu)),
-				act(CondSignal(cv)),
-				act(Compute(time.Millisecond)),
-				act(MutexUnlock(mu)),
-				func(c *TCB, r Resume) Next { return TimerSet(c.Now().Add(time.Millisecond)) },
-				act(ComputeInterruptible(10 * time.Millisecond)),
-				act(SetAlarmMask(false)),
-				act(Yield()),
-				act(Migrate(2)),
-				act(Compute(time.Millisecond)),
-			}}).Start()
-		} else {
-			k.MustNewThread(ThreadConfig{Name: "w", Priority: 60, CPU: 1}, func(c *TCB) {
-				c.CondWait(cv)
-				c.MutexLock(mu)
-				c.Compute(2 * time.Millisecond)
-				c.MutexUnlock(mu)
-			}).Start()
-			k.MustNewThread(ThreadConfig{Name: "m", Priority: 50, CPU: 0}, func(c *TCB) {
-				c.SleepUntil(engine.At(time.Millisecond))
-				c.MutexLock(mu)
-				c.CondSignal(cv)
-				c.Compute(time.Millisecond)
-				c.MutexUnlock(mu)
-				c.TimerSet(c.Now().Add(time.Millisecond))
-				c.ComputeInterruptible(10 * time.Millisecond)
-				c.SetAlarmMask(false)
-				c.Yield()
-				c.Migrate(2)
-				c.Compute(time.Millisecond)
-			}).Start()
+			script(k, "t", 50, cpu, act(Compute(time.Millisecond))).Start()
 		}
 		k.Run()
-		if err := k.Trace().Close(k.ThreadInfos()); err != nil {
-			t.Fatal(err)
+		for _, th := range k.Threads() {
+			if th.State() != StateExited {
+				t.Fatalf("thread %v still %v after shutdown", th, th.State())
+			}
 		}
-		return buf.Bytes()
-	}
-	cont := run(true)
-	gor := run(false)
-	if !bytes.Equal(cont, gor) {
-		t.Fatalf("trace bytes differ between executors: continuation %d bytes, goroutine %d bytes", len(cont), len(gor))
-	}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("goroutines leaked: %d before, %d after shutdown", before, after)
+		}
+	})
 }

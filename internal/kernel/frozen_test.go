@@ -18,11 +18,12 @@ import (
 
 // The frozen corpus pins the kernel's exact behaviour: for each entry, the
 // SHA-256 of the trace file its program produces. It holds random-program
-// seeds chosen for coverage (see selectByCoverage), the many-task inputs of
-// the former body-vs-goroutine fuzz target, and one hand-written mixed
-// scenario. The digests were taken while the goroutine executor still ran
-// every entry alongside the continuation executor, with byte-identical
-// traces.
+// seeds chosen for coverage (see selectByCoverage), the four seed inputs of
+// the many-task fuzz target that compared the executors, and one
+// hand-written mixed scenario. The digests were taken while a second,
+// goroutine-per-thread executor still ran every entry — and every seed the
+// selection scanned — with byte-identical traces; the corpus keeps checking
+// what that differential checked.
 //
 // An intentional change to kernel semantics regenerates the corpus with
 //
@@ -50,7 +51,7 @@ type frozenCorpus struct {
 
 // frozenEntry is one corpus program and its trace digest. Kind is
 // "program" (Seed drives the random-program generator), "manytask" (Seed,
-// NRaw, UtilRaw and ReleaseOnly are a body-vs-goroutine fuzz input), or
+// NRaw, UtilRaw and ReleaseOnly are one of those fuzz inputs), or
 // "scenario" (the mixed scenario).
 type frozenEntry struct {
 	Kind        string `json:"kind"`
@@ -72,14 +73,14 @@ func (e frozenEntry) String() string {
 }
 
 // trace runs the entry's program and returns its trace file.
-func (e frozenEntry) trace(t testing.TB, blocking bool) []byte {
+func (e frozenEntry) trace(t testing.TB) []byte {
 	switch e.Kind {
 	case "program":
-		return runProgram(t, e.Seed, blocking, &traceWatch{})
+		return runProgram(t, e.Seed, &traceWatch{})
 	case "manytask":
-		return manyTaskTrace(t, e, blocking)
+		return manyTaskTrace(t, e)
 	case "scenario":
-		return scenarioTrace(t, blocking)
+		return scenarioTrace(t)
 	}
 	t.Fatalf("unknown frozen entry kind %q", e.Kind)
 	return nil
@@ -107,23 +108,20 @@ func TestFrozenTraces(t *testing.T) {
 		t.Fatal("empty frozen corpus")
 	}
 	for _, e := range corpus.Entries {
-		if got := digest(e.trace(t, false)); got != e.SHA256 {
+		if got := digest(e.trace(t)); got != e.SHA256 {
 			t.Errorf("%v: trace digest %s, frozen %s", e, got, e.SHA256)
 		}
 	}
 }
 
-// writeFrozen regenerates the corpus: it runs the differential over seeds
-// 1..frozenSeeds, selects program seeds by coverage, adds the fixed entries,
-// and digests each entry's trace after both executors agree on it.
+// writeFrozen regenerates the corpus: it runs seeds 1..frozenSeeds,
+// selects program seeds by coverage, adds the fixed entries, and digests
+// each entry's trace.
 func writeFrozen(t *testing.T) {
 	feats := make(map[uint64]map[trigram]bool, frozenSeeds)
 	for seed := uint64(1); seed <= frozenSeeds; seed++ {
 		w := &traceWatch{}
-		cont := runProgram(t, seed, false, w)
-		if gor := runProgram(t, seed, true, &traceWatch{}); string(gor) != string(cont) {
-			t.Fatalf("seed %d: trace bytes differ between executors", seed)
-		}
+		runProgram(t, seed, w)
 		feats[seed] = w.trigrams
 	}
 	chosen, covered := selectByCoverage(feats)
@@ -139,12 +137,7 @@ func writeFrozen(t *testing.T) {
 		frozenEntry{Kind: "scenario"},
 	)
 	for i := range corpus.Entries {
-		e := &corpus.Entries[i]
-		cont := e.trace(t, false)
-		if gor := e.trace(t, true); string(gor) != string(cont) {
-			t.Fatalf("%v: trace bytes differ between executors", e)
-		}
-		e.SHA256 = digest(cont)
+		corpus.Entries[i].SHA256 = digest(corpus.Entries[i].trace(t))
 	}
 	out, err := json.MarshalIndent(corpus, "", "\t")
 	if err != nil {
@@ -225,7 +218,7 @@ func (q *seedQueue) Pop() any {
 // hardware thread i mod 8, each job sleeping to its release and computing
 // the mandatory then the wind-up part — on the default cost model, cut off
 // after 20,000 engine events.
-func manyTaskTrace(t testing.TB, e frozenEntry, blocking bool) []byte {
+func manyTaskTrace(t testing.TB, e frozenEntry) []byte {
 	t.Helper()
 	n := int(e.NRaw)%32 + 1
 	util := float64(e.UtilRaw%100+1) / 200
@@ -252,11 +245,7 @@ func manyTaskTrace(t testing.TB, e frozenEntry, blocking bool) []byte {
 		var threads []*Thread
 		for i, tk := range set.Tasks {
 			cfg := ThreadConfig{Name: tk.Name, Priority: prios[i], CPU: machine.HWThread(i % nhw)}
-			if blocking {
-				threads = append(threads, k.MustNewThread(cfg, blockingPeriodic(tk, e.ReleaseOnly)))
-			} else {
-				threads = append(threads, k.MustNewBodyThread(cfg, periodicBody(tk, e.ReleaseOnly)))
-			}
+			threads = append(threads, k.MustNewBodyThread(cfg, periodicBody(tk, e.ReleaseOnly)))
 		}
 		for _, th := range threads {
 			th.Start()
@@ -292,22 +281,10 @@ func periodicBody(tk task.Task, releaseOnly bool) Body {
 	})
 }
 
-func blockingPeriodic(tk task.Task, releaseOnly bool) func(*TCB) {
-	return func(c *TCB) {
-		for release := c.Now(); ; release = release.Add(tk.Period) {
-			c.SleepUntil(release)
-			if !releaseOnly {
-				c.Compute(tk.Mandatory)
-				c.Compute(tk.Windup)
-			}
-		}
-	}
-}
-
 // scenarioTrace runs the mixed scenario — sleeps, computes, an
 // interruptible burst with a timer, condvar traffic, a mutex section, a
 // yield and a migration — on a jitter-free machine.
-func scenarioTrace(t testing.TB, blocking bool) []byte {
+func scenarioTrace(t testing.TB) []byte {
 	t.Helper()
 	model := machine.DefaultCostModel()
 	model.JitterFrac = 0
@@ -318,38 +295,23 @@ func scenarioTrace(t testing.TB, blocking bool) []byte {
 	file, drained, _ := tracedRun(t, mach, programStepLimit, &traceWatch{}, func(k *Kernel) {
 		cv := k.NewCondVar("cv")
 		mu := k.NewMutex("mu")
-		w := programSteps{
+		script(k, "w", 60, 1,
 			act(CondWait(cv)),
 			act(MutexLock(mu)),
-			act(Compute(2 * time.Millisecond)),
-			act(MutexUnlock(mu)),
-		}
-		m := programSteps{
+			act(Compute(2*time.Millisecond)),
+			act(MutexUnlock(mu))).Start()
+		script(k, "m", 50, 0,
 			act(SleepUntil(engine.At(time.Millisecond))),
 			act(MutexLock(mu)),
 			act(CondSignal(cv)),
 			act(Compute(time.Millisecond)),
 			act(MutexUnlock(mu)),
 			func(c *TCB, r Resume) Next { return TimerSet(c.Now().Add(time.Millisecond)) },
-			act(ComputeInterruptible(10 * time.Millisecond)),
+			act(ComputeInterruptible(10*time.Millisecond)),
 			act(SetAlarmMask(false)),
 			act(Yield()),
 			act(Migrate(2)),
-			act(Compute(time.Millisecond)),
-		}
-		for _, th := range []struct {
-			cfg   ThreadConfig
-			steps programSteps
-		}{
-			{ThreadConfig{Name: "w", Priority: 60, CPU: 1}, w},
-			{ThreadConfig{Name: "m", Priority: 50, CPU: 0}, m},
-		} {
-			if blocking {
-				k.MustNewThread(th.cfg, blockingBody(th.steps)).Start()
-			} else {
-				k.MustNewBodyThread(th.cfg, &seq{steps: th.steps}).Start()
-			}
-		}
+			act(Compute(time.Millisecond))).Start()
 	})
 	if !drained {
 		t.Fatal("scenario still running")

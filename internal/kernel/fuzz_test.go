@@ -20,13 +20,10 @@ import (
 // one; yields and early exits — on a jittered machine under CPU load.
 // A wait nobody signals stays blocked until Shutdown unwinds it.
 
-// programSteps is one thread's program as seq steps.
-type programSteps []func(*TCB, Resume) Next
-
 // randomProgram draws the program of seed and creates its threads on k,
 // unstarted, in creation order. The draws depend on seed alone, so every
 // kernel gets the same program.
-func randomProgram(k *Kernel, seed uint64, blocking bool) []*Thread {
+func randomProgram(k *Kernel, seed uint64) []*Thread {
 	rng := engine.NewRand(seed)
 	cv := k.NewCondVar("cv")
 	mutexes := [2]*Mutex{k.NewMutex("mu"), k.NewPIMutex("pi")}
@@ -35,7 +32,7 @@ func randomProgram(k *Kernel, seed uint64, blocking bool) []*Thread {
 	var threads []*Thread
 	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
 		cfg := ThreadConfig{Name: fmt.Sprintf("p%d", i), Priority: 40 + rng.Intn(20), CPU: anyCPU()}
-		var steps programSteps
+		var steps []step
 		for j, ops := 0, 4+rng.Intn(14); j < ops; j++ {
 			d := time.Duration(rng.Intn(5)+1) * time.Millisecond
 			switch rng.Intn(19) {
@@ -96,82 +93,9 @@ func randomProgram(k *Kernel, seed uint64, blocking bool) []*Thread {
 				steps = append(steps, act(Done()))
 			}
 		}
-		if blocking {
-			threads = append(threads, k.MustNewThread(cfg, blockingBody(steps)))
-		} else {
-			threads = append(threads, k.MustNewBodyThread(cfg, &seq{steps: steps}))
-		}
+		threads = append(threads, k.MustNewBodyThread(cfg, &seq{steps: steps}))
 	}
 	return threads
-}
-
-// blockingBody runs steps on the goroutine executor, issuing each returned
-// action through the blocking TCB method it mirrors.
-func blockingBody(steps programSteps) func(*TCB) {
-	return func(c *TCB) {
-		r := Resume{First: true}
-		for _, step := range steps {
-			req := step(c, r).req
-			if req.kind == reqExit {
-				return
-			}
-			r = blockingDo(c, req)
-		}
-	}
-}
-
-func blockingDo(c *TCB, req request) Resume {
-	switch req.kind {
-	case reqCompute:
-		if req.interruptible {
-			done, ran := c.ComputeInterruptible(req.dur)
-			return Resume{Completed: done, Ran: ran}
-		}
-		c.Compute(req.dur)
-	case reqSleepUntil:
-		if req.rel {
-			c.Sleep(req.dur)
-		} else {
-			c.SleepUntil(req.at)
-		}
-	case reqCondWait:
-		c.CondWait(req.cv)
-	case reqCondSignal:
-		c.CondSignal(req.cv)
-	case reqCondBroadcast:
-		c.CondBroadcast(req.cv)
-	case reqTimerSet:
-		c.TimerSet(req.at)
-	case reqTimerStop:
-		c.TimerStop()
-	case reqSetAlarmMask:
-		c.SetAlarmMask(req.mask)
-	case reqChargeOp:
-		c.ChargeOp(req.op)
-	case reqChargeOpRemote:
-		c.ChargeOpRemote(req.op, req.remote)
-	case reqMutexLock:
-		c.MutexLock(req.mutex)
-	case reqMutexUnlock:
-		c.MutexUnlock(req.mutex)
-	case reqMigrate:
-		c.Migrate(req.remote)
-	case reqYield:
-		c.Yield()
-	default:
-		panic(fmt.Sprintf("blockingDo: unexpected request %v", req.kind))
-	}
-	return Resume{Completed: true}
-}
-
-// programMachine is the machine a random program runs on.
-func programMachine(t testing.TB, seed uint64) *machine.Machine {
-	t.Helper()
-	m, err := machine.New(machine.Topology{Cores: 4, ThreadsPerCore: 2}, machine.CPULoad, machine.DefaultCostModel(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 // programStepLimit bounds a random program's run: the longest program
@@ -181,10 +105,14 @@ const programStepLimit = 100000
 // runProgram runs the program of seed to completion and returns its trace
 // file, after checking that it finished within programStepLimit events and
 // left every thread exited.
-func runProgram(t testing.TB, seed uint64, blocking bool, w *traceWatch) []byte {
+func runProgram(t testing.TB, seed uint64, w *traceWatch) []byte {
 	t.Helper()
-	file, drained, k := tracedRun(t, programMachine(t, seed), programStepLimit, w, func(k *Kernel) {
-		for _, th := range randomProgram(k, seed, blocking) {
+	mach, err := machine.New(machine.Topology{Cores: 4, ThreadsPerCore: 2}, machine.CPULoad, machine.DefaultCostModel(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, drained, k := tracedRun(t, mach, programStepLimit, w, func(k *Kernel) {
+		for _, th := range randomProgram(k, seed) {
 			th.Start()
 		}
 	})
@@ -202,7 +130,8 @@ func runProgram(t testing.TB, seed uint64, blocking bool, w *traceWatch) []byte 
 // tracedRun builds a kernel on mach with a file-backed tracer, lets build
 // create and start its threads, runs at most maxSteps engine events, shuts
 // the kernel down and returns the trace file, whether the event queue
-// drained, and the kernel. w, when non-nil, checks every record.
+// drained, and the kernel. w checks every record; a drained run must leave
+// no thread runnable.
 func tracedRun(t testing.TB, mach *machine.Machine, maxSteps int, w *traceWatch, build func(k *Kernel)) ([]byte, bool, *Kernel) {
 	t.Helper()
 	eng := engine.New()
@@ -210,9 +139,7 @@ func tracedRun(t testing.TB, mach *machine.Machine, maxSteps int, w *traceWatch,
 	var buf bytes.Buffer
 	tr := trace.New(trace.Config{CPUs: mach.Topology().NumHWThreads(), Sink: &buf})
 	k.SetTrace(tr)
-	if w != nil {
-		w.attach(t, tr)
-	}
+	w.attach(t, tr)
 	build(k)
 	drained := false
 	for i := 0; i < maxSteps && !drained; i++ {
@@ -220,6 +147,16 @@ func tracedRun(t testing.TB, mach *machine.Machine, maxSteps int, w *traceWatch,
 	}
 	if !drained {
 		drained = eng.Pending() == 0
+	}
+	if drained {
+		// With no event left, a thread can only be done or waiting on a
+		// condition variable or mutex: a ready, running or sleeping one was
+		// lost by the scheduler.
+		for _, th := range k.Threads() {
+			if s := th.State(); s != StateExited && s != StateBlocked {
+				t.Fatalf("thread %v left %v with no event pending", th, s)
+			}
+		}
 	}
 	k.Shutdown()
 	if err := tr.Close(k.ThreadInfos()); err != nil {
@@ -284,41 +221,29 @@ func (w *traceWatch) observe(rec trace.Record) {
 	w.recent[rec.TID] = h
 }
 
-// TestPropertyRandomPrograms is the differential over the generator: every
-// seed's program runs on both executors, and the trace files must be
-// byte-identical.
-func TestPropertyRandomPrograms(t *testing.T) {
-	for seed := uint64(1); seed <= frozenSeeds; seed++ {
-		cont := runProgram(t, seed, false, &traceWatch{})
-		gor := runProgram(t, seed, true, &traceWatch{})
-		if !bytes.Equal(cont, gor) {
-			t.Fatalf("seed %d: trace bytes differ between executors (continuation %d bytes, goroutine %d bytes)", seed, len(cont), len(gor))
-		}
+// checkProgram runs the program of seed twice. Each run must finish within
+// programStepLimit events with no thread left runnable, leave every thread
+// exited after Shutdown, and hold the traceWatch invariants; the two trace
+// files must be identical.
+func checkProgram(t *testing.T, seed uint64) {
+	first := runProgram(t, seed, &traceWatch{})
+	if second := runProgram(t, seed, &traceWatch{}); !bytes.Equal(first, second) {
+		t.Fatalf("seed %d: two runs wrote different traces (%d and %d bytes)", seed, len(first), len(second))
 	}
 }
 
-// All threads exited after a random run (no stuck states survive Shutdown).
-func TestRandomProgramsAllExit(t *testing.T) {
-	model := machine.DefaultCostModel()
-	model.JitterFrac = 0
-	mach, _ := machine.New(machine.Topology{Cores: 4, ThreadsPerCore: 2}, machine.NoLoad, model, 1)
-	k := New(engine.New(), mach)
-	cv := k.NewCondVar("cv")
-	for i := 0; i < 4; i++ {
-		i := i
-		th := k.MustNewThread(ThreadConfig{Name: "x", Priority: 50 + i, CPU: machine.HWThread(i % 8)}, func(c *TCB) {
-			if i == 0 {
-				c.CondWait(cv) // never signalled: unwound at shutdown
-				return
-			}
-			c.Compute(time.Millisecond)
-		})
-		th.Start()
+// TestPropertyRandomPrograms checks every seed the frozen corpus was
+// selected from.
+func TestPropertyRandomPrograms(t *testing.T) {
+	for seed := uint64(1); seed <= frozenSeeds; seed++ {
+		checkProgram(t, seed)
 	}
-	k.Run()
-	for _, th := range k.Threads() {
-		if th.State() != StateExited {
-			t.Fatalf("thread %v still %v after shutdown", th, th.State())
-		}
-	}
+}
+
+// FuzzKernelPrograms checks the programs of seeds the fuzzer chooses.
+func FuzzKernelPrograms(f *testing.F) {
+	f.Add(uint64(0))
+	f.Add(uint64(frozenSeeds + 1))
+	f.Add(uint64(1) << 63)
+	f.Fuzz(checkProgram)
 }

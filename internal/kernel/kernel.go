@@ -5,19 +5,14 @@
 // one-shot POSIX timers with SIGALRM delivery and per-thread signal masks,
 // and CPU affinity.
 //
-// Simulated thread bodies come in two forms behind one API. The
-// continuation executor (NewBodyThread) is the production path: a body is a
-// resumable state machine whose Step the kernel calls inline from its
-// dispatch path, so a context switch is a function call and a simulation
-// needs no goroutines regardless of thread count. The goroutine executor
-// (NewThread) models a body as an ordinary blocking Go function on its own
-// goroutine, hand-shaken with the kernel through unbuffered channels. No
-// production code uses it: it remains the differential oracle (both
-// executors produce byte-identical traces for the same program) and the
-// executor for tests written as blocking scripts, most of them the kernel's
-// own. Either way exactly one simulated thread executes host code at a
-// time, so simulations are fully deterministic. Virtual time passes only
-// inside kernel primitives, priced by the machine cost model.
+// A simulated thread's body (NewBodyThread) is a resumable state machine
+// whose Step the kernel calls inline from its dispatch path: each Step
+// returns the next kernel action, and the kernel calls Step again once the
+// action completes. A context switch is a function call, a simulation needs
+// no goroutines regardless of thread count, and exactly one simulated
+// thread executes host code at a time, so simulations are fully
+// deterministic. Virtual time passes only inside kernel primitives, priced
+// by the machine cost model.
 package kernel
 
 import (
@@ -49,6 +44,9 @@ type Kernel struct {
 	threads []*Thread
 
 	tr *trace.Tracer
+
+	// shutdown is set by Shutdown; the kernel cannot run again after it.
+	shutdown bool
 }
 
 // New builds a kernel for every hardware thread of the machine.
@@ -111,28 +109,37 @@ func (k *Kernel) ThreadInfos() []trace.ThreadInfo {
 	return out
 }
 
-// Run processes simulation events until none remain, then shuts down any
-// still-parked simulated threads so no goroutines leak.
+// Run processes simulation events until none remain, then shuts the kernel
+// down. It panics on a kernel that was already shut down.
 func (k *Kernel) Run() {
+	k.checkLive()
 	k.eng.Run()
 	k.Shutdown()
 }
 
-// RunUntil processes simulation events up to the deadline, then shuts down
-// remaining simulated threads.
+// RunUntil processes simulation events up to the deadline, then shuts the
+// kernel down. It panics on a kernel that was already shut down; to run a
+// simulation in slices, step the engine (Engine().RunUntil) and shut down
+// once at the end.
 func (k *Kernel) RunUntil(deadline engine.Time) {
+	k.checkLive()
 	k.eng.RunUntil(deadline)
 	k.Shutdown()
 }
 
-// Shutdown force-terminates every simulated thread that has not exited.
-// Blocked or sleeping threads are unwound at their current kernel call:
-// continuation threads are simply marked exited (there is nothing to
-// unwind), goroutine threads have their parked goroutines released. The
-// kernel must be quiescent (no thread mid-handoff), which is always the case
-// between engine events. After Shutdown no goroutine created by either
-// executor remains.
+func (k *Kernel) checkLive() {
+	if k.shutdown {
+		panic("kernel: Run after Shutdown")
+	}
+}
+
+// Shutdown force-terminates every simulated thread that has not exited:
+// blocked, sleeping, ready and computing threads are marked exited where
+// they stand, and their bodies never step again. Shutdown is final. Events
+// the threads had armed stay queued, so the kernel must not run again:
+// Run and RunUntil panic after it.
 func (k *Kernel) Shutdown() {
+	k.shutdown = true
 	for _, t := range k.threads {
 		t.kill()
 	}
@@ -293,25 +300,6 @@ func (k *Kernel) setCurrent(c *cpu, t *Thread) {
 	}
 }
 
-// resumeThread hands the CPU to t's host code and handles the next kernel
-// request it issues. Exactly one thread runs host code at a time. On the
-// continuation executor the "context switch" is a plain call into the
-// body's Step; on the goroutine executor it is a channel round-trip with
-// the thread's parked goroutine.
-//
-//rtseed:noalloc
-//rtseed:kernelctx
-func (k *Kernel) resumeThread(t *Thread, reply replyMsg) {
-	if t.stepBody != nil {
-		k.stepThread(t, reply)
-		return
-	}
-	t.reply = reply
-	t.run <- resumeMsg{}
-	<-t.yielded
-	k.handleRequest(t)
-}
-
 // startCompute begins or resumes a compute burst for the running thread t.
 //
 //rtseed:noalloc
@@ -356,7 +344,7 @@ func (k *Kernel) finishCompute(t *Thread) {
 	t.computeRemaining = 0
 	t.inCompute = false
 	t.state = StateRunning
-	k.resumeThread(t, replyMsg{completed: true, ran: t.computeRan})
+	k.resumeThread(t, Resume{Completed: true, Ran: t.computeRan})
 }
 
 // interruptCompute terminates the running interruptible burst of t with a
@@ -436,7 +424,7 @@ func (k *Kernel) handleYield(t *Thread) {
 	k.setCurrent(c, nil)
 	t.state = StateReady
 	t.dispatchOp = machine.OpContextSwitch
-	t.pendingReply = replyMsg{completed: true}
+	t.pendingReply = Resume{Completed: true}
 	c.runq.enqueue(t, false)
 	k.emit(t, trace.KindReady, 0)
 	k.scheduleDispatch(c)

@@ -9,27 +9,15 @@ import (
 	"rtseed/internal/trace"
 )
 
-// testKernel builds a kernel on a small machine with zero-jitter costs so
-// timing assertions are exact.
-func testKernel(t *testing.T, load machine.Load) *Kernel {
-	t.Helper()
-	model := machine.DefaultCostModel()
-	model.JitterFrac = 0
-	topo := machine.Topology{Cores: 4, ThreadsPerCore: 2}
-	m, err := machine.New(topo, load, model, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return New(engine.New(), m)
-}
-
 func TestThreadRunsBody(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	ran := false
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(time.Millisecond)
-		ran = true
-	})
+	th := script(k, "t", 50, 0,
+		act(Compute(time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			ran = r.Completed
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if !ran {
@@ -43,10 +31,12 @@ func TestThreadRunsBody(t *testing.T) {
 func TestComputeAdvancesVirtualTime(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var end engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(10 * time.Millisecond)
-		end = c.Now()
-	})
+	th := script(k, "t", 50, 0,
+		act(Compute(10*time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			end = c.Now()
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	// End time = dispatch cost + 10ms compute.
@@ -61,15 +51,19 @@ func TestComputeAdvancesVirtualTime(t *testing.T) {
 func TestHigherPriorityPreempts(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var loEnd, hiEnd engine.Time
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(10 * time.Millisecond)
-		loEnd = c.Now()
-	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *TCB) {
-		c.SleepUntil(engine.At(2 * time.Millisecond))
-		c.Compute(5 * time.Millisecond)
-		hiEnd = c.Now()
-	})
+	lo := script(k, "lo", 50, 0,
+		act(Compute(10*time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			loEnd = c.Now()
+			return Done()
+		})
+	hi := script(k, "hi", 60, 0,
+		act(SleepUntil(engine.At(2*time.Millisecond))),
+		act(Compute(5*time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			hiEnd = c.Now()
+			return Done()
+		})
 	lo.Start()
 	hi.Start()
 	k.Run()
@@ -86,14 +80,16 @@ func TestHigherPriorityPreempts(t *testing.T) {
 func TestEqualPriorityFIFONoPreemption(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var order []string
-	a := k.MustNewThread(ThreadConfig{Name: "a", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(5 * time.Millisecond)
-		order = append(order, "a")
-	})
-	b := k.MustNewThread(ThreadConfig{Name: "b", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(time.Millisecond)
-		order = append(order, "b")
-	})
+	mk := func(name string, d time.Duration) *Thread {
+		return script(k, name, 50, 0,
+			act(Compute(d)),
+			func(c *TCB, r Resume) Next {
+				order = append(order, name)
+				return Done()
+			})
+	}
+	a := mk("a", 5*time.Millisecond)
+	b := mk("b", time.Millisecond)
 	a.Start()
 	b.Start()
 	k.Run()
@@ -105,14 +101,16 @@ func TestEqualPriorityFIFONoPreemption(t *testing.T) {
 func TestThreadsOnDifferentCPUsRunConcurrently(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var aEnd, bEnd engine.Time
-	a := k.MustNewThread(ThreadConfig{Name: "a", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(10 * time.Millisecond)
-		aEnd = c.Now()
-	})
-	b := k.MustNewThread(ThreadConfig{Name: "b", Priority: 50, CPU: 1}, func(c *TCB) {
-		c.Compute(10 * time.Millisecond)
-		bEnd = c.Now()
-	})
+	mk := func(name string, cpu machine.HWThread, end *engine.Time) *Thread {
+		return script(k, name, 50, cpu,
+			act(Compute(10*time.Millisecond)),
+			func(c *TCB, r Resume) Next {
+				*end = c.Now()
+				return Done()
+			})
+	}
+	a := mk("a", 0, &aEnd)
+	b := mk("b", 1, &bEnd)
 	a.Start()
 	b.Start()
 	k.Run()
@@ -124,10 +122,12 @@ func TestThreadsOnDifferentCPUsRunConcurrently(t *testing.T) {
 func TestSleepUntilWakesAtAbsoluteTime(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var woke engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.SleepUntil(engine.At(100 * time.Millisecond))
-		woke = c.Now()
-	})
+	th := script(k, "t", 50, 0,
+		act(SleepUntil(engine.At(100*time.Millisecond))),
+		func(c *TCB, r Resume) Next {
+			woke = c.Now()
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if woke < engine.At(100*time.Millisecond) {
@@ -141,12 +141,16 @@ func TestSleepUntilWakesAtAbsoluteTime(t *testing.T) {
 func TestSleepUntilPastReturnsImmediately(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var first, second engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(5 * time.Millisecond)
-		first = c.Now()
-		c.SleepUntil(engine.At(time.Millisecond)) // already past
-		second = c.Now()
-	})
+	th := script(k, "t", 50, 0,
+		act(Compute(5*time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			first = c.Now()
+			return SleepUntil(engine.At(time.Millisecond)) // already past
+		},
+		func(c *TCB, r Resume) Next {
+			second = c.Now()
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if second != first {
@@ -158,14 +162,15 @@ func TestCondSignalWakesWaiter(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	cv := k.NewCondVar("cv")
 	var consumerRan engine.Time
-	consumer := k.MustNewThread(ThreadConfig{Name: "consumer", Priority: 60, CPU: 1}, func(c *TCB) {
-		c.CondWait(cv)
-		consumerRan = c.Now()
-	})
-	producer := k.MustNewThread(ThreadConfig{Name: "producer", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(10 * time.Millisecond)
-		c.CondSignal(cv)
-	})
+	consumer := script(k, "consumer", 60, 1,
+		act(CondWait(cv)),
+		func(c *TCB, r Resume) Next {
+			consumerRan = c.Now()
+			return Done()
+		})
+	producer := script(k, "producer", 50, 0,
+		act(Compute(10*time.Millisecond)),
+		act(CondSignal(cv)))
 	consumer.Start()
 	producer.Start()
 	k.Run()
@@ -181,26 +186,24 @@ func TestCondSignalWithoutWaiterIsLost(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	cv := k.NewCondVar("cv")
 	woke := false
-	producer := k.MustNewThread(ThreadConfig{Name: "p", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.CondSignal(cv) // nobody waiting; pthread semantics lose it
-	})
-	consumer := k.MustNewThread(ThreadConfig{Name: "c", Priority: 50, CPU: 1}, func(c *TCB) {
-		c.SleepUntil(engine.At(time.Millisecond))
-		c.CondWait(cv)
-		woke = true
-	})
+	// Nobody is waiting yet; pthread semantics lose the signal.
+	producer := script(k, "p", 50, 0, act(CondSignal(cv)))
+	consumer := script(k, "c", 50, 1,
+		act(SleepUntil(engine.At(time.Millisecond))),
+		act(CondWait(cv)),
+		func(c *TCB, r Resume) Next {
+			woke = true
+			return Done()
+		})
 	producer.Start()
 	consumer.Start()
 	k.Run()
 	if woke {
 		t.Fatal("signal before wait must be lost")
 	}
+	// The consumer was still blocked at shutdown, which force-exited it.
 	if consumer.State() != StateExited {
-		// The consumer is still blocked at shutdown, which is the expected
-		// outcome; Shutdown force-unwound it.
-		if consumer.State() != StateBlocked {
-			t.Fatalf("consumer state %v", consumer.State())
-		}
+		t.Fatalf("consumer state %v, want exited", consumer.State())
 	}
 }
 
@@ -209,18 +212,16 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 	cv := k.NewCondVar("cv")
 	woken := 0
 	for i := 0; i < 3; i++ {
-		cpu := machine.HWThread(i + 1)
-		th := k.MustNewThread(ThreadConfig{Name: "w", Priority: 60, CPU: cpu}, func(c *TCB) {
-			c.CondWait(cv)
-			woken++
-		})
-		th.Start()
+		script(k, "w", 60, machine.HWThread(i+1),
+			act(CondWait(cv)),
+			func(c *TCB, r Resume) Next {
+				woken++
+				return Done()
+			}).Start()
 	}
-	p := k.MustNewThread(ThreadConfig{Name: "p", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(time.Millisecond)
-		c.CondBroadcast(cv)
-	})
-	p.Start()
+	script(k, "p", 50, 0,
+		act(Compute(time.Millisecond)),
+		act(CondBroadcast(cv))).Start()
 	k.Run()
 	if woken != 3 {
 		t.Fatalf("broadcast woke %d, want 3", woken)
@@ -231,10 +232,13 @@ func TestTimerTerminatesInterruptibleCompute(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var completed bool
 	var ran time.Duration
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.TimerSet(engine.At(5 * time.Millisecond))
-		completed, ran = c.ComputeInterruptible(time.Second)
-	})
+	th := script(k, "t", 50, 0,
+		act(TimerSet(engine.At(5*time.Millisecond))),
+		act(ComputeInterruptible(time.Second)),
+		func(c *TCB, r Resume) Next {
+			completed, ran = r.Completed, r.Ran
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if completed {
@@ -248,11 +252,13 @@ func TestTimerTerminatesInterruptibleCompute(t *testing.T) {
 func TestTimerDoesNotTerminateUninterruptibleCompute(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var end engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.TimerSet(engine.At(time.Millisecond))
-		c.Compute(10 * time.Millisecond)
-		end = c.Now()
-	})
+	th := script(k, "t", 50, 0,
+		act(TimerSet(engine.At(time.Millisecond))),
+		act(Compute(10*time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			end = c.Now()
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if end < engine.At(10*time.Millisecond) {
@@ -266,11 +272,14 @@ func TestTimerDoesNotTerminateUninterruptibleCompute(t *testing.T) {
 func TestTimerStopCancelsAndClearsPending(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var completed bool
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.TimerSet(engine.At(time.Hour))
-		c.TimerStop()
-		completed, _ = c.ComputeInterruptible(5 * time.Millisecond)
-	})
+	th := script(k, "t", 50, 0,
+		act(TimerSet(engine.At(time.Hour))),
+		act(TimerStop()),
+		act(ComputeInterruptible(5*time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			completed = r.Completed
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if !completed {
@@ -284,20 +293,25 @@ func TestTimerStopCancelsAndClearsPending(t *testing.T) {
 func TestAlarmMaskedAfterTermination(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var second bool
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.TimerSet(engine.At(2 * time.Millisecond))
-		first, _ := c.ComputeInterruptible(time.Second)
-		if first {
-			t.Error("first burst should be terminated")
-		}
-		if !c.AlarmMasked() {
-			t.Error("SIGALRM should be masked after handler entry")
-		}
-		// Arm again WITHOUT restoring the mask: the next burst must run to
-		// completion because the signal stays blocked.
-		c.TimerSet(c.Now().Add(2 * time.Millisecond))
-		second, _ = c.ComputeInterruptible(10 * time.Millisecond)
-	})
+	th := script(k, "t", 50, 0,
+		act(TimerSet(engine.At(2*time.Millisecond))),
+		act(ComputeInterruptible(time.Second)),
+		func(c *TCB, r Resume) Next {
+			if r.Completed {
+				t.Error("first burst should be terminated")
+			}
+			if !c.AlarmMasked() {
+				t.Error("SIGALRM should be masked after handler entry")
+			}
+			// Arm again WITHOUT restoring the mask: the next burst must run
+			// to completion because the signal stays blocked.
+			return TimerSet(c.Now().Add(2 * time.Millisecond))
+		},
+		act(ComputeInterruptible(10*time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			second = r.Completed
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if !second {
@@ -308,14 +322,17 @@ func TestAlarmMaskedAfterTermination(t *testing.T) {
 // Restoring the mask (as siglongjmp does) re-enables termination.
 func TestAlarmUnmaskedTerminatesAgain(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
-	var second bool
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.TimerSet(engine.At(2 * time.Millisecond))
-		c.ComputeInterruptible(time.Second)
-		c.SetAlarmMask(false) // siglongjmp restores the mask
-		c.TimerSet(c.Now().Add(2 * time.Millisecond))
-		second, _ = c.ComputeInterruptible(10 * time.Second)
-	})
+	second := true
+	th := script(k, "t", 50, 0,
+		act(TimerSet(engine.At(2*time.Millisecond))),
+		act(ComputeInterruptible(time.Second)),
+		act(SetAlarmMask(false)), // siglongjmp restores the mask
+		func(c *TCB, r Resume) Next { return TimerSet(c.Now().Add(2 * time.Millisecond)) },
+		act(ComputeInterruptible(10*time.Second)),
+		func(c *TCB, r Resume) Next {
+			second = r.Completed
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if second {
@@ -327,15 +344,18 @@ func TestAlarmUnmaskedTerminatesAgain(t *testing.T) {
 // interruptible burst starts with the mask cleared.
 func TestPendingAlarmDeliveredOnNextBurst(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
-	var completed bool
-	var ran time.Duration
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.SetAlarmMask(true)
-		c.TimerSet(engine.At(time.Millisecond))
-		c.Compute(5 * time.Millisecond) // alarm fires during this, stays pending
-		c.SetAlarmMask(false)
-		completed, ran = c.ComputeInterruptible(time.Second)
-	})
+	completed := true
+	ran := time.Duration(-1)
+	th := script(k, "t", 50, 0,
+		act(SetAlarmMask(true)),
+		act(TimerSet(engine.At(time.Millisecond))),
+		act(Compute(5*time.Millisecond)), // alarm fires during this, stays pending
+		act(SetAlarmMask(false)),
+		act(ComputeInterruptible(time.Second)),
+		func(c *TCB, r Resume) Next {
+			completed, ran = r.Completed, r.Ran
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if completed {
@@ -350,14 +370,16 @@ func TestPendingAlarmDeliveredOnNextBurst(t *testing.T) {
 func TestPreemptedInterruptibleBurstAccounting(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var ran time.Duration
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.TimerSet(engine.At(20 * time.Millisecond))
-		_, ran = c.ComputeInterruptible(time.Second)
-	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *TCB) {
-		c.SleepUntil(engine.At(5 * time.Millisecond))
-		c.Compute(5 * time.Millisecond)
-	})
+	lo := script(k, "lo", 50, 0,
+		act(TimerSet(engine.At(20*time.Millisecond))),
+		act(ComputeInterruptible(time.Second)),
+		func(c *TCB, r Resume) Next {
+			ran = r.Ran
+			return Done()
+		})
+	hi := script(k, "hi", 60, 0,
+		act(SleepUntil(engine.At(5*time.Millisecond))),
+		act(Compute(5*time.Millisecond)))
 	lo.Start()
 	hi.Start()
 	k.Run()
@@ -374,9 +396,7 @@ func TestTracerSeesLifecycle(t *testing.T) {
 	k.SetTrace(tr)
 	var kinds []trace.Kind
 	tr.Tap(func(rec trace.Record) { kinds = append(kinds, rec.Kind) })
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(time.Millisecond)
-	})
+	th := script(k, "t", 50, 0, act(Compute(time.Millisecond)))
 	th.Start()
 	k.Run()
 	want := []trace.Kind{trace.KindReady, trace.KindDispatch, trace.KindExit}
@@ -393,38 +413,53 @@ func TestTracerSeesLifecycle(t *testing.T) {
 	}
 }
 
-func TestNewThreadValidation(t *testing.T) {
-	k := testKernel(t, machine.NoLoad)
-	if _, err := k.NewThread(ThreadConfig{Priority: 0, CPU: 0}, func(*TCB) {}); err == nil {
-		t.Fatal("priority 0 accepted")
-	}
-	if _, err := k.NewThread(ThreadConfig{Priority: 100, CPU: 0}, func(*TCB) {}); err == nil {
-		t.Fatal("priority 100 accepted")
-	}
-	if _, err := k.NewThread(ThreadConfig{Priority: 50, CPU: 99}, func(*TCB) {}); err == nil {
-		t.Fatal("out-of-range cpu accepted")
-	}
-}
-
+// Shutdown force-exits a thread parked in a wait nobody signals; its body
+// is never stepped again.
 func TestShutdownUnwindsBlockedThreads(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	cv := k.NewCondVar("never")
-	cleanedUp := false
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		defer func() { cleanedUp = true }()
-		c.CondWait(cv) // never signalled
-	})
+	stepped := false
+	th := script(k, "t", 50, 0,
+		act(CondWait(cv)),
+		func(c *TCB, r Resume) Next {
+			stepped = true
+			return Done()
+		})
 	th.Start()
 	k.Run() // Run calls Shutdown when the event queue drains
 	if th.State() != StateExited {
 		t.Fatalf("state %v, want exited after shutdown", th.State())
 	}
-	if cleanedUp {
-		// The kill unwinds via panic, so deferred cleanup DOES run; assert
-		// that it did.
-		return
+	if stepped {
+		t.Fatal("body stepped past a wait nobody signalled")
 	}
-	t.Fatal("deferred cleanup did not run during shutdown unwind")
+}
+
+// Shutdown is final: a second run must not fire the events the killed
+// threads left armed — here a compute completion, which would re-enter an
+// exited thread's body.
+func TestRunAfterShutdownPanics(t *testing.T) {
+	k := testKernel(t, machine.NoLoad)
+	steps := 0
+	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0},
+		StepFunc(func(c *TCB, r Resume) Next {
+			steps++
+			return Compute(10 * time.Millisecond)
+		}))
+	th.Start()
+	k.RunUntil(engine.At(5 * time.Millisecond))
+	if steps != 1 {
+		t.Fatalf("body stepped %d times before the first cut, want 1", steps)
+	}
+	defer func() {
+		if r := recover(); r != "kernel: Run after Shutdown" {
+			t.Fatalf("second RunUntil: recovered %v, want the Run-after-Shutdown panic", r)
+		}
+		if steps != 1 {
+			t.Fatalf("body stepped %d times, want 1: Step re-entered after Shutdown", steps)
+		}
+	}()
+	k.RunUntil(engine.At(100 * time.Millisecond))
 }
 
 func TestDeterministicSchedule(t *testing.T) {
@@ -432,20 +467,13 @@ func TestDeterministicSchedule(t *testing.T) {
 		k := testKernel(t, machine.CPUMemoryLoad)
 		cv := k.NewCondVar("cv")
 		for i := 0; i < 4; i++ {
-			cpu := machine.HWThread(i % 8)
 			prio := 40 + i
-			th := k.MustNewThread(ThreadConfig{Name: "w", Priority: prio, CPU: cpu}, func(c *TCB) {
-				c.Compute(time.Duration(prio) * time.Millisecond)
-				c.CondSignal(cv)
-			})
-			th.Start()
+			script(k, "w", prio, machine.HWThread(i%8),
+				act(Compute(time.Duration(prio)*time.Millisecond)),
+				act(CondSignal(cv))).Start()
 		}
-		m := k.MustNewThread(ThreadConfig{Name: "m", Priority: 60, CPU: 0}, func(c *TCB) {
-			for i := 0; i < 4; i++ {
-				c.CondWait(cv)
-			}
-		})
-		m.Start()
+		script(k, "m", 60, 0,
+			act(CondWait(cv)), act(CondWait(cv)), act(CondWait(cv)), act(CondWait(cv))).Start()
 		k.Run()
 		return k.Now()
 	}
@@ -457,11 +485,15 @@ func TestDeterministicSchedule(t *testing.T) {
 func TestChargeOpConsumesTime(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var before, after engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		before = c.Now()
-		c.ChargeOp(machine.OpSigLongjmp)
-		after = c.Now()
-	})
+	th := script(k, "t", 50, 0,
+		func(c *TCB, r Resume) Next {
+			before = c.Now()
+			return ChargeOp(machine.OpSigLongjmp)
+		},
+		func(c *TCB, r Resume) Next {
+			after = c.Now()
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if after <= before {

@@ -6,18 +6,8 @@ import (
 	"rtseed/internal/machine"
 )
 
-// Migrate re-pins the calling thread to cpu (sched_setaffinity at runtime)
-// and reschedules it there. The thread pays the cross-core migration cost —
-// a context switch plus the transfer of its working set — which is exactly
-// the overhead the paper's §IV-B design discussion holds against global
-// scheduling. Migrating to the current CPU is a no-op.
-func (c *TCB) Migrate(cpu machine.HWThread) {
-	if cpu == c.t.cpuID {
-		return
-	}
-	c.t.syscall(request{kind: reqMigrate, remote: cpu})
-}
-
+// handleMigrate moves t to req.remote (see Migrate).
+//
 //rtseed:noalloc
 //rtseed:kernelctx
 func (k *Kernel) handleMigrate(t *Thread, req request) {

@@ -34,24 +34,12 @@ func (m *Mutex) Locked() bool { return m.owner != nil }
 // Waiters returns the number of blocked contenders.
 func (m *Mutex) Waiters() int { return m.waiters.Len() }
 
-// MutexLock acquires m, blocking in FIFO order while it is held.
-func (c *TCB) MutexLock(m *Mutex) {
-	c.t.syscall(request{kind: reqMutexLock, mutex: m})
-}
-
-// MutexUnlock releases m and hands it to the longest-waiting contender, if
-// any. It panics if the caller does not hold m: unlocking someone else's
-// mutex is always a program bug.
-func (c *TCB) MutexUnlock(m *Mutex) {
-	c.t.syscall(request{kind: reqMutexUnlock, mutex: m})
-}
-
 //rtseed:kernelctx
 func (k *Kernel) handleMutexLock(t *Thread, req request) {
 	m := req.mutex
 	if m.owner == nil {
 		m.owner = t
-		k.resumeThread(t, replyMsg{completed: true})
+		k.resumeThread(t, Resume{Completed: true})
 		return
 	}
 	if m.owner == t {
@@ -60,7 +48,7 @@ func (k *Kernel) handleMutexLock(t *Thread, req request) {
 	t.state = StateBlocked
 	m.waiters.PushBackNode(t.cvNode)
 	k.emit(t, trace.KindBlock, 0)
-	t.pendingReply = replyMsg{completed: true}
+	t.pendingReply = Resume{Completed: true}
 	k.boostOwner(m)
 	k.releaseCPU(t)
 }
@@ -83,5 +71,5 @@ func (k *Kernel) handleMutexUnlock(t *Thread, req request) {
 	} else {
 		m.owner = nil
 	}
-	k.resumeThread(t, replyMsg{completed: true})
+	k.resumeThread(t, Resume{Completed: true})
 }

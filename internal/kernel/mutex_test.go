@@ -14,19 +14,21 @@ func TestMutexExcludesAndServesFIFO(t *testing.T) {
 	var order []string
 	var inside int
 	worker := func(name string, cpu machine.HWThread, start time.Duration) {
-		th := k.MustNewThread(ThreadConfig{Name: name, Priority: 50, CPU: cpu}, func(c *TCB) {
-			c.SleepUntil(engine.At(start))
-			c.MutexLock(m)
-			inside++
-			if inside != 1 {
-				t.Errorf("%s: mutual exclusion violated", name)
-			}
-			c.Compute(10 * time.Millisecond)
-			order = append(order, name)
-			inside--
-			c.MutexUnlock(m)
-		})
-		th.Start()
+		script(k, name, 50, cpu,
+			act(SleepUntil(engine.At(start))),
+			act(MutexLock(m)),
+			func(c *TCB, r Resume) Next {
+				inside++
+				if inside != 1 {
+					t.Errorf("%s: mutual exclusion violated", name)
+				}
+				return Compute(10 * time.Millisecond)
+			},
+			func(c *TCB, r Resume) Next {
+				order = append(order, name)
+				inside--
+				return MutexUnlock(m)
+			}).Start()
 	}
 	// a grabs the lock first; b and c queue in arrival order.
 	worker("a", 0, 0)
@@ -55,16 +57,16 @@ func TestMutexSerializesWork(t *testing.T) {
 	const section = 10 * time.Millisecond
 	var last engine.Time
 	for i := 0; i < np; i++ {
-		cpu := machine.HWThread(i % 8)
-		th := k.MustNewThread(ThreadConfig{Name: "w", Priority: 50, CPU: cpu}, func(c *TCB) {
-			c.MutexLock(m)
-			c.Compute(section)
-			c.MutexUnlock(m)
-			if c.Now() > last {
-				last = c.Now()
-			}
-		})
-		th.Start()
+		script(k, "w", 50, machine.HWThread(i%8),
+			act(MutexLock(m)),
+			act(Compute(section)),
+			act(MutexUnlock(m)),
+			func(c *TCB, r Resume) Next {
+				if c.Now() > last {
+					last = c.Now()
+				}
+				return Done()
+			}).Start()
 	}
 	k.Run()
 	if last < engine.At(np*section) {
@@ -78,14 +80,8 @@ func TestMutexSerializesWork(t *testing.T) {
 func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	m := k.NewMutex("m")
-	owner := k.MustNewThread(ThreadConfig{Name: "owner", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.MutexLock(m)
-		c.Sleep(time.Hour)
-	})
-	thief := k.MustNewThread(ThreadConfig{Name: "thief", Priority: 50, CPU: 1}, func(c *TCB) {
-		c.Sleep(time.Millisecond)
-		c.MutexUnlock(m)
-	})
+	owner := script(k, "owner", 50, 0, act(MutexLock(m)), act(Sleep(time.Hour)))
+	thief := script(k, "thief", 50, 1, act(Sleep(time.Millisecond)), act(MutexUnlock(m)))
 	owner.Start()
 	thief.Start()
 	defer func() {
@@ -99,10 +95,7 @@ func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 func TestMutexRecursiveLockPanics(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	m := k.NewMutex("m")
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.MutexLock(m)
-		c.MutexLock(m)
-	})
+	th := script(k, "t", 50, 0, act(MutexLock(m)), act(MutexLock(m)))
 	th.Start()
 	defer func() {
 		if recover() == nil {
@@ -121,13 +114,10 @@ func TestMutexName(t *testing.T) {
 
 func TestCPUTimeAccounting(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(20 * time.Millisecond)
-	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *TCB) {
-		c.SleepUntil(engine.At(5 * time.Millisecond))
-		c.Compute(10 * time.Millisecond)
-	})
+	lo := script(k, "lo", 50, 0, act(Compute(20*time.Millisecond)))
+	hi := script(k, "hi", 60, 0,
+		act(SleepUntil(engine.At(5*time.Millisecond))),
+		act(Compute(10*time.Millisecond)))
 	lo.Start()
 	hi.Start()
 	k.Run()
@@ -155,10 +145,9 @@ func TestCPUTimeAccounting(t *testing.T) {
 
 func TestInterruptedBurstCPUTime(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.TimerSet(engine.At(5 * time.Millisecond))
-		c.ComputeInterruptible(time.Second)
-	})
+	th := script(k, "t", 50, 0,
+		act(TimerSet(engine.At(5*time.Millisecond))),
+		act(ComputeInterruptible(time.Second)))
 	th.Start()
 	k.Run()
 	got := th.CPUTime()
@@ -170,12 +159,15 @@ func TestInterruptedBurstCPUTime(t *testing.T) {
 func TestMigrateMovesThread(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var cpuBefore, cpuAfter machine.HWThread
-	th := k.MustNewThread(ThreadConfig{Name: "m", Priority: 50, CPU: 0}, func(c *TCB) {
-		cpuBefore = c.HWThread()
-		c.Migrate(3)
-		cpuAfter = c.HWThread()
-		c.Compute(time.Millisecond)
-	})
+	th := script(k, "m", 50, 0,
+		func(c *TCB, r Resume) Next {
+			cpuBefore = c.HWThread()
+			return Migrate(3)
+		},
+		func(c *TCB, r Resume) Next {
+			cpuAfter = c.HWThread()
+			return Compute(time.Millisecond)
+		})
 	th.Start()
 	k.Run()
 	if cpuBefore != 0 || cpuAfter != 3 {
@@ -192,11 +184,15 @@ func TestMigrateMovesThread(t *testing.T) {
 func TestMigrateToSameCPUIsFree(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var before, after engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "m", Priority: 50, CPU: 2}, func(c *TCB) {
-		before = c.Now()
-		c.Migrate(2)
-		after = c.Now()
-	})
+	th := script(k, "m", 50, 2,
+		func(c *TCB, r Resume) Next {
+			before = c.Now()
+			return Migrate(2)
+		},
+		func(c *TCB, r Resume) Next {
+			after = c.Now()
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if before != after {
@@ -209,12 +205,17 @@ func TestMigrateToSameCPUIsFree(t *testing.T) {
 
 func TestMigrateCostsMoreThanLocalSwitch(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
+	var start engine.Time
 	var migrateCost time.Duration
-	th := k.MustNewThread(ThreadConfig{Name: "m", Priority: 50, CPU: 0}, func(c *TCB) {
-		start := c.Now()
-		c.Migrate(1)
-		migrateCost = c.Now().Sub(start)
-	})
+	th := script(k, "m", 50, 0,
+		func(c *TCB, r Resume) Next {
+			start = c.Now()
+			return Migrate(1)
+		},
+		func(c *TCB, r Resume) Next {
+			migrateCost = c.Now().Sub(start)
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	// Migration = departure service (remote switch) + arrival dispatch;
@@ -228,14 +229,13 @@ func TestMigrateCostsMoreThanLocalSwitch(t *testing.T) {
 func TestMigrationFreesOldCPU(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var waiterRan bool
-	mover := k.MustNewThread(ThreadConfig{Name: "mover", Priority: 60, CPU: 0}, func(c *TCB) {
-		c.Migrate(1)
-		c.Compute(50 * time.Millisecond)
-	})
-	waiter := k.MustNewThread(ThreadConfig{Name: "waiter", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(time.Millisecond)
-		waiterRan = true
-	})
+	mover := script(k, "mover", 60, 0, act(Migrate(1)), act(Compute(50*time.Millisecond)))
+	waiter := script(k, "waiter", 50, 0,
+		act(Compute(time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			waiterRan = true
+			return Done()
+		})
 	mover.Start()
 	waiter.Start()
 	k.Run()
@@ -248,16 +248,20 @@ func TestMigrationFreesOldCPU(t *testing.T) {
 func TestYieldRotatesEqualPriority(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var order []string
-	a := k.MustNewThread(ThreadConfig{Name: "a", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(time.Millisecond)
-		c.Yield() // b gets the CPU before a's second burst
-		c.Compute(time.Millisecond)
-		order = append(order, "a")
-	})
-	b := k.MustNewThread(ThreadConfig{Name: "b", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Compute(time.Millisecond)
-		order = append(order, "b")
-	})
+	a := script(k, "a", 50, 0,
+		act(Compute(time.Millisecond)),
+		act(Yield()), // b gets the CPU before a's second burst
+		act(Compute(time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			order = append(order, "a")
+			return Done()
+		})
+	b := script(k, "b", 50, 0,
+		act(Compute(time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			order = append(order, "b")
+			return Done()
+		})
 	a.Start()
 	b.Start()
 	k.Run()
@@ -270,11 +274,13 @@ func TestYieldRotatesEqualPriority(t *testing.T) {
 func TestYieldAloneContinues(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	done := false
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.Yield()
-		c.Compute(time.Millisecond)
-		done = true
-	})
+	th := script(k, "t", 50, 0,
+		act(Yield()),
+		act(Compute(time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			done = true
+			return Done()
+		})
 	th.Start()
 	k.Run()
 	if !done {

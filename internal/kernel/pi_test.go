@@ -24,21 +24,21 @@ func inversionScenario(t *testing.T, pi bool) (hiDone engine.Time) {
 	} else {
 		m = k.NewMutex("m")
 	}
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 40, CPU: 0}, func(c *TCB) {
-		c.MutexLock(m)
-		c.Compute(5 * time.Millisecond) // critical section
-		c.MutexUnlock(m)
-	})
-	mid := k.MustNewThread(ThreadConfig{Name: "mid", Priority: 50, CPU: 0}, func(c *TCB) {
-		c.SleepUntil(engine.At(2 * time.Millisecond))
-		c.Compute(100 * time.Millisecond) // the hog
-	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *TCB) {
-		c.SleepUntil(engine.At(1 * time.Millisecond))
-		c.MutexLock(m)
-		c.MutexUnlock(m)
-		hiDone = c.Now()
-	})
+	lo := script(k, "lo", 40, 0,
+		act(MutexLock(m)),
+		act(Compute(5*time.Millisecond)), // critical section
+		act(MutexUnlock(m)))
+	mid := script(k, "mid", 50, 0,
+		act(SleepUntil(engine.At(2*time.Millisecond))),
+		act(Compute(100*time.Millisecond))) // the hog
+	hi := script(k, "hi", 60, 0,
+		act(SleepUntil(engine.At(1*time.Millisecond))),
+		act(MutexLock(m)),
+		act(MutexUnlock(m)),
+		func(c *TCB, r Resume) Next {
+			hiDone = c.Now()
+			return Done()
+		})
 	lo.Start()
 	mid.Start()
 	hi.Start()
@@ -67,18 +67,21 @@ func TestPIBoostIsTemporary(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	m := k.NewPIMutex("m")
 	var prioDuring, prioAfter int
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 40, CPU: 0}, func(c *TCB) {
-		c.MutexLock(m)
-		c.Compute(5 * time.Millisecond)
-		prioDuring = c.Thread().Priority()
-		c.MutexUnlock(m)
-		prioAfter = c.Thread().Priority()
-	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 70, CPU: 1}, func(c *TCB) {
-		c.SleepUntil(engine.At(time.Millisecond))
-		c.MutexLock(m)
-		c.MutexUnlock(m)
-	})
+	lo := script(k, "lo", 40, 0,
+		act(MutexLock(m)),
+		act(Compute(5*time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			prioDuring = c.Thread().Priority()
+			return MutexUnlock(m)
+		},
+		func(c *TCB, r Resume) Next {
+			prioAfter = c.Thread().Priority()
+			return Done()
+		})
+	hi := script(k, "hi", 70, 1,
+		act(SleepUntil(engine.At(time.Millisecond))),
+		act(MutexLock(m)),
+		act(MutexUnlock(m)))
 	lo.Start()
 	hi.Start()
 	k.Run()
@@ -95,17 +98,17 @@ func TestPlainMutexNoBoost(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	m := k.NewMutex("m")
 	var prioDuring int
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 40, CPU: 0}, func(c *TCB) {
-		c.MutexLock(m)
-		c.Compute(5 * time.Millisecond)
-		prioDuring = c.Thread().Priority()
-		c.MutexUnlock(m)
-	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 70, CPU: 1}, func(c *TCB) {
-		c.SleepUntil(engine.At(time.Millisecond))
-		c.MutexLock(m)
-		c.MutexUnlock(m)
-	})
+	lo := script(k, "lo", 40, 0,
+		act(MutexLock(m)),
+		act(Compute(5*time.Millisecond)),
+		func(c *TCB, r Resume) Next {
+			prioDuring = c.Thread().Priority()
+			return MutexUnlock(m)
+		})
+	hi := script(k, "hi", 70, 1,
+		act(SleepUntil(engine.At(time.Millisecond))),
+		act(MutexLock(m)),
+		act(MutexUnlock(m)))
 	lo.Start()
 	hi.Start()
 	k.Run()

@@ -1,15 +1,12 @@
 package kernel
 
 import (
-	"time"
-
 	"rtseed/internal/engine"
 	"rtseed/internal/machine"
 )
 
-// TCB is the kernel API available to a simulated thread's body. All methods
-// must be called from the thread's own body function; each one suspends the
-// thread in virtual time according to the machine cost model.
+// TCB is a body's read-only view of its own thread, handed to every Step.
+// It is valid only for the duration of that Step call.
 type TCB struct {
 	t *Thread
 }
@@ -25,99 +22,8 @@ func (c *TCB) Now() engine.Time { return c.t.k.eng.Now() }
 // HWThread returns the hardware thread the caller is pinned to.
 func (c *TCB) HWThread() machine.HWThread { return c.t.cpuID }
 
-// Compute burns d of CPU time. The burst is preemptible by higher-priority
-// threads but cannot be terminated by SIGALRM.
-func (c *TCB) Compute(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.t.syscall(request{kind: reqCompute, dur: d})
-}
-
-// ComputeInterruptible burns up to d of CPU time; a SIGALRM (from the
-// optional-deadline timer) terminates the burst early. It reports whether
-// the burst completed, along with the CPU time actually consumed. When the
-// burst is terminated, the SIGALRM handler-entry cost has already been
-// charged and — as POSIX does — SIGALRM is left masked, as if executing
-// inside the signal handler; the caller's termination mechanism decides how
-// (and whether) to restore the mask.
-func (c *TCB) ComputeInterruptible(d time.Duration) (completed bool, ran time.Duration) {
-	if d <= 0 {
-		return true, 0
-	}
-	r := c.t.syscall(request{kind: reqCompute, dur: d, interruptible: true})
-	return r.completed, r.ran
-}
-
-// SleepUntil blocks until the absolute virtual time at (clock_nanosleep
-// with TIMER_ABSTIME). A wake-up from sleep is priced as a job-release
-// dispatch.
-func (c *TCB) SleepUntil(at engine.Time) {
-	c.t.syscall(request{kind: reqSleepUntil, at: at})
-}
-
-// Sleep blocks for the duration d.
-func (c *TCB) Sleep(d time.Duration) {
-	c.SleepUntil(c.Now().Add(d))
-}
-
-// CondWait blocks on cv until signalled (pthread_cond_wait).
-func (c *TCB) CondWait(cv *CondVar) {
-	c.t.syscall(request{kind: reqCondWait, cv: cv})
-}
-
-// CondSignal wakes the longest-waiting thread blocked on cv, if any
-// (pthread_cond_signal). Waking a thread on another core additionally pays
-// the cross-core transfer penalty.
-func (c *TCB) CondSignal(cv *CondVar) {
-	c.t.syscall(request{kind: reqCondSignal, cv: cv})
-}
-
-// CondBroadcast wakes every thread blocked on cv (pthread_cond_broadcast).
-// RT-Seed deliberately does not use broadcast for optional parts — signals
-// go to specific threads as their jobs are dispatched — but the primitive
-// exists for completeness and for the ablation benchmarks.
-func (c *TCB) CondBroadcast(cv *CondVar) {
-	c.t.syscall(request{kind: reqCondBroadcast, cv: cv})
-}
-
-// TimerSet arms the thread's one-shot SIGALRM timer at absolute time at
-// (timer_settime, TIMER_ABSTIME), replacing any armed timer.
-func (c *TCB) TimerSet(at engine.Time) {
-	c.t.syscall(request{kind: reqTimerSet, at: at})
-}
-
-// TimerStop disarms the timer and discards a pending SIGALRM.
-func (c *TCB) TimerStop() {
-	c.t.syscall(request{kind: reqTimerStop})
-}
-
-// SetAlarmMask blocks (true) or unblocks (false) SIGALRM for the thread.
-func (c *TCB) SetAlarmMask(masked bool) {
-	c.t.syscall(request{kind: reqSetAlarmMask, mask: masked})
-}
-
 // AlarmMasked reports whether SIGALRM is currently blocked.
 func (c *TCB) AlarmMasked() bool { return c.t.alarmMasked }
 
 // AlarmPending reports whether a SIGALRM is pending, undelivered.
 func (c *TCB) AlarmPending() bool { return c.t.pendingAlarm }
-
-// Yield relinquishes the CPU to the back of the caller's priority level
-// (sched_yield under SCHED_FIFO). With no equal-or-higher-priority thread
-// ready, the caller continues after the switch cost.
-func (c *TCB) Yield() {
-	c.t.syscall(request{kind: reqYield})
-}
-
-// ChargeOp burns the cost of one machine primitive on the calling CPU; used
-// for explicitly-modelled middleware work such as sigsetjmp/siglongjmp.
-func (c *TCB) ChargeOp(op machine.Op) {
-	c.t.syscall(request{kind: reqChargeOp, op: op})
-}
-
-// ChargeOpRemote burns the cost of op directed at hardware thread `to`,
-// including the cross-core penalty when to is on a different core.
-func (c *TCB) ChargeOpRemote(op machine.Op, to machine.HWThread) {
-	c.t.syscall(request{kind: reqChargeOpRemote, op: op, remote: to})
-}

@@ -72,36 +72,26 @@ type Thread struct {
 	k     *Kernel
 	state State
 
-	body func(*TCB)
-
-	// Goroutine handshake (goroutine executor only). The kernel sends on
-	// run to let the thread's host code execute; the thread sends on
-	// yielded after recording its next request. done is closed when the
-	// goroutine ends. Continuation threads leave all three nil.
-	run     chan resumeMsg
-	yielded chan struct{}
-	done    chan struct{}
+	// started rejects a second Start; unbound marks the machine binding
+	// released (see unbind).
 	started bool
-	killed  bool
 	unbound bool
 
-	// Continuation executor (body.go). stepBody non-nil selects it: the
-	// kernel drives the body's state machine inline from its dispatch path
-	// and the channels above are never created. tcb is the pre-allocated
-	// TCB handed to every Step, stepReply/stepFirst the pending Resume, and
-	// stepping/stepPending the trampoline state of stepThread.
+	// The body and its trampoline state (see resumeThread). tcb is the
+	// pre-allocated TCB handed to every Step; stepReply and stepFirst make up
+	// the pending Resume; stepping and stepPending flatten actions that
+	// complete without suspending the thread.
 	stepBody    Body
 	tcb         TCB
-	stepReply   replyMsg
+	stepReply   Resume
 	stepFirst   bool
 	stepping    bool
 	stepPending bool
 
-	req   request
-	reply replyMsg
+	req request
 	// pendingReply is delivered when the thread is next dispatched after
 	// being woken from a blocking call.
-	pendingReply replyMsg
+	pendingReply Resume
 
 	// qnext/qprev link the thread into its run-queue priority level, and
 	// queued marks membership. A thread is in at most one ready queue, so
@@ -110,7 +100,7 @@ type Thread struct {
 	qnext, qprev *Thread
 	queued       bool
 	// cvNode links the thread into a mutex or condition variable waiter
-	// list; it is pre-allocated in NewThread and reused.
+	// list; it is pre-allocated at creation and reused.
 	cvNode *list.Node[*Thread]
 
 	// dispatchOp prices the next dispatch of this thread: OpDispatch for a
@@ -191,28 +181,8 @@ func (t *Thread) String() string {
 
 func (t *Thread) preemptible() bool { return t.state == StateComputing }
 
-// NewThread creates a simulated thread on the goroutine executor: the body
-// is a blocking function hand-shaken with the kernel over channels. The
-// body runs when the thread is started and first dispatched. NewThread
-// returns an error for out-of-range priorities or CPUs. No production code
-// uses NewThread; simulations build their threads with NewBodyThread. The
-// goroutine form remains the differential oracle for the continuation
-// executor and the executor for tests written as blocking scripts.
-func (k *Kernel) NewThread(cfg ThreadConfig, body func(*TCB)) (*Thread, error) {
-	t, err := k.newThread(cfg)
-	if err != nil {
-		return nil, err
-	}
-	t.body = body
-	t.run = make(chan resumeMsg)
-	t.yielded = make(chan struct{})
-	t.done = make(chan struct{})
-	return t, nil
-}
-
-// newThread builds and registers a thread with no body; the caller attaches
-// either the goroutine or the continuation form.
-func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
+// newThread builds and registers a thread running body.
+func (k *Kernel) newThread(cfg ThreadConfig, body Body) (*Thread, error) {
 	if cfg.Priority < MinPriority || cfg.Priority > MaxPriority {
 		return nil, fmt.Errorf("kernel: priority %d out of range [%d,%d]", cfg.Priority, MinPriority, MaxPriority)
 	}
@@ -228,6 +198,8 @@ func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
 		k:          k,
 		state:      StateNew,
 		dispatchOp: machine.OpContextSwitch,
+		stepBody:   body,
+		stepFirst:  true,
 	}
 	t.tcb = TCB{t: t}
 	// The thread owns its waiter-list node for its whole lifetime:
@@ -256,14 +228,14 @@ func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
 	t.interruptDoneFn = func() {
 		remaining := t.computeRemaining
 		t.computeRemaining = 0
-		k.resumeThread(t, replyMsg{completed: false, ran: t.computeRan, unran: remaining})
+		k.resumeThread(t, Resume{Completed: false, Ran: t.computeRan, Unran: remaining})
 	}
 	//rtseed:kernelctx
 	t.timerSetFn = func() { k.finishTimerSet(t) }
 	//rtseed:kernelctx
 	t.timerStopFn = func() { k.finishTimerStop(t) }
 	//rtseed:kernelctx
-	t.resumeOKFn = func() { k.resumeThread(t, replyMsg{completed: true}) }
+	t.resumeOKFn = func() { k.resumeThread(t, Resume{Completed: true}) }
 	//rtseed:kernelctx
 	t.condWaitFn = func() {
 		cv := t.svcCV
@@ -271,7 +243,7 @@ func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
 		t.state = StateBlocked
 		cv.waiters.PushBackNode(t.cvNode)
 		k.emit(t, trace.KindBlock, 0)
-		t.pendingReply = replyMsg{completed: true}
+		t.pendingReply = Resume{Completed: true}
 		k.releaseCPU(t)
 	}
 	//rtseed:kernelctx
@@ -279,7 +251,7 @@ func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
 		cv := t.svcCV
 		t.svcCV = nil
 		k.wakeOne(cv)
-		k.resumeThread(t, replyMsg{completed: true})
+		k.resumeThread(t, Resume{Completed: true})
 	}
 	//rtseed:kernelctx
 	t.condBroadcastFn = func() {
@@ -288,7 +260,7 @@ func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
 		for cv.waiters.Len() > 0 {
 			k.wakeOne(cv)
 		}
-		k.resumeThread(t, replyMsg{completed: true})
+		k.resumeThread(t, Resume{Completed: true})
 	}
 	//rtseed:kernelctx
 	t.migrateFn = func() {
@@ -300,7 +272,7 @@ func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
 		k.mach.BindRT(target)
 		t.migrations++
 		t.dispatchOp = machine.OpContextSwitch
-		t.pendingReply = replyMsg{completed: true}
+		t.pendingReply = Resume{Completed: true}
 		k.makeReady(t, false)
 		// The old CPU is free; let it pick its next thread.
 		k.scheduleDispatch(k.cpu(old))
@@ -310,18 +282,8 @@ func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
 	return t, nil
 }
 
-// MustNewThread is NewThread for statically-valid configuration.
-func (k *Kernel) MustNewThread(cfg ThreadConfig, body func(*TCB)) *Thread {
-	t, err := k.NewThread(cfg, body)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// Start makes the thread ready at the current virtual time. A goroutine
-// body gets its host goroutine here; a continuation body needs none — its
-// first Step runs inline at the first dispatch.
+// Start makes the thread ready at the current virtual time. Its body's
+// first Step runs inline at the thread's first dispatch.
 //
 //rtseed:kernelctx-entry quiescent setup: runs while the engine is stopped, serialized with the event loop
 func (t *Thread) Start() {
@@ -329,51 +291,13 @@ func (t *Thread) Start() {
 		panic("kernel: thread started twice")
 	}
 	t.started = true
-	if t.stepBody == nil {
-		go t.main()
-	}
 	t.k.makeReady(t, false)
 }
 
-// killSentinel unwinds a simulated thread's goroutine during Shutdown.
-type killSentinel struct{}
-
-func (t *Thread) main() {
-	defer close(t.done)
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSentinel); ok {
-				t.state = StateExited
-				return
-			}
-			panic(r)
-		}
-	}()
-	// Wait for first dispatch.
-	msg := <-t.run
-	if msg.kill {
-		panic(killSentinel{})
-	}
-	t.body(&TCB{t: t})
-	// Normal exit: report it to the kernel, which is waiting in
-	// resumeThread.
-	t.req = request{kind: reqExit}
-	t.yielded <- struct{}{}
-}
-
-// kill force-terminates a thread parked in a kernel call. A continuation
-// thread has no goroutine to unwind: marking it exited is the whole job.
-// A goroutine thread's host goroutine is parked in syscall and must be
-// resumed with the kill flag so it panics out through killSentinel.
+// kill marks a thread exited at Shutdown and releases its machine binding.
+// A parked thread has nothing to unwind: its body is simply never stepped
+// again.
 func (t *Thread) kill() {
-	if t.stepBody != nil || !t.started || t.state == StateExited {
-		t.state = StateExited
-		t.k.unbind(t)
-		return
-	}
-	t.killed = true
-	t.run <- resumeMsg{kill: true}
-	<-t.done
 	t.state = StateExited
 	t.k.unbind(t)
 }
@@ -385,16 +309,6 @@ func (k *Kernel) unbind(t *Thread) {
 	}
 	t.unbound = true
 	k.mach.UnbindRT(t.cpuID)
-}
-
-type resumeMsg struct {
-	kill bool
-}
-
-type replyMsg struct {
-	completed bool
-	ran       time.Duration
-	unran     time.Duration
 }
 
 type requestKind int
@@ -462,25 +376,12 @@ type request struct {
 	cv            *CondVar
 	interruptible bool
 	mask          bool
-	// rel marks a continuation Sleep whose absolute wake time is resolved
-	// when the action executes (applyNext); the blocking TCB.Sleep resolves
-	// it at call time instead, which is the same virtual instant.
+	// rel marks a Sleep whose absolute wake time is resolved when the
+	// action executes (applyNext).
 	rel    bool
 	op     machine.Op
 	remote machine.HWThread
 	mutex  *Mutex
-}
-
-// syscall parks the calling thread goroutine, hands control to the kernel,
-// and returns the kernel's reply when the thread is resumed.
-func (t *Thread) syscall(req request) replyMsg {
-	t.req = req
-	t.yielded <- struct{}{}
-	msg := <-t.run
-	if msg.kill {
-		panic(killSentinel{})
-	}
-	return t.reply
 }
 
 // handleRequest processes the kernel request recorded by the thread that
@@ -552,13 +453,13 @@ func (k *Kernel) handleCompute(t *Thread, req request) {
 //rtseed:kernelctx
 func (k *Kernel) handleSleep(t *Thread, req request) {
 	if req.at <= k.eng.Now() {
-		k.resumeThread(t, replyMsg{completed: true})
+		k.resumeThread(t, Resume{Completed: true})
 		return
 	}
 	t.state = StateSleeping
 	k.emit(t, trace.KindSleep, 0)
 	k.releaseCPU(t)
-	t.pendingReply = replyMsg{completed: true}
+	t.pendingReply = Resume{Completed: true}
 	k.eng.Schedule(req.at, prioRelease, t.wakeFn)
 }
 

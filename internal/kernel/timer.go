@@ -31,7 +31,7 @@ func (k *Kernel) finishTimerSet(t *Thread) {
 	}
 	t.timer = k.eng.Schedule(at, prioTimer, t.alarmFireFn)
 	k.emit(t, trace.KindTimerArm, uint64(at))
-	k.resumeThread(t, replyMsg{completed: true})
+	k.resumeThread(t, Resume{Completed: true})
 }
 
 // handleTimerStop disarms the timer (timer_settime with a zero value) and
@@ -52,7 +52,7 @@ func (k *Kernel) finishTimerStop(t *Thread) {
 	k.eng.Cancel(t.timer)
 	t.timer = engine.Event{}
 	t.pendingAlarm = false
-	k.resumeThread(t, replyMsg{completed: true})
+	k.resumeThread(t, Resume{Completed: true})
 }
 
 // deliverAlarm raises SIGALRM for t. If t is in an interruptible compute
@@ -92,5 +92,5 @@ func (k *Kernel) checkAlarm(t *Thread) {
 //rtseed:kernelctx
 func (k *Kernel) handleSetAlarmMask(t *Thread, req request) {
 	t.alarmMasked = req.mask
-	k.resumeThread(t, replyMsg{completed: true})
+	k.resumeThread(t, Resume{Completed: true})
 }

@@ -1,15 +1,13 @@
 // Package bodystep implements the continuation-protocol analyzer for
 // kernel.Body implementations.
 //
-// The continuation executor hands each Body.Step a *kernel.TCB and a
-// kernel.Resume that are valid only for the duration of that one Step call:
-// the TCB is the thread's live kernel view and the Resume is a stack value
-// describing the previous action. Step returns exactly one action (a
-// kernel.Next built by an action constructor), and must never fall back to
-// the blocking TCB API — a blocking call from inside the kernel's dispatch
-// would re-enter the event loop. The analyzer enforces three rules over
-// every continuation function (any function or literal whose results
-// include kernel.Next, outside the kernel package itself):
+// The kernel hands each Body.Step a *kernel.TCB and a kernel.Resume that are
+// valid only for the duration of that one Step call: the TCB is the
+// thread's live kernel view and the Resume is a stack value describing the
+// previous action. Step returns exactly one action (a kernel.Next built by
+// an action constructor). The analyzer enforces two rules over every
+// continuation function (any function or literal whose results include
+// kernel.Next, outside the kernel package itself):
 //
 //   - Retention: the step's *kernel.TCB and kernel.Resume must not outlive
 //     the call. A taint pass over the function's CFG seeds every TCB- and
@@ -24,13 +22,10 @@
 //     Next, so this turns a runtime crash into a vet finding. Functions
 //     returning (kernel.Next, bool) are exempt: that is the StepOptional
 //     protocol, where done=true legitimizes an unexecuted zero Next.
-//   - No blocking calls: from every continuation the analyzer walks the
-//     call graph over Static, Defer, and Interface edges and flags any
-//     reachable call to a blocking *kernel.TCB method (everything except
-//     the read-only Thread/Now/HWThread/AlarmMasked/AlarmPending). Go,
-//     Ref, and Dynamic edges are not traversed: a goroutine hand-off is
-//     already a retention finding, and the conservative tiers would drag
-//     in the goroutine-form bodies that block by design.
+//
+// A body cannot block inside Step: the TCB offers only read-only methods
+// (Thread, Now, HWThread, AlarmMasked, AlarmPending), so every kernel
+// primitive is a returned action and the compiler enforces the rest.
 //
 // Findings are waived with //rtseed:bodystep-ok <reason>, audited for
 // staleness by the waiverdrift analyzer like every other waiver.
@@ -42,7 +37,6 @@ import (
 	"go/types"
 
 	"rtseed/internal/lint"
-	"rtseed/internal/lint/callgraph"
 	"rtseed/internal/lint/dataflow"
 )
 
@@ -52,50 +46,35 @@ var Analyzer = &lint.Analyzer{
 	Doc: "check the kernel.Body continuation protocol\n\n" +
 		"In every continuation function (one whose results include kernel.Next):\n" +
 		"the step's *kernel.TCB and kernel.Resume must not be stored where they\n" +
-		"outlive the call, every return path must yield a constructed action\n" +
-		"(never the zero kernel.Next), and no blocking *kernel.TCB method may be\n" +
-		"reachable over the call graph. Waive with //rtseed:bodystep-ok <reason>.",
-	RunModule: run,
+		"outlive the call, and every return path must yield a constructed action\n" +
+		"(never the zero kernel.Next). Waive with //rtseed:bodystep-ok <reason>.",
+	// The kernel implements the protocol; clients follow it.
+	AppliesTo: func(importPath string) bool { return importPath != kernelPath },
+	Run:       run,
 }
 
 const kernelPath = "rtseed/internal/kernel"
 
-// allowedTCB are the read-only *kernel.TCB methods a continuation may call
-// freely. Everything else on the TCB suspends the simulated thread and is
-// expressed as a returned action instead; new TCB methods default to
-// blocked until listed here.
-var allowedTCB = map[string]bool{
-	"Thread": true, "Now": true, "HWThread": true,
-	"AlarmMasked": true, "AlarmPending": true,
-}
-
-func run(mp *lint.ModulePass) error {
-	for _, pkg := range mp.Pkgs {
-		if pkg.ImportPath == kernelPath {
-			continue // the kernel implements the protocol; clients follow it
-		}
-		pass := mp.PackagePass(pkg)
-		for _, file := range pkg.Syntax {
-			for _, d := range file.Decls {
-				decl, ok := d.(*ast.FuncDecl)
-				if !ok || decl.Body == nil {
-					continue
-				}
-				checkFunc(pass, decl, declSig(pass, decl), decl.Body)
-				// Function literals have their own control flow; each is
-				// analyzed independently (captured TCB/Resume variables are
-				// re-seeded from the literal's body).
-				ast.Inspect(decl.Body, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.FuncLit); ok {
-						sig, _ := pass.TypesInfo().Types[lit].Type.(*types.Signature)
-						checkFunc(pass, decl, sig, lit.Body)
-					}
-					return true
-				})
+func run(pass *lint.Pass) error {
+	for _, file := range pass.Pkg.Syntax {
+		for _, d := range file.Decls {
+			decl, ok := d.(*ast.FuncDecl)
+			if !ok || decl.Body == nil {
+				continue
 			}
+			checkFunc(pass, decl, declSig(pass, decl), decl.Body)
+			// Function literals have their own control flow; each is
+			// analyzed independently (captured TCB/Resume variables are
+			// re-seeded from the literal's body).
+			ast.Inspect(decl.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					sig, _ := pass.TypesInfo().Types[lit].Type.(*types.Signature)
+					checkFunc(pass, decl, sig, lit.Body)
+				}
+				return true
+			})
 		}
 	}
-	checkBlocking(mp, callgraph.Shared(mp))
 	return nil
 }
 
@@ -558,101 +537,4 @@ func (c *zeroNext) flag(pos token.Pos) {
 		return
 	}
 	c.pass.Reportf(pos, "this path may return the zero kernel.Next, which the kernel rejects; every path through a continuation returns exactly one action constructor (kernel.Compute, ..., kernel.Done) (//rtseed:bodystep-ok <reason> to waive)")
-}
-
-// checkBlocking walks the call graph from every continuation function over
-// the direct tiers and flags reachable blocking *kernel.TCB method calls.
-func checkBlocking(mp *lint.ModulePass, g *callgraph.Graph) {
-	scanned := map[*callgraph.Node]bool{}
-	seen := map[token.Pos]bool{}
-	for _, root := range g.Nodes {
-		if root.Pkg.ImportPath == kernelPath || !continuationNode(root) {
-			continue
-		}
-		visited := map[*callgraph.Node]bool{root: true}
-		queue := []*callgraph.Node{root}
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			scanNode(mp, n, root, scanned, seen)
-			for _, e := range n.Out {
-				//rtseed:partial-ok Go is a retention finding, Ref/Dynamic over-approximate into goroutine-form code (see package doc)
-				switch e.Kind {
-				case callgraph.Static, callgraph.Defer, callgraph.Interface:
-					if !visited[e.Callee] {
-						visited[e.Callee] = true
-						queue = append(queue, e.Callee)
-					}
-				}
-			}
-		}
-	}
-}
-
-// continuationNode reports whether a call-graph node's body is a
-// continuation function.
-func continuationNode(n *callgraph.Node) bool {
-	if n.Func != nil {
-		sig, _ := n.Func.Type().(*types.Signature)
-		return resultsHaveNext(sig)
-	}
-	sig, _ := n.Pkg.TypesInfo.Types[n.Lit].Type.(*types.Signature)
-	return resultsHaveNext(sig)
-}
-
-// scanNode flags the blocking *kernel.TCB method calls in one reachable
-// body. Nested literals are scanned in place: they may only run through a
-// function value, but they were written inside continuation code.
-func scanNode(mp *lint.ModulePass, n, root *callgraph.Node, scanned map[*callgraph.Node]bool, seen map[token.Pos]bool) {
-	if scanned[n] || n.Pkg.ImportPath == kernelPath {
-		return
-	}
-	scanned[n] = true
-	var body *ast.BlockStmt
-	if n.Decl != nil {
-		body = n.Decl.Body
-	} else {
-		body = n.Lit.Body
-	}
-	if body == nil {
-		return
-	}
-	pass := mp.PackagePass(n.Pkg)
-	decl := enclosingDecl(n)
-	ast.Inspect(body, func(x ast.Node) bool {
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := pass.CalleeFunc(call)
-		if fn == nil || seen[call.Pos()] {
-			return true
-		}
-		sig, _ := fn.Type().(*types.Signature)
-		if sig == nil || sig.Recv() == nil || allowedTCB[fn.Name()] {
-			return true
-		}
-		if handleDesc(sig.Recv().Type()) != "step's *kernel.TCB" {
-			return true
-		}
-		seen[call.Pos()] = true
-		if pass.WaivedIn(decl, call.Pos(), lint.DirBodyStepOK) {
-			return true
-		}
-		pass.Reportf(call.Pos(), "(*kernel.TCB).%s blocks the simulated thread and must not be reached from a continuation; return the kernel.%s action instead (reached from %s) (//rtseed:bodystep-ok <reason> to waive)",
-			fn.Name(), fn.Name(), root.Name())
-		return true
-	})
-}
-
-// enclosingDecl resolves the function declaration lexically containing a
-// node's body, for function-scope waivers; nil for a top-level literal.
-func enclosingDecl(n *callgraph.Node) *ast.FuncDecl {
-	for n != nil {
-		if n.Decl != nil {
-			return n.Decl
-		}
-		n = n.Parent
-	}
-	return nil
 }

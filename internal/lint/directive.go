@@ -45,8 +45,8 @@ import (
 //     nanosecond domains outside the declared helpers. The reason is
 //     mandatory.
 //   - //rtseed:bodystep-ok <reason> waives a bodystep finding — a
-//     continuation-protocol violation in or reachable from a kernel.Body
-//     Step method. The reason is mandatory.
+//     continuation-protocol violation in a continuation function (one
+//     returning kernel.Next). The reason is mandatory.
 //   - //rtseed:shared-ok <reason> waives an isoshare finding — shared
 //     mutable state written from a parallel worker closure, or a fan-out
 //     result merge whose iteration order is not the canonical index order.

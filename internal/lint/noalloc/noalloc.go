@@ -8,7 +8,7 @@
 // literals, append growth, capturing closures, interface boxing, string
 // concatenation, fmt calls, and go statements.
 //
-// Value-typed struct literals (replyMsg{...}, engine.Event{}) are not
+// Value-typed struct literals (kernel.Resume{...}, engine.Event{}) are not
 // flagged: they live on the stack unless something else — which is flagged —
 // makes them escape. Panic arguments are exempt: a panic is the cold path by
 // definition, and its formatting cost is irrelevant to steady state.

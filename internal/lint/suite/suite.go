@@ -26,8 +26,8 @@ import (
 // checkers first (syntactic, then dataflow), then the whole-program
 // call-graph and summary-driven analyzers. The module analyzers share one
 // ModuleCache per run, so the call graph and function summaries are built
-// once and reused by detflow, noalloc, isoshare, kernelctx, bodystep, and
-// the waiverdrift audit.
+// once and reused by detflow, noalloc, isoshare, kernelctx, and the
+// waiverdrift audit.
 var Analyzers = []*lint.Analyzer{
 	determinism.Analyzer,
 	detflow.Analyzer,
@@ -35,8 +35,8 @@ var Analyzers = []*lint.Analyzer{
 	eventhandle.Analyzer,
 	exhaustive.Analyzer,
 	timeunits.Analyzer,
-	isoshare.Analyzer,
 	bodystep.Analyzer,
+	isoshare.Analyzer,
 	kernelctx.Analyzer,
 	waiverdrift.Analyzer,
 }

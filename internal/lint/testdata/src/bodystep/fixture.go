@@ -128,48 +128,6 @@ func rebuiltVar(c *kernel.TCB, r kernel.Resume) kernel.Next {
 	return n
 }
 
-// Flagged pattern 3: blocking TCB calls. The blocking API belongs to the
-// goroutine executor; a continuation returns the action instead.
-func blockingBody(c *kernel.TCB, r kernel.Resume) kernel.Next {
-	c.Sleep(time.Millisecond) // want `\(\*kernel\.TCB\)\.Sleep blocks the simulated thread`
-	return kernel.Done()
-}
-
-// Flagged pattern 3b: a blocking call behind a helper, found over the
-// static call-graph edge from the continuation.
-func spinHelper(c *kernel.TCB) {
-	c.Yield() // want `\(\*kernel\.TCB\)\.Yield blocks the simulated thread`
-}
-
-func indirectBlocking(c *kernel.TCB, r kernel.Resume) kernel.Next {
-	spinHelper(c)
-	return kernel.Done()
-}
-
-// Flagged pattern 3c: a blocking call behind an interface method, found
-// over the conservative interface edge.
-type part interface{ Run(c *kernel.TCB) }
-
-type spinPart struct{}
-
-func (spinPart) Run(c *kernel.TCB) {
-	c.Compute(time.Millisecond) // want `\(\*kernel\.TCB\)\.Compute blocks the simulated thread`
-}
-
-func interfaceBlocking(p part) kernel.StepFunc {
-	return func(c *kernel.TCB, r kernel.Resume) kernel.Next {
-		p.Run(c)
-		return kernel.Done()
-	}
-}
-
-// Accepted: the goroutine-form body API blocks by design. It returns no
-// kernel.Next and no continuation reaches it, so it is out of scope.
-func goroutineForm(c *kernel.TCB) {
-	c.Sleep(time.Millisecond)
-	c.Compute(time.Millisecond)
-}
-
 // Accepted escape hatch: a line-scoped waiver with a reason.
 type waivedBody struct{ c *kernel.TCB }
 
@@ -180,8 +138,7 @@ func (b *waivedBody) Step(c *kernel.TCB, r kernel.Resume) kernel.Next {
 
 // Accepted escape hatch: a function-scoped waiver in the doc comment.
 //
-//rtseed:bodystep-ok fixture: prototype body still blocks during bring-up
+//rtseed:bodystep-ok fixture: prototype body returns no action during bring-up
 func waivedFunc(c *kernel.TCB, r kernel.Resume) kernel.Next {
-	c.Yield()
-	return kernel.Done()
+	return kernel.Next{}
 }

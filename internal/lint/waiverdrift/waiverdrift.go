@@ -74,6 +74,7 @@ var audited = []struct {
 	{lint.DirNondeterministic, determinism.Analyzer},
 	{lint.DirPartialOK, exhaustive.Analyzer},
 	{lint.DirUnitsOK, timeunits.Analyzer},
+	{lint.DirBodyStepOK, bodystep.Analyzer},
 }
 
 // auditedModule maps waiver directives consumed by module-level analyzers,
@@ -85,7 +86,6 @@ var auditedModule = []struct {
 	analyzer *lint.Analyzer
 }{
 	{lint.DirAllocOK, noalloc.Analyzer},
-	{lint.DirBodyStepOK, bodystep.Analyzer},
 	{lint.DirNondeterministic, detflow.Analyzer},
 	{lint.DirSharedOK, isoshare.Analyzer},
 }
@@ -132,7 +132,7 @@ func run(mp *lint.ModulePass) error {
 
 		for _, d := range pkg.Directives.All() {
 			switch d.Name {
-			case lint.DirHandleOK, lint.DirPartialOK, lint.DirUnitsOK:
+			case lint.DirHandleOK, lint.DirPartialOK, lint.DirUnitsOK, lint.DirBodyStepOK:
 				if used[d] {
 					continue
 				}
@@ -158,7 +158,7 @@ func run(mp *lint.ModulePass) error {
 				}
 				mp.ReportfAt(d.Pos, "stale //rtseed:%s: the %s finding it waives no longer exists (remove the waiver)",
 					d.Name, analyzerFor(d.Name))
-			case lint.DirAllocOK, lint.DirBodyStepOK, lint.DirSharedOK:
+			case lint.DirAllocOK, lint.DirSharedOK:
 				// Module-analyzer waivers: the auditors self-scope, so
 				// staleness is the only drift to catch here.
 				if !moduleUsed[d] {

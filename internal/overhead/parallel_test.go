@@ -67,3 +67,14 @@ func TestQoSSweepDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("Workers=8 QoS curve differs from Workers=1:\n%+v\nvs\n%+v", got, want)
 	}
 }
+
+// The -quick preset caps the jobs per measurement at 10 and never raises
+// them; an unset count quick-runs the default 100 as 10.
+func TestSweepConfigQuick(t *testing.T) {
+	for _, tc := range []struct{ jobs, want int }{{0, 10}, {3, 3}, {10, 10}, {100, 10}} {
+		q := SweepConfig{Jobs: tc.jobs, Workers: 2}.Quick()
+		if q.Jobs != tc.want || len(q.NumParts) != 3 || q.Workers != 2 {
+			t.Errorf("Jobs %d: Quick() = %+v, want %d jobs over 3 part counts", tc.jobs, q, tc.want)
+		}
+	}
+}

@@ -62,6 +62,17 @@ func (c *SweepConfig) fillDefaults() {
 	}
 }
 
+// Quick trims the sweep for a fast sanity run: three part counts and at most
+// 10 jobs per measurement. It is the -quick preset of rtseed-overhead and
+// rtseed-repro.
+func (c SweepConfig) Quick() SweepConfig {
+	c.NumParts = []int{4, 57, 228}
+	if c.Jobs == 0 || c.Jobs > 10 {
+		c.Jobs = 10
+	}
+	return c
+}
+
 // SweepLoad runs the full policy × np sweep under one load, returning every
 // figure's data for that load. All four overheads are measured in the same
 // runs, exactly as on the real testbed.

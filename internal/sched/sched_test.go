@@ -28,6 +28,18 @@ func newSim(t testing.TB) *kernel.Kernel {
 	return kernel.New(engine.New(), m)
 }
 
+// actions is a body that issues acts in order, then exits.
+func actions(acts ...kernel.Next) kernel.Body {
+	i := 0
+	return kernel.StepFunc(func(*kernel.TCB, kernel.Resume) kernel.Next {
+		if i == len(acts) {
+			return kernel.Done()
+		}
+		i++
+		return acts[i-1]
+	})
+}
+
 func TestGeneralProcessRunsJobs(t *testing.T) {
 	k := newSim(t)
 	tk := task.Uniform("g", ms(20), ms(20), 0, 0, ms(100))
@@ -127,11 +139,8 @@ func TestFig3Shapes(t *testing.T) {
 func TestRecorderExecuted(t *testing.T) {
 	k := newSim(t)
 	rec := NewRecorder(k)
-	th := k.MustNewThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *kernel.TCB) {
-		c.Compute(ms(10))
-		c.Sleep(ms(10))
-		c.Compute(ms(10))
-	})
+	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0},
+		actions(kernel.Compute(ms(10)), kernel.Sleep(ms(10)), kernel.Compute(ms(10))))
 	th.Start()
 	k.Run()
 	total := rec.Executed(th, engine.At(0), engine.At(time.Hour))
@@ -354,12 +363,8 @@ func TestGanttRendersSchedule(t *testing.T) {
 	k := newSim(t)
 	rec := NewRecorder(k)
 	// Two threads on one CPU: hi runs [0,10ms), lo runs [10ms,20ms).
-	hi := k.MustNewThread(kernel.ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *kernel.TCB) {
-		c.Compute(ms(10))
-	})
-	lo := k.MustNewThread(kernel.ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *kernel.TCB) {
-		c.Compute(ms(10))
-	})
+	hi := k.MustNewBodyThread(kernel.ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, actions(kernel.Compute(ms(10))))
+	lo := k.MustNewBodyThread(kernel.ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, actions(kernel.Compute(ms(10))))
 	hi.Start()
 	lo.Start()
 	k.Run()

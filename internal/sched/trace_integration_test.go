@@ -104,11 +104,8 @@ func TestTraceCountsMatchStats(t *testing.T) {
 func TestRecorderReplayFromFile(t *testing.T) {
 	k := newSim(t)
 	live := NewRecorder(k)
-	th := k.MustNewThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *kernel.TCB) {
-		c.Compute(ms(10))
-		c.Sleep(ms(10))
-		c.Compute(ms(10))
-	})
+	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0},
+		actions(kernel.Compute(ms(10)), kernel.Sleep(ms(10)), kernel.Compute(ms(10))))
 	th.Start()
 	k.Run()
 
