@@ -61,27 +61,16 @@ func run(listen string, ticks int, seed uint64, vol float64, replay string, symb
 	return srv.Serve(ln, ticks)
 }
 
-// replaySource loads the tick section of a .rtk workload trace as a looping
-// replay feed, optionally restricted to one symbol.
+// replaySource loads a .rtk workload trace as a looping replay feed,
+// optionally restricted to one symbol (see trading.NewTraceReplay).
 func replaySource(path string, symbol int) (*trading.ReplayFeed, error) {
 	tr, err := workload.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	ticks := make([]trading.Tick, 0, len(tr.Ticks))
-	for _, t := range tr.Ticks {
-		if symbol >= 0 && t.Symbol != uint32(symbol) {
-			continue
-		}
-		ticks = append(ticks, trading.Tick{Seq: len(ticks), At: t.At, Bid: t.Bid, Ask: t.Ask})
-	}
-	if len(ticks) == 0 {
-		return nil, fmt.Errorf("%s: no ticks for symbol %d", path, symbol)
-	}
-	feed, err := trading.NewReplayFeed(ticks)
+	feed, err := trading.NewTraceReplay(tr, symbol)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	feed.Loop = true
 	return feed, nil
 }

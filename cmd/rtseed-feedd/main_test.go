@@ -46,45 +46,6 @@ func writeTestTrace(t *testing.T) (string, []workload.Tick) {
 	return path, tr.Ticks
 }
 
-// TestReplaySource checks the .rtk conversion: full stream, symbol filter,
-// and the no-ticks error path.
-func TestReplaySource(t *testing.T) {
-	path, ticks := writeTestTrace(t)
-	feed, err := replaySource(path, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if feed.Len() != len(ticks) {
-		t.Fatalf("replay holds %d ticks, trace has %d", feed.Len(), len(ticks))
-	}
-	first, err := feed.NextTick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.At != ticks[0].At || first.Bid != ticks[0].Bid || first.Ask != ticks[0].Ask {
-		t.Errorf("first tick %+v does not match trace %+v", first, ticks[0])
-	}
-
-	sym := int(ticks[0].Symbol)
-	want := 0
-	for _, tk := range ticks {
-		if int(tk.Symbol) == sym {
-			want++
-		}
-	}
-	filtered, err := replaySource(path, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filtered.Len() != want {
-		t.Errorf("symbol %d filter kept %d ticks, want %d", sym, filtered.Len(), want)
-	}
-
-	if _, err := replaySource(path, 1<<20); err == nil {
-		t.Error("absent symbol accepted")
-	}
-}
-
 // TestServeReplay serves a recorded trace over TCP and checks a client reads
 // the trace's quotes back.
 func TestServeReplay(t *testing.T) {

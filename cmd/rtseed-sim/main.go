@@ -130,7 +130,11 @@ func runPRMWP(k *kernel.Kernel, rec *sched.Recorder, set *task.Set,
 	if trace {
 		name := names[0]
 		p := sys.Processes[name]
-		tk := p.Records()[0]
+		recs := p.Records()
+		if len(recs) == 0 {
+			return fmt.Errorf("-trace: no job of %s finished within -horizon %v", name, horizon)
+		}
+		tk := recs[0]
 		fmt.Printf("Fig. 3 (semi-fixed-priority): R(t) of %s, job 0 — mandatory then wind-up phase\n", name)
 		var taskDef task.Task
 		for _, t := range set.Tasks {

@@ -148,9 +148,13 @@ func run(ticks int, policyName, loadName, feedAddr, replayPath string, symbol in
 	var source trading.Source
 	switch {
 	case replayPath != "":
-		feed, err := replaySource(replayPath, symbol)
+		tr, err := workload.ReadFile(replayPath)
 		if err != nil {
 			return err
+		}
+		feed, err := trading.NewTraceReplay(tr, symbol)
+		if err != nil {
+			return fmt.Errorf("%s: %w", replayPath, err)
 		}
 		source = feed
 	case feedAddr != "":
@@ -248,30 +252,4 @@ func run(ticks int, policyName, loadName, feedAddr, replayPath string, symbol in
 	tbl.AddRow("feed errors", pipe.SourceErrors())
 	fmt.Println(tbl)
 	return nil
-}
-
-// replaySource loads the tick section of a .rtk workload trace as a looping
-// replay feed, optionally restricted to one symbol. Looping guarantees the
-// pipeline never starves: every configured job gets a quote.
-func replaySource(path string, symbol int) (*trading.ReplayFeed, error) {
-	tr, err := workload.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	ticks := make([]trading.Tick, 0, len(tr.Ticks))
-	for _, t := range tr.Ticks {
-		if symbol >= 0 && t.Symbol != uint32(symbol) {
-			continue
-		}
-		ticks = append(ticks, trading.Tick{Seq: len(ticks), At: t.At, Bid: t.Bid, Ask: t.Ask})
-	}
-	if len(ticks) == 0 {
-		return nil, fmt.Errorf("%s: no ticks for symbol %d", path, symbol)
-	}
-	feed, err := trading.NewReplayFeed(ticks)
-	if err != nil {
-		return nil, err
-	}
-	feed.Loop = true
-	return feed, nil
 }

@@ -137,6 +137,25 @@ func TestNewBodyThreadValidation(t *testing.T) {
 	}
 }
 
+// TestNewBodyThreadAllocs pins a thread's creation cost: the Thread, its
+// waiter-list node and its three engine callbacks (compute completion,
+// timer fire, sleep wake-up). Costed kernel services complete through the
+// CPU's one service callback and add nothing per thread, which matters when
+// a simulation creates tens of thousands of threads.
+func TestNewBodyThreadAllocs(t *testing.T) {
+	k := testKernel(t, machine.NoLoad)
+	body := StepFunc(func(c *TCB, r Resume) Next { return Done() })
+	cfg := ThreadConfig{Name: "t", Priority: 50, CPU: 0}
+	avg := testing.AllocsPerRun(1_000, func() {
+		if _, err := k.NewBodyThread(cfg, body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 5 {
+		t.Fatalf("NewBodyThread allocates %.1f times per thread, want at most 5", avg)
+	}
+}
+
 // TestShutdownLeavesNoGoroutines is the leak check: a simulation creates no
 // goroutine for its threads, running or parked at Shutdown.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {

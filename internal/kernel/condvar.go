@@ -26,18 +26,9 @@ func (cv *CondVar) Name() string { return cv.name }
 // Waiters returns the number of blocked threads.
 func (cv *CondVar) Waiters() int { return cv.waiters.Len() }
 
-// The condvar handlers complete through the thread's pre-allocated
-// condWaitFn/condSignalFn/condBroadcastFn callbacks, with the condition
-// variable stashed in t.svcCV until the service fires — arming the costed
-// service must not allocate a closure on the kernel path.
-
-//rtseed:noalloc
-//rtseed:kernelctx
-func (k *Kernel) handleCondWait(t *Thread, req request) {
-	cost := k.mach.Cost(machine.OpCondWait, t.cpuID)
-	t.svcCV = req.cv
-	k.service(t, cost, t.condWaitFn)
-}
+// The condvar handlers only price the call: finishService blocks on, or
+// wakes the waiters of, the condition variable in the caller's request once
+// the service cost has elapsed. A cond_wait is priced in handleRequest.
 
 //rtseed:noalloc
 //rtseed:kernelctx
@@ -49,8 +40,7 @@ func (k *Kernel) handleCondSignal(t *Thread, req request) {
 	if target != nil {
 		cost = k.mach.RemoteCost(machine.OpCondSignal, t.cpuID, target.Value.cpuID)
 	}
-	t.svcCV = req.cv
-	k.service(t, cost, t.condSignalFn)
+	k.service(t, cost)
 }
 
 //rtseed:noalloc
@@ -61,8 +51,7 @@ func (k *Kernel) handleCondBroadcast(t *Thread, req request) {
 	for i := 1; i < req.cv.waiters.Len(); i++ {
 		cost += k.mach.Cost(machine.OpCondSignal, t.cpuID)
 	}
-	t.svcCV = req.cv
-	k.service(t, cost, t.condBroadcastFn)
+	k.service(t, cost)
 }
 
 // wakeOne unblocks the front waiter of cv, if any.

@@ -273,7 +273,8 @@ func (k *Kernel) finishDispatch(c *cpu) {
 
 // resumeOnCPU continues a thread that has just been given its CPU: either it
 // resumes an in-progress compute burst, or it returns from the kernel call
-// it was parked in.
+// it was parked in. Every blocking call completes, so only a thread's first
+// dispatch, before any call, delivers Completed false.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
@@ -282,7 +283,7 @@ func (k *Kernel) resumeOnCPU(t *Thread) {
 		k.startCompute(t)
 		return
 	}
-	k.resumeThread(t, t.pendingReply)
+	k.resumeThread(t, Resume{Completed: !t.stepFirst})
 }
 
 // setCurrent installs t (or nil) as the running thread of c and updates the
@@ -373,34 +374,69 @@ func (k *Kernel) interruptCompute(t *Thread) {
 	t.inCompute = false
 	t.state = StateRunning
 	cost := k.mach.Cost(machine.OpTimerInterrupt, t.cpuID)
-	k.service(t, cost, t.interruptDoneFn)
+	k.service(t, cost)
 }
 
-// service occupies t's CPU for cost (non-preemptible) and then runs then.
+// service occupies t's CPU for cost (non-preemptible); finishService then
+// completes t's kernel call.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
-func (k *Kernel) service(t *Thread, cost time.Duration, then func()) {
+func (k *Kernel) service(t *Thread, cost time.Duration) {
 	c := k.cpu(t.cpuID)
 	if c.current != t {
 		panic("kernel: service for non-current thread")
 	}
 	c.busy = true
 	c.serviceCost = cost
-	c.serviceThen = then
 	k.eng.After(cost, prioService, c.serviceFn)
 }
 
-// finishService completes the costed kernel service armed by service.
+// finishService completes the costed kernel call of c's current thread once
+// the cost armed by service has elapsed. A busy CPU is never preempted or
+// re-dispatched, so the caller is still current, and it is still parked in
+// its request: every parameter of the call is read from t.req.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
 func (k *Kernel) finishService(c *cpu) {
 	c.busy = false
-	then := c.serviceThen
-	c.serviceThen = nil
 	k.accountRun(c, nil, c.serviceCost)
-	then()
+	t := c.current
+	switch t.req.kind {
+	case reqCompute:
+		// The SIGALRM handler entry armed by interruptCompute returns.
+		remaining := t.computeRemaining
+		t.computeRemaining = 0
+		k.resumeThread(t, Resume{Completed: false, Ran: t.computeRan, Unran: remaining})
+	case reqCondWait:
+		t.state = StateBlocked
+		t.req.cv.waiters.PushBackNode(t.cvNode)
+		k.emit(t, trace.KindBlock, 0)
+		k.releaseCPU(t)
+	case reqCondSignal:
+		k.wakeOne(t.req.cv)
+		k.resumeThread(t, Resume{Completed: true})
+	case reqCondBroadcast:
+		for t.req.cv.waiters.Len() > 0 {
+			k.wakeOne(t.req.cv)
+		}
+		k.resumeThread(t, Resume{Completed: true})
+	case reqTimerSet:
+		k.finishTimerSet(t)
+	case reqTimerStop:
+		k.finishTimerStop(t)
+	case reqMigrate:
+		k.finishMigrate(t)
+	case reqChargeOp, reqChargeOpRemote:
+		k.resumeThread(t, Resume{Completed: true})
+	case reqSleepUntil, reqSetAlarmMask, reqMutexLock, reqMutexUnlock, reqYield, reqExit:
+		badService(t) // cold path split out so finishService stays lean
+	}
+}
+
+func badService(t *Thread) {
+	panic(fmt.Sprintf("kernel: service completed for thread %v parked in %v, which is not a costed kernel call", t, t.req.kind))
 }
 
 // nominal converts wall-clock execution into accomplished work under the
@@ -424,7 +460,6 @@ func (k *Kernel) handleYield(t *Thread) {
 	k.setCurrent(c, nil)
 	t.state = StateReady
 	t.dispatchOp = machine.OpContextSwitch
-	t.pendingReply = Resume{Completed: true}
 	c.runq.enqueue(t, false)
 	k.emit(t, trace.KindReady, 0)
 	k.scheduleDispatch(c)

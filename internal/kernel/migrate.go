@@ -16,12 +16,26 @@ func (k *Kernel) handleMigrate(t *Thread, req request) {
 		panic(fmt.Sprintf("kernel: migrate to invalid hw thread %d", target))
 	}
 	// Departure cost on the old CPU: deschedule plus cache-line flush
-	// toward the destination core. The move itself happens in the thread's
-	// pre-allocated migrateFn callback, with the destination stashed in
-	// t.svcCPU until the service fires.
-	cost := k.mach.RemoteCost(machine.OpContextSwitch, t.cpuID, target)
-	t.svcCPU = target
-	k.service(t, cost, t.migrateFn)
+	// toward the destination core. finishMigrate moves the thread once it
+	// has elapsed.
+	k.service(t, k.mach.RemoteCost(machine.OpContextSwitch, t.cpuID, target))
+}
+
+// finishMigrate re-pins t to t.req.remote and makes it ready there.
+//
+//rtseed:noalloc
+//rtseed:kernelctx
+func (k *Kernel) finishMigrate(t *Thread) {
+	old := t.cpuID
+	k.setCurrent(k.cpu(old), nil)
+	k.mach.UnbindRT(old)
+	t.cpuID = t.req.remote
+	k.mach.BindRT(t.cpuID)
+	t.migrations++
+	t.dispatchOp = machine.OpContextSwitch
+	k.makeReady(t, false)
+	// The old CPU is free; let it pick its next thread.
+	k.scheduleDispatch(k.cpu(old))
 }
 
 // Migrations returns how many times the thread has migrated between

@@ -48,7 +48,6 @@ func (k *Kernel) handleMutexLock(t *Thread, req request) {
 	t.state = StateBlocked
 	m.waiters.PushBackNode(t.cvNode)
 	k.emit(t, trace.KindBlock, 0)
-	t.pendingReply = Resume{Completed: true}
 	k.boostOwner(m)
 	k.releaseCPU(t)
 }

@@ -164,12 +164,12 @@ type cpu struct {
 
 	// Pre-allocated engine callbacks. At most one dispatch and one kernel
 	// service are in flight per CPU (both guarded by busy), so their
-	// parameters live in fields and the closures are built once in New —
-	// the engine's steady-state event cycle then allocates nothing.
+	// parameters live in fields — a service's in current's request — and
+	// the closures are built once in New: the engine's steady-state event
+	// cycle then allocates nothing.
 	dispatchT   *Thread
 	dispatchFn  func()
 	serviceCost time.Duration
-	serviceThen func()
 	serviceFn   func()
 }
 

@@ -88,10 +88,10 @@ type Thread struct {
 	stepping    bool
 	stepPending bool
 
+	// req is the kernel call the thread is parked in. It stays put until the
+	// call completes, so a costed service reads every parameter of the call
+	// from here when it finishes (finishService).
 	req request
-	// pendingReply is delivered when the thread is next dispatched after
-	// being woken from a blocking call.
-	pendingReply Resume
 
 	// qnext/qprev link the thread into its run-queue priority level, and
 	// queued marks membership. A thread is in at most one ready queue, so
@@ -133,30 +133,14 @@ type Thread struct {
 	pendingAlarm bool
 	timer        engine.Event //rtseed:handle-ok re-armed under Cancel by finishTimerSet and zeroed on disarm/exit
 
-	// Pre-allocated engine and service callbacks for the per-job hot paths
-	// (timer fire, wake-up, compute completion, alarm interrupt return,
-	// timer_settime service). Each reads its parameters from the thread's
-	// fields at fire time — safe because the thread is parked in the kernel
-	// call until the callback resumes it — so arming an event allocates no
-	// closure.
-	computeDoneFn   func()
-	alarmFireFn     func()
-	wakeFn          func()
-	interruptDoneFn func()
-	timerSetFn      func()
-	timerStopFn     func()
-	resumeOKFn      func()
-	condWaitFn      func()
-	condSignalFn    func()
-	condBroadcastFn func()
-	migrateFn       func()
-
-	// Scratch parameters for the pre-allocated service callbacks above: the
-	// condition variable or destination CPU of the thread's in-flight kernel
-	// request, stashed by the handler and read back at fire time. Exactly one
-	// request per thread is in flight, so a single slot each suffices.
-	svcCV  *CondVar
-	svcCPU machine.HWThread
+	// Pre-allocated engine callbacks for the events that fire independently
+	// of the thread's kernel call: compute completion, timer fire and sleep
+	// wake-up. Each reads its parameters from the thread's fields at fire
+	// time, so arming an event allocates no closure. Costed kernel services
+	// complete through the CPU's one serviceFn instead.
+	computeDoneFn func()
+	alarmFireFn   func()
+	wakeFn        func()
 }
 
 // ID returns the thread's creation-order identifier.
@@ -223,59 +207,6 @@ func (k *Kernel) newThread(cfg ThreadConfig, body Body) (*Thread, error) {
 		}
 		t.dispatchOp = machine.OpDispatch
 		k.makeReady(t, false)
-	}
-	//rtseed:kernelctx
-	t.interruptDoneFn = func() {
-		remaining := t.computeRemaining
-		t.computeRemaining = 0
-		k.resumeThread(t, Resume{Completed: false, Ran: t.computeRan, Unran: remaining})
-	}
-	//rtseed:kernelctx
-	t.timerSetFn = func() { k.finishTimerSet(t) }
-	//rtseed:kernelctx
-	t.timerStopFn = func() { k.finishTimerStop(t) }
-	//rtseed:kernelctx
-	t.resumeOKFn = func() { k.resumeThread(t, Resume{Completed: true}) }
-	//rtseed:kernelctx
-	t.condWaitFn = func() {
-		cv := t.svcCV
-		t.svcCV = nil
-		t.state = StateBlocked
-		cv.waiters.PushBackNode(t.cvNode)
-		k.emit(t, trace.KindBlock, 0)
-		t.pendingReply = Resume{Completed: true}
-		k.releaseCPU(t)
-	}
-	//rtseed:kernelctx
-	t.condSignalFn = func() {
-		cv := t.svcCV
-		t.svcCV = nil
-		k.wakeOne(cv)
-		k.resumeThread(t, Resume{Completed: true})
-	}
-	//rtseed:kernelctx
-	t.condBroadcastFn = func() {
-		cv := t.svcCV
-		t.svcCV = nil
-		for cv.waiters.Len() > 0 {
-			k.wakeOne(cv)
-		}
-		k.resumeThread(t, Resume{Completed: true})
-	}
-	//rtseed:kernelctx
-	t.migrateFn = func() {
-		target := t.svcCPU
-		old := t.cpuID
-		k.setCurrent(k.cpu(old), nil)
-		k.mach.UnbindRT(old)
-		t.cpuID = target
-		k.mach.BindRT(target)
-		t.migrations++
-		t.dispatchOp = machine.OpContextSwitch
-		t.pendingReply = Resume{Completed: true}
-		k.makeReady(t, false)
-		// The old CPU is free; let it pick its next thread.
-		k.scheduleDispatch(k.cpu(old))
 	}
 	k.threads = append(k.threads, t)
 	k.mach.BindRT(t.cpuID)
@@ -397,23 +328,19 @@ func (k *Kernel) handleRequest(t *Thread) {
 	case reqSleepUntil:
 		k.handleSleep(t, req)
 	case reqCondWait:
-		k.handleCondWait(t, req)
+		k.service(t, k.mach.Cost(machine.OpCondWait, t.cpuID))
 	case reqCondSignal:
 		k.handleCondSignal(t, req)
 	case reqCondBroadcast:
 		k.handleCondBroadcast(t, req)
-	case reqTimerSet:
-		k.handleTimerSet(t, req)
-	case reqTimerStop:
-		k.handleTimerStop(t)
+	case reqTimerSet, reqTimerStop:
+		k.service(t, k.mach.Cost(machine.OpTimerProgram, t.cpuID))
 	case reqSetAlarmMask:
 		k.handleSetAlarmMask(t, req)
 	case reqChargeOp:
-		cost := k.mach.Cost(req.op, t.cpuID)
-		k.service(t, cost, t.resumeOKFn)
+		k.service(t, k.mach.Cost(req.op, t.cpuID))
 	case reqChargeOpRemote:
-		cost := k.mach.RemoteCost(req.op, t.cpuID, req.remote)
-		k.service(t, cost, t.resumeOKFn)
+		k.service(t, k.mach.RemoteCost(req.op, t.cpuID, req.remote))
 	case reqMutexLock:
 		k.handleMutexLock(t, req)
 	case reqMutexUnlock:
@@ -459,7 +386,6 @@ func (k *Kernel) handleSleep(t *Thread, req request) {
 	t.state = StateSleeping
 	k.emit(t, trace.KindSleep, 0)
 	k.releaseCPU(t)
-	t.pendingReply = Resume{Completed: true}
 	k.eng.Schedule(req.at, prioRelease, t.wakeFn)
 }
 

@@ -2,24 +2,12 @@ package kernel
 
 import (
 	"rtseed/internal/engine"
-	"rtseed/internal/machine"
 	"rtseed/internal/trace"
 )
 
-// handleTimerSet arms the thread's one-shot SIGALRM timer at an absolute
-// virtual time (timer_settime with TIMER_ABSTIME), replacing any armed
-// timer.
-//
-//rtseed:noalloc
-//rtseed:kernelctx
-func (k *Kernel) handleTimerSet(t *Thread, req request) {
-	cost := k.mach.Cost(machine.OpTimerProgram, t.cpuID)
-	k.service(t, cost, t.timerSetFn)
-}
-
-// finishTimerSet completes timer_settime after its service cost elapsed. The
-// requested expiry is read from t.req, which cannot change while t is parked
-// in the call.
+// finishTimerSet completes timer_settime (TIMER_ABSTIME) after its service
+// cost elapsed: it arms the thread's one-shot SIGALRM timer at t.req.at,
+// replacing any armed timer.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
@@ -34,17 +22,9 @@ func (k *Kernel) finishTimerSet(t *Thread) {
 	k.resumeThread(t, Resume{Completed: true})
 }
 
-// handleTimerStop disarms the timer (timer_settime with a zero value) and
-// clears any pending, undelivered SIGALRM from it.
-//
-//rtseed:noalloc
-//rtseed:kernelctx
-func (k *Kernel) handleTimerStop(t *Thread) {
-	cost := k.mach.Cost(machine.OpTimerProgram, t.cpuID)
-	k.service(t, cost, t.timerStopFn)
-}
-
-// finishTimerStop completes the disarm after its service cost elapsed.
+// finishTimerStop completes timer_settime with a zero value after its
+// service cost elapsed: it disarms the timer and clears any pending,
+// undelivered SIGALRM from it.
 //
 //rtseed:noalloc
 //rtseed:kernelctx

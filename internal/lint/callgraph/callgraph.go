@@ -256,11 +256,11 @@ type dynCall struct {
 }
 
 type ifaceCall struct {
-	owner *Node
-	iface *types.Interface
-	name  string
-	kind  EdgeKind
-	pos   token.Pos
+	owner  *Node
+	iface  *types.Interface
+	method *types.Func
+	kind   EdgeKind
+	pos    token.Pos
 }
 
 // Shared returns the call graph of mp's loaded package set, built once per
@@ -399,7 +399,7 @@ func (b *builder) call(owner *Node, call *ast.CallExpr) {
 			if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
 				b.callPos[f.Sel] = true
 				b.ifaceCalls = append(b.ifaceCalls, ifaceCall{
-					owner: owner, iface: iface, name: f.Sel.Name, kind: kind, pos: call.Pos(),
+					owner: owner, iface: iface, method: sel.Obj().(*types.Func), kind: kind, pos: call.Pos(),
 				})
 				return
 			}
@@ -451,7 +451,10 @@ func (b *builder) resolveInterfaceCalls(pkgs []*lint.Package) {
 	if len(b.ifaceCalls) == 0 {
 		return
 	}
-	var concrete []types.Type
+	// The pointer method set includes the value method set, so one method
+	// set per type, of *T, covers both receiver flavors.
+	var ptrs []types.Type
+	var msets []*types.MethodSet
 	for _, pkg := range pkgs {
 		scope := pkg.Types.Scope()
 		names := scope.Names()
@@ -460,20 +463,19 @@ func (b *builder) resolveInterfaceCalls(pkgs []*lint.Package) {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if ok && !tn.IsAlias() {
 				if _, isIface := tn.Type().Underlying().(*types.Interface); !isIface {
-					concrete = append(concrete, tn.Type())
+					pt := types.NewPointer(tn.Type())
+					ptrs = append(ptrs, pt)
+					msets = append(msets, types.NewMethodSet(pt))
 				}
 			}
 		}
 	}
 	for _, ic := range b.ifaceCalls {
-		for _, t := range concrete {
-			// The pointer method set includes the value method set, so one
-			// Implements check on *T covers both receiver flavors.
-			pt := types.NewPointer(t)
-			if !types.Implements(t, ic.iface) && !types.Implements(pt, ic.iface) {
+		for i, pt := range ptrs {
+			if !implements(pt, msets[i], ic.iface) {
 				continue
 			}
-			sel := types.NewMethodSet(pt).Lookup(nil, ic.name)
+			sel := msets[i].Lookup(ic.method.Pkg(), ic.method.Name())
 			if sel == nil {
 				continue
 			}
@@ -484,6 +486,49 @@ func (b *builder) resolveInterfaceCalls(pkgs []*lint.Package) {
 			}
 		}
 	}
+}
+
+// implements reports whether pt, whose method set is mset, implements iface.
+// types.Implements alone misses implementations in another package: the
+// loader type-checks each package from source but resolves its imports from
+// export data, so a signature naming a type of a third package (a Body's
+// Step taking *kernel.TCB) holds a different type object at the call site
+// than in the implementing package — pointer identity fails, as it does for
+// funcKey. Matching each method by name and by its signature printed with
+// full package paths holds in both universes.
+func implements(pt types.Type, mset *types.MethodSet, iface *types.Interface) bool {
+	if types.Implements(pt, iface) {
+		return true
+	}
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		sel := mset.Lookup(m.Pkg(), m.Name())
+		if sel == nil || sigKey(sel.Obj().Type().(*types.Signature)) != sigKey(m.Type().(*types.Signature)) {
+			return false
+		}
+	}
+	return true
+}
+
+// sigKey prints a signature's parameter and result types with full package
+// paths, leaving out the receiver and the parameter names, which differ
+// freely between an interface method and its implementations.
+func sigKey(sig *types.Signature) string {
+	var b strings.Builder
+	for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteByte('(')
+		for i := 0; i < tup.Len(); i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(types.TypeString(tup.At(i).Type(), nil))
+		}
+		b.WriteByte(')')
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }
 
 // resolveDynamicCalls adds a Dynamic edge from each func-value call site to

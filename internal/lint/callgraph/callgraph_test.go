@@ -143,6 +143,32 @@ func TestBuildEdges(t *testing.T) {
 	}
 }
 
+// TestInterfaceEdgesAcrossPackages builds the graph with the real loader,
+// which type-checks each package from source but resolves its imports from
+// export data: core's *kernel.TCB is then a different type object from
+// kernel's own. The kernel's one call into task bodies must still resolve to
+// an implementation declared in another package. The in-memory fixtures
+// above share one type universe and cannot show this.
+func TestInterfaceEdgesAcrossPackages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles export data for the loaded packages")
+	}
+	pkgs, err := lint.Load("../../..", "./internal/kernel", "./internal/core")
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	set := edgeSet(callgraph.Build(pkgs))
+	for _, k := range []edgeKey{
+		{"(*kernel.Kernel).resumeThread", "(kernel.StepFunc).Step", callgraph.Interface},
+		{"(*kernel.Kernel).resumeThread", "(*core.mandBody).Step", callgraph.Interface},
+		{"(*kernel.Kernel).resumeThread", "(*core.optBody).Step", callgraph.Interface},
+	} {
+		if !set[k] {
+			t.Errorf("missing edge %s -%s-> %s", k.caller, k.kind, k.callee)
+		}
+	}
+}
+
 func TestGoSpawnedLiteral(t *testing.T) {
 	g := buildTestGraph(t)
 	for _, n := range g.Nodes {

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"time"
+
+	"rtseed/internal/workload"
 )
 
 // ReplayFeed replays a recorded tick history — the bridge from the
@@ -43,6 +45,24 @@ func (f *ReplayFeed) NextTick() (Tick, error) {
 
 // Len returns the number of recorded ticks.
 func (f *ReplayFeed) Len() int { return len(f.ticks) }
+
+// NewTraceReplay replays the tick section of a decoded .rtk workload trace
+// as a looping feed, restricted to one symbol's quotes when symbol >= 0.
+// Looping guarantees a consumer never starves: every configured job gets a
+// quote.
+func NewTraceReplay(tr *workload.Trace, symbol int) (*ReplayFeed, error) {
+	ticks := make([]Tick, 0, len(tr.Ticks))
+	for _, t := range tr.Ticks {
+		if symbol >= 0 && t.Symbol != uint32(symbol) {
+			continue
+		}
+		ticks = append(ticks, Tick{Seq: len(ticks), At: t.At, Bid: t.Bid, Ask: t.Ask})
+	}
+	if len(ticks) == 0 {
+		return nil, fmt.Errorf("trading: no ticks for symbol %d", symbol)
+	}
+	return &ReplayFeed{ticks: ticks, Loop: true}, nil
+}
 
 // ReadCSV parses a tick history in the format
 //

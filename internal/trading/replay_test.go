@@ -4,6 +4,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"rtseed/internal/workload"
 )
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -102,5 +105,63 @@ func TestReplayFeedDrivesPipeline(t *testing.T) {
 	p.OnMandatory(60)
 	if p.SourceErrors() != 1 {
 		t.Fatalf("expected a source error after exhaustion, got %d", p.SourceErrors())
+	}
+}
+
+// TestNewTraceReplay checks the .rtk conversion: full stream, symbol filter,
+// looping, and the no-ticks error path.
+func TestNewTraceReplay(t *testing.T) {
+	spec, ok := workload.BuiltinSpec("flash-crash")
+	if !ok {
+		t.Fatal("flash-crash builtin missing")
+	}
+	src, err := workload.Compile(spec, workload.CompileConfig{
+		Clients: 8, Seed: 3, Horizon: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := src.Trace(50)
+	ticks := tr.Ticks
+	feed, err := NewTraceReplay(tr, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if feed.Len() != len(ticks) {
+		t.Fatalf("replay holds %d ticks, trace has %d", feed.Len(), len(ticks))
+	}
+	first, err := feed.NextTick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.At != ticks[0].At || first.Bid != ticks[0].Bid || first.Ask != ticks[0].Ask {
+		t.Errorf("first tick %+v does not match trace %+v", first, ticks[0])
+	}
+	for i := 1; i < feed.Len(); i++ {
+		if _, err := feed.NextTick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again, err := feed.NextTick(); err != nil || again != first {
+		t.Errorf("exhausted replay returned %+v, %v; want the first tick again", again, err)
+	}
+
+	sym := int(ticks[0].Symbol)
+	want := 0
+	for _, tk := range ticks {
+		if int(tk.Symbol) == sym {
+			want++
+		}
+	}
+	filtered, err := NewTraceReplay(tr, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filtered.Len() != want {
+		t.Errorf("symbol %d filter kept %d ticks, want %d", sym, filtered.Len(), want)
+	}
+
+	if _, err := NewTraceReplay(tr, 1<<20); err == nil {
+		t.Error("absent symbol accepted")
 	}
 }

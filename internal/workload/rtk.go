@@ -472,17 +472,6 @@ func ReadFile(path string) (*Trace, error) {
 	return Decode(data)
 }
 
-// SymbolTicks returns the trace's ticks for one symbol, in time order.
-func (tr *Trace) SymbolTicks(symbol uint32) []Tick {
-	var out []Tick
-	for _, t := range tr.Ticks {
-		if t.Symbol == symbol {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Replay is a Source backed by a decoded trace: the recorded client
 // parameters drive the same admission and simulation path the generating
 // run took.

@@ -36,7 +36,8 @@ var manyTaskKernelNs = []int{1, 16, 128, 1024, 16384, 131072}
 // engine event with n periodic tasks pinned round-robin over all 228
 // hardware threads of the simulated Xeon Phi 3120A. Each op is one event
 // (timer fire, dispatch, compute completion, ...); the acceptance bar is
-// near-flat ns/op as n grows, at 0 allocs/op.
+// near-flat ns/op as n grows, at 0 allocs/op
+// (TestManyTaskKernelSteadyStateZeroAlloc enforces the allocation bound).
 //
 // The release variant runs sleep-only task bodies, so every event is
 // scheduling-core work — timer arm and fire, dispatch, requeue — and the
@@ -46,34 +47,12 @@ var manyTaskKernelNs = []int{1, 16, 128, 1024, 16384, 131072}
 // is a function call, so there is no goroutine-handshake floor under the
 // per-event cost, and no goroutines regardless of n.
 func BenchmarkManyTaskKernel(b *testing.B) {
-	for _, mode := range []struct {
-		name        string
-		releaseOnly bool
-	}{{"release", true}, {"compute", false}} {
+	for _, mode := range manyTaskModes {
 		mode := mode
 		for _, n := range manyTaskKernelNs {
 			n := n
 			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				mach := machine.MustNew(machine.XeonPhi3120A(), machine.NoLoad, noJitter(), 1)
-				e := engine.New()
-				k := kernel.New(e, mach)
-				sys, err := sched.NewManyTask(k, sched.ManyTaskConfig{
-					N:                  n,
-					Seed:               0xbeef,
-					UtilizationPerTask: 0.15,
-					ReleaseOnly:        mode.releaseOnly,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys.Start()
-				// Reach steady state and warm the engine's node pool: every
-				// task completes several jobs before measurement starts.
-				for i := 0; i < 64*n; i++ {
-					if !e.Step() {
-						b.Fatal("engine ran dry during warm-up")
-					}
-				}
+				e, k, sys := warmManyTask(b, n, mode.releaseOnly)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -89,6 +68,68 @@ func BenchmarkManyTaskKernel(b *testing.B) {
 			})
 		}
 	}
+}
+
+// TestManyTaskKernelSteadyStateZeroAlloc is the allocation contract behind
+// BenchmarkManyTaskKernel: once every task has completed several jobs, an
+// engine event — release wake-up, dispatch, compute completion — allocates
+// nothing, in both body modes.
+func TestManyTaskKernelSteadyStateZeroAlloc(t *testing.T) {
+	const n = 1024
+	for _, mode := range manyTaskModes {
+		t.Run(mode.name, func(t *testing.T) {
+			e, k, _ := warmManyTask(t, n, mode.releaseOnly)
+			defer k.Shutdown()
+			// One run is a whole burst of events: AllocsPerRun divides in
+			// integers, so measuring single events would round a rare
+			// allocation down to zero.
+			const burst = 10 * n
+			allocs := testing.AllocsPerRun(1, func() {
+				for i := 0; i < burst; i++ {
+					if !e.Step() {
+						t.Fatal("engine ran dry")
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%d steady-state engine events allocated %v times, want 0", burst, allocs)
+			}
+		})
+	}
+}
+
+// manyTaskModes are the two task-body shapes of the many-task workload:
+// sleep-only release bodies and full mandatory+wind-up job bodies.
+var manyTaskModes = []struct {
+	name        string
+	releaseOnly bool
+}{{"release", true}, {"compute", false}}
+
+// warmManyTask builds n periodic tasks pinned round-robin over the
+// simulated Xeon Phi 3120A, starts them, and steps the engine 64·n times:
+// every task completes several jobs and the engine's node pool is warm
+// before anything is measured.
+func warmManyTask(tb testing.TB, n int, releaseOnly bool) (*engine.Engine, *kernel.Kernel, *sched.ManyTaskSystem) {
+	tb.Helper()
+	mach := machine.MustNew(machine.XeonPhi3120A(), machine.NoLoad, noJitter(), 1)
+	e := engine.New()
+	k := kernel.New(e, mach)
+	sys, err := sched.NewManyTask(k, sched.ManyTaskConfig{
+		N:                  n,
+		Seed:               0xbeef,
+		UtilizationPerTask: 0.15,
+		ReleaseOnly:        releaseOnly,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys.Start()
+	for i := 0; i < 64*n; i++ {
+		if !e.Step() {
+			tb.Fatal("engine ran dry during warm-up")
+		}
+	}
+	return e, k, sys
 }
 
 // wheelVsHeapPeriod spreads n concurrent timers over distinct periods so
