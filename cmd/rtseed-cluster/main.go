@@ -82,7 +82,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.traceDir, "trace-dir", "", "write one .rtt trace per machine to this directory and report the merged summary")
 	fs.StringVar(&o.spec, "spec", "", "workload spec: a JSON file or a builtin name (steady, flash-crash, open-close)")
 	fs.StringVar(&o.replay, "replay", "", "replay a recorded .rtk workload trace (its clients, seed, and horizon override the flags)")
-	fs.BoolVar(&o.quick, "quick", false, "reduced population and horizon for a fast run")
+	fs.BoolVar(&o.quick, "quick", false, "reduced population and horizon for a fast run (an explicit -clients, -machines or -horizon wins)")
 	fs.BoolVar(&o.bench, "bench", false, "also run with -workers 1 and report the parallel speedup to stderr")
 	fs.StringVar(&o.out, "o", "", "write the report to this file (default stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -92,7 +92,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if o.policy, err = cluster.ParsePolicy(policyName); err != nil {
 		return nil, err
 	}
-	if o.load, err = parseLoad(loadName); err != nil {
+	if o.load, err = machine.ParseLoad(loadName); err != nil {
 		return nil, err
 	}
 	if err := sweep.ValidateWorkers(o.workers); err != nil {
@@ -102,24 +102,29 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 		return nil, fmt.Errorf("-spec and -replay are mutually exclusive")
 	}
 	if o.quick {
-		o.clients = 2000
-		o.machines = 4
-		o.horizon = 300 * time.Millisecond
+		// The preset fills only the knobs the command line left unset.
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if !set["clients"] {
+			o.clients = 2000
+		}
+		if !set["machines"] {
+			o.machines = 4
+		}
+		if !set["horizon"] {
+			o.horizon = 300 * time.Millisecond
+		}
+	}
+	if o.clients < 1 {
+		return nil, fmt.Errorf("-clients %d: want at least 1 client", o.clients)
+	}
+	if o.machines < 1 {
+		return nil, fmt.Errorf("-machines %d: want at least 1 machine", o.machines)
+	}
+	if o.horizon <= 0 {
+		return nil, fmt.Errorf("-horizon %v: want a positive duration", o.horizon)
 	}
 	return o, nil
-}
-
-func parseLoad(s string) (machine.Load, error) {
-	switch s {
-	case "none":
-		return machine.NoLoad, nil
-	case "cpu":
-		return machine.CPULoad, nil
-	case "cpumem":
-		return machine.CPUMemoryLoad, nil
-	default:
-		return 0, fmt.Errorf("unknown load %q (want none, cpu, cpumem)", s)
-	}
 }
 
 // config maps the options onto the cluster configuration.

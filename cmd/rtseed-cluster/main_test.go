@@ -65,15 +65,27 @@ func TestReportWithTraceDir(t *testing.T) {
 	}
 }
 
-// TestQuickPreset checks -quick overrides the population knobs.
+// TestQuickPreset checks -quick fills the population knobs the command line
+// left unset and keeps the ones it set.
 func TestQuickPreset(t *testing.T) {
-	fs := flag.NewFlagSet("rtseed-cluster", flag.ContinueOnError)
-	o, err := parseFlags(fs, []string{"-quick"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.clients != 2000 || o.machines != 4 {
-		t.Fatalf("quick preset not applied: %+v", o)
+	for _, c := range []struct {
+		args              []string
+		clients, machines int
+		horizon           time.Duration
+	}{
+		{[]string{"-quick"}, 2000, 4, 300 * time.Millisecond},
+		{[]string{"-quick", "-machines", "16"}, 2000, 16, 300 * time.Millisecond},
+		{[]string{"-clients", "50", "-horizon", "1s", "-quick"}, 50, 4, time.Second},
+	} {
+		fs := flag.NewFlagSet("rtseed-cluster", flag.ContinueOnError)
+		o, err := parseFlags(fs, c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.clients != c.clients || o.machines != c.machines || o.horizon != c.horizon {
+			t.Errorf("args %v: %d clients, %d machines, horizon %v; want %d, %d, %v",
+				c.args, o.clients, o.machines, o.horizon, c.clients, c.machines, c.horizon)
+		}
 	}
 }
 
@@ -84,6 +96,10 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-load", "gpu"},
 		{"-workers", "0"},
 		{"-workers", "-3"},
+		{"-clients", "0"},
+		{"-machines", "0"},
+		{"-horizon", "0"},
+		{"-quick", "-horizon", "-1s"},
 	}
 	for _, args := range bad {
 		fs := flag.NewFlagSet("rtseed-cluster", flag.ContinueOnError)

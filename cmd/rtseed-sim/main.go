@@ -27,75 +27,79 @@ import (
 	"rtseed/internal/task"
 )
 
+// options is the parsed command line.
+type options struct {
+	spec    string
+	sched   string
+	policy  assign.Policy
+	load    machine.Load
+	horizon time.Duration
+	margin  time.Duration
+	trace   bool
+	gantt   bool
+}
+
+// parseFlags registers the command's flags on fs, parses args, and
+// validates the result. The flag set is injected so tests can parse without
+// touching the process-global flag.CommandLine.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	var policyName, loadName string
+	fs.StringVar(&o.spec, "tasks", "tau1:m=250ms,w=250ms,T=1s,o=1s,np=8", "task set spec")
+	fs.StringVar(&o.sched, "sched", "prmwp", "scheduler: prmwp or general")
+	fs.DurationVar(&o.horizon, "horizon", 10*time.Second, "simulation horizon")
+	fs.StringVar(&policyName, "policy", "one", "assignment policy: one, two, all")
+	fs.StringVar(&loadName, "load", "none", "background load: none, cpu, cpumem")
+	fs.BoolVar(&o.trace, "trace", false, "print the Fig. 3 remaining-time trace of the first task's first job")
+	fs.BoolVar(&o.gantt, "gantt", false, "print an ASCII Gantt chart of the first period")
+	fs.DurationVar(&o.margin, "margin", 20*time.Millisecond, "overhead margin subtracted from optional deadlines")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	var err error
+	if o.policy, err = assign.ParsePolicy(policyName); err != nil {
+		return nil, err
+	}
+	if o.load, err = machine.ParseLoad(loadName); err != nil {
+		return nil, err
+	}
+	if o.horizon <= 0 {
+		return nil, fmt.Errorf("-horizon %v: want a positive duration", o.horizon)
+	}
+	return o, nil
+}
+
 func main() {
-	spec := flag.String("tasks", "tau1:m=250ms,w=250ms,T=1s,o=1s,np=8", "task set spec")
-	schedName := flag.String("sched", "prmwp", "scheduler: prmwp or general")
-	horizon := flag.Duration("horizon", 10*time.Second, "simulation horizon")
-	policy := flag.String("policy", "one", "assignment policy: one, two, all")
-	load := flag.String("load", "none", "background load: none, cpu, cpumem")
-	trace := flag.Bool("trace", false, "print the Fig. 3 remaining-time trace of the first task's first job")
-	gantt := flag.Bool("gantt", false, "print an ASCII Gantt chart of the first period")
-	margin := flag.Duration("margin", 20*time.Millisecond, "overhead margin subtracted from optional deadlines")
-	flag.Parse()
-	if err := run(*spec, *schedName, *policy, *load, *horizon, *margin, *trace, *gantt); err != nil {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rtseed-sim:", err)
+		os.Exit(2)
+	}
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func parsePolicy(s string) (assign.Policy, error) {
-	switch s {
-	case "one":
-		return assign.OneByOne, nil
-	case "two":
-		return assign.TwoByTwo, nil
-	case "all":
-		return assign.AllByAll, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (want one, two, all)", s)
-	}
-}
-
-func parseLoad(s string) (machine.Load, error) {
-	switch s {
-	case "none":
-		return machine.NoLoad, nil
-	case "cpu":
-		return machine.CPULoad, nil
-	case "cpumem":
-		return machine.CPUMemoryLoad, nil
-	default:
-		return 0, fmt.Errorf("unknown load %q (want none, cpu, cpumem)", s)
-	}
-}
-
-func run(spec, schedName, policyName, loadName string, horizon, margin time.Duration, trace, gantt bool) error {
-	set, err := task.ParseSpec(spec)
+func run(o *options) error {
+	set, err := task.ParseSpec(o.spec)
 	if err != nil {
 		return err
 	}
-	pol, err := parsePolicy(policyName)
-	if err != nil {
-		return err
-	}
-	load, err := parseLoad(loadName)
-	if err != nil {
-		return err
-	}
-	mach, err := machine.New(machine.XeonPhi3120A(), load, machine.DefaultCostModel(), 0x51e)
+	mach, err := machine.New(machine.XeonPhi3120A(), o.load, machine.DefaultCostModel(), 0x51e)
 	if err != nil {
 		return err
 	}
 	k := kernel.New(engine.New(), mach)
 	rec := sched.NewRecorder(k)
 
-	switch schedName {
+	switch o.sched {
 	case "prmwp":
-		return runPRMWP(k, rec, set, pol, horizon, margin, trace, gantt)
+		return runPRMWP(k, rec, set, o.policy, o.horizon, o.margin, o.trace, o.gantt)
 	case "general":
-		return runGeneral(k, rec, set, horizon, trace)
+		return runGeneral(k, rec, set, o.horizon, o.trace)
 	default:
-		return fmt.Errorf("unknown scheduler %q (want prmwp or general)", schedName)
+		return fmt.Errorf("unknown scheduler %q (want prmwp or general)", o.sched)
 	}
 }
 

@@ -1,14 +1,25 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"strings"
 	"testing"
-	"time"
 )
 
+// runArgs parses args as the command line and runs the simulation.
+func runArgs(t *testing.T, args ...string) error {
+	t.Helper()
+	o, err := parseFlags(flag.NewFlagSet("rtseed-sim", flag.ContinueOnError), args)
+	if err != nil {
+		t.Fatalf("args %v: %v", args, err)
+	}
+	return run(o)
+}
+
 func TestRunPRMWPTraceGantt(t *testing.T) {
-	if err := run("tau1:m=25ms,w=25ms,T=100ms,o=1s,np=2", "prmwp", "one", "none",
-		300*time.Millisecond, 5*time.Millisecond, true, true); err != nil {
+	if err := runArgs(t, "-tasks", "tau1:m=25ms,w=25ms,T=100ms,o=1s,np=2", "-sched", "prmwp",
+		"-horizon", "300ms", "-margin", "5ms", "-trace", "-gantt"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -17,8 +28,8 @@ func TestRunPRMWPTraceGantt(t *testing.T) {
 // horizon before its first job ends: -trace has no job to plot and must say
 // so instead of indexing an empty record list.
 func TestRunPRMWPTraceNoFinishedJob(t *testing.T) {
-	err := run("tau1:m=250ms,w=250ms,T=1s,o=1s,np=8", "prmwp", "one", "none",
-		100*time.Millisecond, 20*time.Millisecond, true, false)
+	err := runArgs(t, "-tasks", "tau1:m=250ms,w=250ms,T=1s,o=1s,np=8", "-sched", "prmwp",
+		"-horizon", "100ms", "-margin", "20ms", "-trace")
 	if err == nil {
 		t.Fatal("-trace with no finished job accepted")
 	}
@@ -30,23 +41,36 @@ func TestRunPRMWPTraceNoFinishedJob(t *testing.T) {
 }
 
 func TestRunGeneral(t *testing.T) {
-	if err := run("tau1:m=25ms,w=25ms,T=100ms", "general", "one", "cpu",
-		300*time.Millisecond, 5*time.Millisecond, true, false); err != nil {
+	if err := runArgs(t, "-tasks", "tau1:m=25ms,w=25ms,T=100ms", "-sched", "general", "-load", "cpu",
+		"-horizon", "300ms", "-margin", "5ms", "-trace"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadArgs(t *testing.T) {
-	if err := run("x", "prmwp", "one", "none", time.Second, 0, false, false); err == nil {
+	if err := runArgs(t, "-tasks", "x"); err == nil {
 		t.Fatal("bad spec accepted")
 	}
-	if err := run("a:m=1ms,w=1ms,T=10ms", "bogus", "one", "none", time.Second, 0, false, false); err == nil {
+	if err := runArgs(t, "-tasks", "a:m=1ms,w=1ms,T=10ms", "-sched", "bogus", "-horizon", "1s"); err == nil {
 		t.Fatal("bad scheduler accepted")
 	}
-	if err := run("a:m=1ms,w=1ms,T=10ms", "prmwp", "bogus", "none", time.Second, 0, false, false); err == nil {
-		t.Fatal("bad policy accepted")
+}
+
+// TestParseFlagsErrors covers the rejection paths: unknown names and a
+// horizon with nothing to simulate, under either scheduler.
+func TestParseFlagsErrors(t *testing.T) {
+	bad := [][]string{
+		{"-policy", "bogus"},
+		{"-load", "bogus"},
+		{"-horizon", "0"},
+		{"-horizon", "-1s"},
+		{"-sched", "general", "-horizon", "0"},
 	}
-	if err := run("a:m=1ms,w=1ms,T=10ms", "prmwp", "one", "bogus", time.Second, 0, false, false); err == nil {
-		t.Fatal("bad load accepted")
+	for _, args := range bad {
+		fs := flag.NewFlagSet("rtseed-sim", flag.ContinueOnError)
+		fs.SetOutput(&bytes.Buffer{})
+		if _, err := parseFlags(fs, args); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
 	}
 }

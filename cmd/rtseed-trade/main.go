@@ -72,11 +72,11 @@ func main() {
 // runSweep prints the conclusion's trade-off: useful analysis work versus
 // decision latency as the number of parallel optional parts grows.
 func runSweep(policyName, loadName string) error {
-	pol, err := parsePolicy(policyName)
+	pol, err := assign.ParsePolicy(policyName)
 	if err != nil {
 		return err
 	}
-	load, err := parseLoad(loadName)
+	load, err := machine.ParseLoad(loadName)
 	if err != nil {
 		return err
 	}
@@ -99,38 +99,12 @@ type localSource struct{ f *trading.Feed }
 // NextTick implements trading.Source.
 func (s localSource) NextTick() (trading.Tick, error) { return s.f.Next(), nil }
 
-func parsePolicy(s string) (assign.Policy, error) {
-	switch s {
-	case "one":
-		return assign.OneByOne, nil
-	case "two":
-		return assign.TwoByTwo, nil
-	case "all":
-		return assign.AllByAll, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", s)
-	}
-}
-
-func parseLoad(s string) (machine.Load, error) {
-	switch s {
-	case "none":
-		return machine.NoLoad, nil
-	case "cpu":
-		return machine.CPULoad, nil
-	case "cpumem":
-		return machine.CPUMemoryLoad, nil
-	default:
-		return 0, fmt.Errorf("unknown load %q", s)
-	}
-}
-
 func run(ticks int, policyName, loadName, feedAddr, replayPath string, symbol int, tracePath string, odScale float64, seed uint64) error {
-	pol, err := parsePolicy(policyName)
+	pol, err := assign.ParsePolicy(policyName)
 	if err != nil {
 		return err
 	}
-	load, err := parseLoad(loadName)
+	load, err := machine.ParseLoad(loadName)
 	if err != nil {
 		return err
 	}

@@ -48,6 +48,19 @@ func (p Policy) String() string {
 // Valid reports whether p is a defined policy.
 func (p Policy) Valid() bool { return p >= OneByOne && p <= AllByAll }
 
+// policyNames are the policies' command-line names, indexed by Policy.
+var policyNames = [...]string{OneByOne: "one", TwoByTwo: "two", AllByAll: "all"}
+
+// ParsePolicy maps a command-line name (one, two, all) to its Policy.
+func ParsePolicy(s string) (Policy, error) {
+	for _, p := range Policies() {
+		if policyNames[p] == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want one, two, all)", s)
+}
+
 // HWThreads returns the hardware threads for np parallel optional parts
 // under policy p on topology topo, in part order (part k runs on element k).
 // The first part is always placed on hardware thread 0 — the paper requires

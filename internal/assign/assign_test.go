@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +145,27 @@ func TestPolicyStrings(t *testing.T) {
 	}
 	if Policy(0).Valid() {
 		t.Fatal("zero policy should be invalid")
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	names := []struct {
+		name string
+		want Policy
+	}{{"one", OneByOne}, {"two", TwoByTwo}, {"all", AllByAll}}
+	if len(names) != len(Policies()) {
+		t.Fatalf("%d names for %d policies", len(names), len(Policies()))
+	}
+	for _, c := range names {
+		got, err := ParsePolicy(c.name)
+		if err != nil || got != c.want || policyNames[got] != c.name {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{"", "four", "ONE", "One by One"} {
+		if _, err := ParsePolicy(bad); err == nil || !strings.Contains(err.Error(), "want one, two, all") {
+			t.Errorf("ParsePolicy(%q) error = %v, want one naming the policies", bad, err)
+		}
 	}
 }
 

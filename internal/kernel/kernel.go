@@ -1,6 +1,6 @@
 // Package kernel is a deterministic discrete-event simulation of the Linux
 // facilities RT-Seed is built on (paper §IV): per-CPU SCHED_FIFO run queues
-// with 99 priority levels implemented as double circular linked lists,
+// with 99 priority levels, each an intrusive FIFO of threads,
 // fixed-priority preemptive dispatch, clock_nanosleep, condition variables,
 // one-shot POSIX timers with SIGALRM delivery and per-thread signal masks,
 // and CPU affinity.
@@ -411,14 +411,14 @@ func (k *Kernel) finishService(c *cpu) {
 		k.resumeThread(t, Resume{Completed: false, Ran: t.computeRan, Unran: remaining})
 	case reqCondWait:
 		t.state = StateBlocked
-		t.req.cv.waiters.PushBackNode(t.cvNode)
+		t.req.cv.waiters.pushBack(t)
 		k.emit(t, trace.KindBlock, 0)
 		k.releaseCPU(t)
 	case reqCondSignal:
 		k.wakeOne(t.req.cv)
 		k.resumeThread(t, Resume{Completed: true})
 	case reqCondBroadcast:
-		for t.req.cv.waiters.Len() > 0 {
+		for t.req.cv.waiters.head != nil {
 			k.wakeOne(t.req.cv)
 		}
 		k.resumeThread(t, Resume{Completed: true})

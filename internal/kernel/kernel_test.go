@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -225,6 +226,75 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 	k.Run()
 	if woken != 3 {
 		t.Fatalf("broadcast woke %d, want 3", woken)
+	}
+}
+
+// TestWaiterQueuesServeInArrivalOrder pins the order of both waiter lists.
+// Threads sharing one CPU and one priority wake from a CondBroadcast in the
+// order they waited, then acquire a contended mutex in the order they asked
+// for it; each holder sleeps with the lock held so the others queue behind
+// it. Waiters() is read at every step.
+func TestWaiterQueuesServeInArrivalOrder(t *testing.T) {
+	k := testKernel(t, machine.NoLoad)
+	cv := k.NewCondVar("cv")
+	m := k.NewMutex("m")
+	const n = 4
+	var waited, woke, locked, cvAhead, mutexBehind []int
+	for i := 0; i < n; i++ {
+		script(k, "w", 50, 0,
+			func(c *TCB, r Resume) Next {
+				waited = append(waited, i)
+				cvAhead = append(cvAhead, cv.Waiters())
+				return CondWait(cv)
+			},
+			func(c *TCB, r Resume) Next {
+				woke = append(woke, i)
+				if got := cv.Waiters(); got != 0 {
+					t.Errorf("thread %d woke with %d condvar waiters left, want 0", i, got)
+				}
+				return MutexLock(m)
+			},
+			func(c *TCB, r Resume) Next {
+				locked = append(locked, i)
+				return Sleep(time.Millisecond)
+			},
+			func(c *TCB, r Resume) Next {
+				mutexBehind = append(mutexBehind, m.Waiters())
+				return MutexUnlock(m)
+			}).Start()
+	}
+	script(k, "b", 50, 1,
+		act(SleepUntil(engine.At(time.Millisecond))),
+		func(c *TCB, r Resume) Next {
+			if got := cv.Waiters(); got != n {
+				t.Errorf("condvar has %d waiters before the broadcast, want %d", got, n)
+			}
+			return CondBroadcast(cv)
+		},
+		func(c *TCB, r Resume) Next {
+			if got := cv.Waiters(); got != 0 {
+				t.Errorf("condvar has %d waiters after the broadcast, want 0", got)
+			}
+			return Done()
+		}).Start()
+	k.Run()
+	inOrder := []int{0, 1, 2, 3}
+	for _, c := range []struct {
+		what      string
+		got, want []int
+	}{
+		{"wait order", waited, inOrder},
+		{"condvar waiters ahead of each waiter", cvAhead, inOrder},
+		{"wake order", woke, inOrder},
+		{"lock order", locked, inOrder},
+		{"mutex waiters behind each holder", mutexBehind, []int{3, 2, 1, 0}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s = %v, want %v", c.what, c.got, c.want)
+		}
+	}
+	if m.Locked() || m.Waiters() != 0 {
+		t.Fatal("mutex should be free at the end")
 	}
 }
 

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"rtseed/internal/list"
 	"rtseed/internal/machine"
 	"rtseed/internal/trace"
 )
@@ -15,14 +14,14 @@ import (
 type Mutex struct {
 	name    string
 	owner   *Thread
-	waiters *list.List[*Thread]
+	waiters threadFIFO
 	// inherit enables priority inheritance (see NewPIMutex).
 	inherit bool
 }
 
 // NewMutex returns an unlocked mutex. The name appears in diagnostics.
 func (k *Kernel) NewMutex(name string) *Mutex {
-	return &Mutex{name: name, waiters: list.New[*Thread]()}
+	return &Mutex{name: name}
 }
 
 // Name returns the mutex's name.
@@ -32,7 +31,7 @@ func (m *Mutex) Name() string { return m.name }
 func (m *Mutex) Locked() bool { return m.owner != nil }
 
 // Waiters returns the number of blocked contenders.
-func (m *Mutex) Waiters() int { return m.waiters.Len() }
+func (m *Mutex) Waiters() int { return m.waiters.len() }
 
 //rtseed:kernelctx
 func (k *Kernel) handleMutexLock(t *Thread, req request) {
@@ -46,7 +45,7 @@ func (k *Kernel) handleMutexLock(t *Thread, req request) {
 		panic("kernel: recursive mutex lock")
 	}
 	t.state = StateBlocked
-	m.waiters.PushBackNode(t.cvNode)
+	m.waiters.pushBack(t)
 	k.emit(t, trace.KindBlock, 0)
 	k.boostOwner(m)
 	k.releaseCPU(t)
@@ -61,8 +60,7 @@ func (k *Kernel) handleMutexUnlock(t *Thread, req request) {
 	if m.inherit {
 		k.restoreOwner(t)
 	}
-	if n := m.waiters.PopFront(); n != nil {
-		w := n.Value
+	if w := m.waiters.popFront(); w != nil {
 		m.owner = w
 		w.dispatchOp = machine.OpContextSwitch
 		k.makeReady(w, false)

@@ -25,11 +25,9 @@ func (k *Kernel) boostOwner(m *Mutex) {
 		return
 	}
 	top := m.owner.basePrio()
-	// Walk the waiter nodes directly: a Do closure would capture top and
-	// allocate on the mutex hand-off path.
-	for n := m.waiters.Front(); n != nil; n = n.Next() {
-		if n.Value.prio > top {
-			top = n.Value.prio
+	for w := m.waiters.head; w != nil; w = w.qnext {
+		if w.prio > top {
+			top = w.prio
 		}
 	}
 	if top == m.owner.prio {

@@ -7,33 +7,104 @@ import (
 	"rtseed/internal/machine"
 )
 
-// runQueue is one CPU's SCHED_FIFO ready queue: 99 FIFO levels, each a
-// doubly-linked list threaded through the Threads themselves, larger
+// threadFIFO is an intrusive FIFO of threads linked through
+// Thread.qnext/qprev, and the kernel's one thread queue: every run-queue
+// priority level is one, and so is the waiter list of every CondVar and
+// Mutex. A thread waits in at most one queue at a time — a run-queue level
+// while ready, one waiter list while blocked — so the one pair of links in
+// the Thread serves them all, and queueing touches no extra cache line and
+// allocates nothing. A thread in no queue has nil links.
+type threadFIFO struct {
+	head, tail *Thread
+}
+
+// pushBack appends t.
+//
+//rtseed:noalloc
+func (f *threadFIFO) pushBack(t *Thread) {
+	t.qprev = f.tail
+	if f.tail != nil {
+		f.tail.qnext = t
+	} else {
+		f.head = t
+	}
+	f.tail = t
+}
+
+// pushFront prepends t.
+//
+//rtseed:noalloc
+func (f *threadFIFO) pushFront(t *Thread) {
+	t.qnext = f.head
+	if f.head != nil {
+		f.head.qprev = t
+	} else {
+		f.tail = t
+	}
+	f.head = t
+}
+
+// popFront removes and returns the first thread, or nil when empty.
+//
+//rtseed:noalloc
+func (f *threadFIFO) popFront() *Thread {
+	t := f.head
+	if t == nil {
+		return nil
+	}
+	f.head = t.qnext
+	if f.head != nil {
+		f.head.qprev = nil
+	} else {
+		f.tail = nil
+	}
+	t.qnext = nil
+	return t
+}
+
+// remove unlinks t, which must be in f.
+//
+//rtseed:noalloc
+func (f *threadFIFO) remove(t *Thread) {
+	if t.qprev != nil {
+		t.qprev.qnext = t.qnext
+	} else {
+		f.head = t.qnext
+	}
+	if t.qnext != nil {
+		t.qnext.qprev = t.qprev
+	} else {
+		f.tail = t.qprev
+	}
+	t.qnext = nil
+	t.qprev = nil
+}
+
+// len counts the queued threads by walking the links.
+func (f *threadFIFO) len() int {
+	n := 0
+	for t := f.head; t != nil; t = t.qnext {
+		n++
+	}
+	return n
+}
+
+// runQueue is one CPU's SCHED_FIFO ready queue: 99 FIFO levels, larger
 // priority values first (paper Fig. 5).
 //
-// A two-word occupancy bitmap mirrors the lists — bit p is set exactly when
-// levels[p] is non-empty — so finding the highest ready priority is one
+// A two-word occupancy bitmap mirrors the levels — bit p is set exactly
+// when levels[p] is non-empty — so finding the highest ready priority is one
 // find-first-set per word (Linux's sched_find_first_bit technique) instead
 // of a scan over 99 list heads. Every operation is O(1): enqueue and remove
 // maintain the bitmap as their level transitions empty↔non-empty, and pop /
 // topPriority locate the top level with bits.Len64.
-//
-// The links are intrusive (Thread.qnext/qprev): a thread is in at most one
-// ready queue, so carrying the links in the Thread itself avoids both a
-// per-enqueue allocation and a separate list-node cache line on every
-// scheduling operation.
 type runQueue struct {
 	// bitmap has bit p of word p/64 set iff levels[p] is non-empty.
 	// Priorities span [MinPriority, MaxPriority] = [1, 99], so two words
 	// cover every level with room to spare.
 	bitmap [2]uint64
-	levels [MaxPriority + 1]fifoLevel
+	levels [MaxPriority + 1]threadFIFO
 	count  int
-}
-
-// fifoLevel is one priority level's FIFO of ready threads.
-type fifoLevel struct {
-	head, tail *Thread
 }
 
 // enqueue adds t to its priority level, at the head when atFront is set
@@ -52,23 +123,10 @@ func (q *runQueue) enqueue(t *Thread, atFront bool) {
 		panic("kernel: thread already enqueued")
 	}
 	t.queued = true
-	lvl := &q.levels[t.prio]
 	if atFront {
-		t.qnext = lvl.head
-		if lvl.head != nil {
-			lvl.head.qprev = t
-		} else {
-			lvl.tail = t
-		}
-		lvl.head = t
+		q.levels[t.prio].pushFront(t)
 	} else {
-		t.qprev = lvl.tail
-		if lvl.tail != nil {
-			lvl.tail.qnext = t
-		} else {
-			lvl.head = t
-		}
-		lvl.tail = t
+		q.levels[t.prio].pushBack(t)
 	}
 	q.bitmap[uint(t.prio)>>6] |= 1 << (uint(t.prio) & 63)
 	q.count++
@@ -84,15 +142,10 @@ func (q *runQueue) pop() *Thread {
 	}
 	p := q.top()
 	lvl := &q.levels[p]
-	t := lvl.head
-	lvl.head = t.qnext
-	if lvl.head != nil {
-		lvl.head.qprev = nil
-	} else {
-		lvl.tail = nil
+	t := lvl.popFront()
+	if lvl.head == nil {
 		q.bitmap[uint(p)>>6] &^= 1 << (uint(p) & 63)
 	}
-	t.qnext = nil
 	t.queued = false
 	q.count--
 	return t
@@ -107,21 +160,10 @@ func (q *runQueue) remove(t *Thread) {
 		return
 	}
 	lvl := &q.levels[t.prio]
-	if t.qprev != nil {
-		t.qprev.qnext = t.qnext
-	} else {
-		lvl.head = t.qnext
-	}
-	if t.qnext != nil {
-		t.qnext.qprev = t.qprev
-	} else {
-		lvl.tail = t.qprev
-	}
+	lvl.remove(t)
 	if lvl.head == nil {
 		q.bitmap[uint(t.prio)>>6] &^= 1 << (uint(t.prio) & 63)
 	}
-	t.qnext = nil
-	t.qprev = nil
 	t.queued = false
 	q.count--
 }

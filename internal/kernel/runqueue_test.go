@@ -82,7 +82,7 @@ func TestRunQueueRemoveMidQueue(t *testing.T) {
 	if q.pop() != nil {
 		t.Fatal("queue should be empty")
 	}
-	// A removed thread's node is detached and can be enqueued again.
+	// A removed thread's links are cleared, so it can be enqueued again.
 	q.enqueue(b, false)
 	if got := q.pop(); got != b {
 		t.Fatal("re-enqueue after remove failed")
@@ -106,6 +106,21 @@ func TestRunQueueEnqueueOutOfRangePanics(t *testing.T) {
 			q.enqueue(rqThread(prio), false)
 		}()
 	}
+}
+
+// TestRunQueueDoubleEnqueuePanics checks that a queued thread cannot be
+// linked in a second time: its one pair of links would then thread two
+// queues at once and corrupt both.
+func TestRunQueueDoubleEnqueuePanics(t *testing.T) {
+	q := &runQueue{}
+	th := rqThread(50)
+	q.enqueue(th, false)
+	defer func() {
+		if r := recover(); r != "kernel: thread already enqueued" {
+			t.Fatalf("double enqueue panicked with %v, want the already-enqueued message", r)
+		}
+	}()
+	q.enqueue(th, true)
 }
 
 // TestRunQueueAgainstModel drives the bitmap run queue and a trivially

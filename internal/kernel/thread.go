@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rtseed/internal/engine"
-	"rtseed/internal/list"
 	"rtseed/internal/machine"
 	"rtseed/internal/trace"
 )
@@ -93,15 +92,13 @@ type Thread struct {
 	// from here when it finishes (finishService).
 	req request
 
-	// qnext/qprev link the thread into its run-queue priority level, and
-	// queued marks membership. A thread is in at most one ready queue, so
-	// the links live in the Thread itself: enqueueing touches no extra
-	// cache line and allocates nothing.
+	// qnext/qprev link the thread into the one threadFIFO it waits in: its
+	// run-queue priority level while ready, or the waiter list of one
+	// condition variable or mutex while blocked. A thread is never in two
+	// queues at once, so one pair of links serves them all. queued marks
+	// run-queue membership only.
 	qnext, qprev *Thread
 	queued       bool
-	// cvNode links the thread into a mutex or condition variable waiter
-	// list; it is pre-allocated at creation and reused.
-	cvNode *list.Node[*Thread]
 
 	// dispatchOp prices the next dispatch of this thread: OpDispatch for a
 	// wake-up from sleep (job release), OpContextSwitch otherwise.
@@ -186,11 +183,6 @@ func (k *Kernel) newThread(cfg ThreadConfig, body Body) (*Thread, error) {
 		stepFirst:  true,
 	}
 	t.tcb = TCB{t: t}
-	// The thread owns its waiter-list node for its whole lifetime:
-	// enqueueing links this pre-allocated node, so waiter lists never
-	// allocate on the scheduling path. (The ready queues use the intrusive
-	// qnext/qprev links and need no node at all.)
-	t.cvNode = &list.Node[*Thread]{Value: t}
 	// The pre-allocated per-thread callbacks below all run inside the
 	// engine's event dispatch.
 	//rtseed:kernelctx

@@ -192,7 +192,7 @@ func checkRetention(pass *lint.Pass, decl *ast.FuncDecl, sig *types.Signature, b
 		return true
 	})
 	bindRef := func(v *types.Var) {
-		if v != nil && referenceLike(v.Type()) {
+		if v != nil && lint.ReferenceLike(v.Type()) {
 			ck.paramObjs[v] = true
 		}
 	}
@@ -232,16 +232,6 @@ func checkRetention(pass *lint.Pass, decl *ast.FuncDecl, sig *types.Signature, b
 	}
 }
 
-// referenceLike reports whether a store through a value of this type is
-// visible to the caller: pointers, maps, slices, channels, interfaces.
-func referenceLike(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Map, *types.Slice, *types.Chan, *types.Interface:
-		return true
-	}
-	return false
-}
-
 func (c *retention) info() *types.Info { return c.pass.TypesInfo() }
 
 func (c *retention) transfer(n ast.Node, s dataflow.State[taint]) {
@@ -278,7 +268,7 @@ func (c *retention) assign(lhs, rhs ast.Expr, s dataflow.State[taint]) {
 	}
 	t, tainted := c.eval(rhs, s)
 	if tainted && c.escapes(lhs) {
-		c.flag(lhs.Pos(), t, "is stored in "+exprString(lhs)+", which outlives the step")
+		c.flag(lhs.Pos(), t, "is stored in "+lint.ExprString(lhs)+", which outlives the step")
 	}
 	if tainted {
 		s.Set(info, lhs, t)
@@ -362,12 +352,12 @@ func lookupAt(s dataflow.State[taint], k dataflow.Key) (taint, bool) {
 // named result — returning a handle to the caller stays within the step)
 // does not.
 func (c *retention) escapes(lhs ast.Expr) bool {
-	obj := rootObj(c.info(), lhs)
+	obj := lint.RootObj(c.info(), lhs)
 	if obj == nil {
 		return false
 	}
-	if obj.Parent() == c.pass.Pkg.Types.Scope() {
-		return true // package-level variable
+	if lint.IsPkgVar(obj) {
+		return true // package-level variable, of this package or another
 	}
 	if _, isIdent := ast.Unparen(lhs).(*ast.Ident); isIdent {
 		return false // a plain local copy stays within the step
@@ -389,46 +379,6 @@ func (c *retention) flag(pos token.Pos, t taint, how string) {
 	}
 	c.pass.Reportf(pos, "the %s %s; the kernel owns it only for the duration of one Step call (//rtseed:bodystep-ok <reason> to waive)",
 		t.what, how)
-}
-
-// rootObj walks selector/index/star/slice chains to the base identifier's
-// object, or nil when the base is not a named variable.
-func rootObj(info *types.Info, e ast.Expr) types.Object {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return rootObj(info, e.X)
-	case *ast.StarExpr:
-		return rootObj(info, e.X)
-	case *ast.UnaryExpr:
-		return rootObj(info, e.X)
-	case *ast.SelectorExpr:
-		return rootObj(info, e.X)
-	case *ast.IndexExpr:
-		return rootObj(info, e.X)
-	case *ast.SliceExpr:
-		return rootObj(info, e.X)
-	case *ast.Ident:
-		obj := info.ObjectOf(e)
-		if _, ok := obj.(*types.Var); !ok {
-			return nil
-		}
-		return obj
-	}
-	return nil
-}
-
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.StarExpr:
-		return exprString(e.X)
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[...]"
-	}
-	return "an escaping location"
 }
 
 // zeroNext is the may-zero checker: a key is present in the state exactly

@@ -163,7 +163,7 @@ func analyzeFunc(pass *lint.Pass, sums *summary.Set, decl *ast.FuncDecl, recv *a
 				if obj == nil {
 					continue
 				}
-				if refOnly && !referenceLike(obj.Type()) {
+				if refOnly && !lint.ReferenceLike(obj.Type()) {
 					continue
 				}
 				into[obj] = true
@@ -196,16 +196,6 @@ func analyzeFunc(pass *lint.Pass, sums *summary.Set, decl *ast.FuncDecl, recv *a
 		}
 		dataflow.Replay(b, state, reportProb, func(ast.Node, dataflow.State[taint]) {})
 	}
-}
-
-// referenceLike reports whether a store through a value of this type is
-// visible to the caller: pointers, maps, slices, channels, interfaces.
-func referenceLike(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Map, *types.Slice, *types.Chan, *types.Interface:
-		return true
-	}
-	return false
 }
 
 func (c *checker) info() *types.Info { return c.pass.TypesInfo() }
@@ -262,7 +252,7 @@ func (c *checker) rangeStmt(n *ast.RangeStmt, s dataflow.State[taint]) {
 	tainted := false
 	if tv, ok := info.Types[n.X]; ok && tv.Type != nil {
 		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-			t = taint{kind: kindMapOrder, what: "iteration over " + exprString(n.X), pos: n.Pos()}
+			t = taint{kind: kindMapOrder, what: "iteration over " + lint.ExprString(n.X), pos: n.Pos()}
 			tainted = true
 		}
 	}
@@ -291,7 +281,7 @@ func (c *checker) assign(lhs, rhs ast.Expr, s dataflow.State[taint]) {
 	}
 	t, tainted := c.eval(rhs, s)
 	if tainted && c.escapes(lhs) {
-		c.flag(lhs.Pos(), t, "is stored in "+exprString(lhs)+", which outlives this call")
+		c.flag(lhs.Pos(), t, "is stored in "+lint.ExprString(lhs)+", which outlives this call")
 	}
 	if _, keyable := dataflow.KeyOf(info, rhs); keyable {
 		s.Assign(info, lhs, rhs)
@@ -308,12 +298,12 @@ func (c *checker) assign(lhs, rhs ast.Expr, s dataflow.State[taint]) {
 // call: package variables, named results, and fields or elements reached
 // through reference-like parameters or captured variables.
 func (c *checker) escapes(lhs ast.Expr) bool {
-	obj := rootObj(c.info(), lhs)
+	obj := lint.RootObj(c.info(), lhs)
 	if obj == nil {
 		return false
 	}
-	if obj.Parent() == c.pass.Pkg.Types.Scope() {
-		return true // package-level variable
+	if lint.IsPkgVar(obj) {
+		return true // package-level variable, of this package or another
 	}
 	if _, isIdent := ast.Unparen(lhs).(*ast.Ident); isIdent {
 		return c.resultObjs[obj] // a plain local copy stays local
@@ -323,32 +313,6 @@ func (c *checker) escapes(lhs ast.Expr) bool {
 	}
 	// Captured from an enclosing function (or otherwise non-local).
 	return obj.Pos() < c.fnPos || obj.Pos() > c.fnEnd
-}
-
-// rootObj walks selector/index/star/slice chains to the base identifier's
-// object, or nil when the base is not a named variable.
-func rootObj(info *types.Info, e ast.Expr) types.Object {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return rootObj(info, e.X)
-	case *ast.StarExpr:
-		return rootObj(info, e.X)
-	case *ast.UnaryExpr:
-		return rootObj(info, e.X)
-	case *ast.SelectorExpr:
-		return rootObj(info, e.X)
-	case *ast.IndexExpr:
-		return rootObj(info, e.X)
-	case *ast.SliceExpr:
-		return rootObj(info, e.X)
-	case *ast.Ident:
-		obj := info.ObjectOf(e)
-		if _, ok := obj.(*types.Var); !ok {
-			return nil
-		}
-		return obj
-	}
-	return nil
 }
 
 // stmtCall handles a statement-position call: sort/slices calls sanitize
@@ -552,18 +516,4 @@ func (c *checker) flag(pos token.Pos, t taint, how string) {
 	}
 	c.pass.Reportf(pos, "%s value from %s (line %d) %s; a run is no longer a pure function of its seed (//rtseed:nondeterministic-ok <reason> to waive)",
 		t.kind, t.what, line, how)
-}
-
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.StarExpr:
-		return exprString(e.X)
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[...]"
-	}
-	return "an escaping location"
 }

@@ -169,12 +169,12 @@ func persistentTarget(pass *lint.Pass, lhs ast.Expr) *types.Var {
 			}
 		}
 		// Qualified package-level var (pkg.Var).
-		if v, ok := pass.TypesInfo().Uses[lhs.Sel].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+		if v, ok := pass.TypesInfo().Uses[lhs.Sel].(*types.Var); ok && lint.IsPkgVar(v) {
 			return v
 		}
 	case *ast.Ident:
 		v, ok := pass.TypesInfo().Uses[lhs].(*types.Var)
-		if ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+		if ok && lint.IsPkgVar(v) {
 			return v
 		}
 	}

@@ -204,8 +204,8 @@ func checkWorker(pass *lint.Pass, sums *summary.Set, decl *ast.FuncDecl, lit *as
 // captured name is still a shared write (the variable itself is shared);
 // package-level roots are the summary check's business, not this one's.
 func checkCapturedWrite(pass *lint.Pass, decl *ast.FuncDecl, info *types.Info, lit *ast.FuncLit, params map[types.Object]bool, expr ast.Expr) {
-	obj := rootObj(info, expr)
-	if obj == nil || params[obj] || isPkgLevel(obj) {
+	obj := lint.RootObj(info, expr)
+	if obj == nil || params[obj] || lint.IsPkgVar(obj) {
 		return
 	}
 	if obj.Pos() >= lit.Pos() && obj.Pos() <= lit.End() {
@@ -263,40 +263,6 @@ func report(pass *lint.Pass, decl *ast.FuncDecl, pos token.Pos, format string, a
 		return
 	}
 	pass.Reportf(pos, format+" (//rtseed:shared-ok <reason> to waive)", args...)
-}
-
-// isPkgLevel reports whether obj is declared at package scope.
-func isPkgLevel(obj types.Object) bool {
-	if obj.Pkg() == nil {
-		return false
-	}
-	return obj.Parent() == obj.Pkg().Scope()
-}
-
-// rootObj walks selector/index/star/slice chains to the base identifier's
-// variable object, or nil.
-func rootObj(info *types.Info, e ast.Expr) types.Object {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return rootObj(info, e.X)
-	case *ast.StarExpr:
-		return rootObj(info, e.X)
-	case *ast.UnaryExpr:
-		return rootObj(info, e.X)
-	case *ast.SelectorExpr:
-		return rootObj(info, e.X)
-	case *ast.IndexExpr:
-		return rootObj(info, e.X)
-	case *ast.SliceExpr:
-		return rootObj(info, e.X)
-	case *ast.Ident:
-		obj := info.ObjectOf(e)
-		if _, ok := obj.(*types.Var); !ok {
-			return nil
-		}
-		return obj
-	}
-	return nil
 }
 
 func exprString(e ast.Expr) string {

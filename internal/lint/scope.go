@@ -14,7 +14,7 @@ package lint
 var SimScopePackages = []string{
 	"engine", "kernel", "overhead", "analysis", "sweep", "sched",
 	"task", "machine", "partition", "assign", "core", "trace",
-	"cluster", "workload", "list", "report",
+	"cluster", "workload", "report",
 }
 
 // A ScopeExemption names an rtseed/internal package that is deliberately

@@ -139,7 +139,7 @@ func capturesOutside(info *types.Info, lit *ast.FuncLit) bool {
 			return true
 		}
 		v, ok := info.Uses[id].(*types.Var)
-		if !ok || v.IsField() || isPkgVar(v) {
+		if !ok || v.IsField() || lint.IsPkgVar(v) {
 			return true
 		}
 		if v.Pos() < lit.Pos() || v.Pos() > lit.End() {

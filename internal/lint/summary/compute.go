@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 
+	"rtseed/internal/lint"
 	"rtseed/internal/lint/callgraph"
 	"rtseed/internal/lint/dataflow"
 )
@@ -123,7 +124,7 @@ func (c *comp) bind() {
 			for _, name := range f.Names {
 				if obj := c.info.Defs[name]; obj != nil {
 					c.paramIdx[obj] = idx
-					if ref && referenceLike(obj.Type()) {
+					if ref && lint.ReferenceLike(obj.Type()) {
 						c.refParam[obj] = true
 					}
 				}
@@ -284,13 +285,13 @@ func (c *comp) assign(lhs, rhs ast.Expr, s dataflow.State[label]) {
 // through a reference-like input, or captured variable. via is the callee
 // performing the write for call-mediated writes, nil for direct stores.
 func (c *comp) recordWrite(lhs ast.Expr, pos token.Pos, via *callgraph.Node) {
-	obj := rootObj(c.info, lhs)
+	obj := lint.RootObj(c.info, lhs)
 	if obj == nil {
 		return
 	}
 	_, plain := ast.Unparen(lhs).(*ast.Ident)
 	switch {
-	case isPkgVar(obj):
+	case lint.IsPkgVar(obj):
 		c.addGlobalWrite(obj, &WriteWitness{Pos: pos, Func: c.node, Via: via})
 	case hasParam(c.paramIdx, obj):
 		// Rebinding the parameter name itself is local; writing through a
@@ -313,11 +314,11 @@ func hasParam(m map[types.Object]int, obj types.Object) bool {
 // captured variables. Named results are not escapes here — their values
 // surface at return statements as ReturnTaint/ReturnFromParam instead.
 func (c *comp) storeEscapes(lhs ast.Expr) bool {
-	obj := rootObj(c.info, lhs)
+	obj := lint.RootObj(c.info, lhs)
 	if obj == nil {
 		return false
 	}
-	if isPkgVar(obj) {
+	if lint.IsPkgVar(obj) {
 		return true
 	}
 	if _, plain := ast.Unparen(lhs).(*ast.Ident); plain {

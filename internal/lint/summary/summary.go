@@ -462,58 +462,3 @@ func nodeBody(n *callgraph.Node) *ast.BlockStmt {
 	}
 	return nil
 }
-
-// isPkgVar reports whether obj is a package-level variable (of any loaded
-// or imported package).
-func isPkgVar(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok || v.Pkg() == nil {
-		return false
-	}
-	return v.Parent() == v.Pkg().Scope()
-}
-
-// rootObj walks selector/index/star/slice chains to the base variable: the
-// object whose storage a write to the expression mutates. Unlike detflow's
-// intraprocedural twin it also resolves qualified identifiers (pkg.Var), so
-// cross-package variable writes land in GlobalWrites.
-func rootObj(info *types.Info, e ast.Expr) types.Object {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return rootObj(info, e.X)
-	case *ast.StarExpr:
-		return rootObj(info, e.X)
-	case *ast.UnaryExpr:
-		return rootObj(info, e.X)
-	case *ast.SelectorExpr:
-		if _, ok := info.Selections[e]; !ok {
-			// A qualified identifier (pkg.Var), not a field selection.
-			if obj, ok := info.Uses[e.Sel].(*types.Var); ok {
-				return obj
-			}
-			return nil
-		}
-		return rootObj(info, e.X)
-	case *ast.IndexExpr:
-		return rootObj(info, e.X)
-	case *ast.SliceExpr:
-		return rootObj(info, e.X)
-	case *ast.Ident:
-		obj := info.ObjectOf(e)
-		if _, ok := obj.(*types.Var); !ok {
-			return nil
-		}
-		return obj
-	}
-	return nil
-}
-
-// referenceLike reports whether a store through a value of this type is
-// visible to the caller: pointers, maps, slices, channels, interfaces.
-func referenceLike(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Map, *types.Slice, *types.Chan, *types.Interface:
-		return true
-	}
-	return false
-}

@@ -36,6 +36,11 @@ func loadMode() {
 	mode = os.Getenv("RTSEED_MODE") // want `environment-dependent value from os\.Getenv \(line \d+\) is stored in mode`
 }
 
+// Flagged: wall clock stored into another package's variable.
+func stampArgs() {
+	os.Args = []string{time.Now().String()} // want `wall-clock value from time\.Now \(line \d+\) is stored in os\.Args, which outlives this call`
+}
+
 // Flagged: global rand into a return value, laundered through locals.
 func jitter(n int) int {
 	j := rand.Intn(n)

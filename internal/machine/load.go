@@ -1,5 +1,7 @@
 package machine
 
+import "fmt"
+
 // Load is the background load condition of the overhead experiments
 // (paper §V-B): no background tasks, infinite CPU-bound loops on every
 // hardware thread, or 512 KB (one L2's worth) read/write loops on every
@@ -36,3 +38,16 @@ func (l Load) String() string {
 
 // Valid reports whether l is one of the three defined loads.
 func (l Load) Valid() bool { return l >= NoLoad && l <= CPUMemoryLoad }
+
+// loadNames are the loads' command-line names, indexed by Load.
+var loadNames = [...]string{NoLoad: "none", CPULoad: "cpu", CPUMemoryLoad: "cpumem"}
+
+// ParseLoad maps a command-line name (none, cpu, cpumem) to its Load.
+func ParseLoad(s string) (Load, error) {
+	for _, l := range Loads() {
+		if loadNames[l] == s {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown load %q (want none, cpu, cpumem)", s)
+}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -83,6 +84,27 @@ func TestLoadStrings(t *testing.T) {
 	}
 	if Load(0).Valid() || Load(99).Valid() {
 		t.Fatal("invalid loads must not validate")
+	}
+}
+
+func TestParseLoad(t *testing.T) {
+	names := []struct {
+		name string
+		want Load
+	}{{"none", NoLoad}, {"cpu", CPULoad}, {"cpumem", CPUMemoryLoad}}
+	if len(names) != len(Loads()) {
+		t.Fatalf("%d names for %d loads", len(names), len(Loads()))
+	}
+	for _, c := range names {
+		got, err := ParseLoad(c.name)
+		if err != nil || got != c.want || loadNames[got] != c.name {
+			t.Errorf("ParseLoad(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{"", "gpu", "CPU", "No load"} {
+		if _, err := ParseLoad(bad); err == nil || !strings.Contains(err.Error(), "want none, cpu, cpumem") {
+			t.Errorf("ParseLoad(%q) error = %v, want one naming the loads", bad, err)
+		}
 	}
 }
 
