@@ -136,9 +136,10 @@ workload-smoke:
 
 # fuzz-smoke runs each fuzz target for a short, bounded burst: long enough to
 # trip a regression in the engine-vs-oracle equivalence, the kernel's
-# random-program invariants, the trace and workload codec round trips, or
-# the spec parsers, short enough for every CI run. `go test -fuzz` accepts a single
-# target per invocation, so each gets its own line.
+# random-program invariants, the trace and workload codec round trips, the
+# spec parsers, or the commands' flag validation, short enough for every CI
+# run. `go test -fuzz` accepts a single target per invocation, so each gets
+# its own line.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzEngineVsOracle -fuzztime=30s ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzTraceCodec -fuzztime=30s ./internal/trace
@@ -147,6 +148,13 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadCodec -fuzztime=30s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=30s ./internal/task
+	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-analyze
+	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-repro
+	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-overhead
+	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-sim
+	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-cluster
+	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-trace
+	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-trade
 
 # bench-json runs the scheduling-core benchmarks (engine, kernel hot paths,
 # many-task scaling, tracing overhead, cluster fan-out, workload

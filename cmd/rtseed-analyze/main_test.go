@@ -97,3 +97,20 @@ func TestRunFromTaskFile(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// FuzzParseFlags parses arbitrary command lines: parseFlags must never
+// panic, and every command line it accepts must be runnable.
+func FuzzParseFlags(f *testing.F) {
+	for _, seed := range []string{"", "-accept -accept-n 6 -accept-sets 20", "-accept -workers 0", "-m 4 -tasks a:m=1ms,w=1ms,T=10ms", "-taskfile set.json", "-h"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(testFlagSet(), strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if o.workers < 1 {
+			t.Fatalf("%q accepted with workers %d", line, o.workers)
+		}
+	})
+}

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"rtseed/internal/golden"
 	"rtseed/internal/workload"
 )
 
@@ -144,4 +146,34 @@ func TestSpecAndReplayFlags(t *testing.T) {
 	if _, err := parseFlags(fs, testArgs("-spec", "flash-crash", "-replay", trPath)); err == nil {
 		t.Error("-spec with -replay parsed, want error")
 	}
+}
+
+// TestGoldenReport pins the bytes of `rtseed-cluster -quick`; the
+// wall-clock timing line goes to a separate writer and is left out.
+func TestGoldenReport(t *testing.T) {
+	golden.Check(t, "rtseed-cluster -quick", []byte(runWithArgs(t, []string{"-quick"})))
+}
+
+// FuzzParseFlags parses arbitrary command lines: parseFlags must never
+// panic, and every command line it accepts must be runnable.
+func FuzzParseFlags(f *testing.F) {
+	for _, seed := range []string{"", "-quick", "-quick -machines 16", "-clients 0", "-horizon -1s -quick",
+		"-spec steady -replay a.rtk", "-policy affinity -load cpu -workers 3", "-h"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		fs := flag.NewFlagSet("rtseed-cluster", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		o, err := parseFlags(fs, strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if o.clients < 1 || o.machines < 1 || o.horizon <= 0 || o.workers < 1 {
+			t.Fatalf("%q accepted with clients %d, machines %d, horizon %v, workers %d",
+				line, o.clients, o.machines, o.horizon, o.workers)
+		}
+		if o.spec != "" && o.replay != "" {
+			t.Fatalf("%q accepted with both -spec and -replay", line)
+		}
+	})
 }

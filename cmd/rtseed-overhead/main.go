@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rtseed/internal/assign"
@@ -78,9 +79,9 @@ func main() {
 		os.Exit(1)
 	}
 	if o.dist {
-		err = runDistributions(o.jobs, o.seed)
+		err = runDistributions(os.Stdout, o.jobs, o.seed)
 	} else {
-		err = run(o.fig, o.jobs, o.quick, o.seed, o.csvPath, o.workers)
+		err = run(os.Stdout, o.fig, o.jobs, o.quick, o.seed, o.csvPath, o.workers)
 	}
 	if perr := stop(); err == nil {
 		err = perr
@@ -91,9 +92,9 @@ func main() {
 	}
 }
 
-// runDistributions prints per-overhead latency distributions at the
-// worst-case operating point (np=228, One by One).
-func runDistributions(jobs int, seed uint64) error {
+// runDistributions writes per-overhead latency distributions at the
+// worst-case operating point (np=228, One by One) to w.
+func runDistributions(w io.Writer, jobs int, seed uint64) error {
 	for _, load := range machine.Loads() {
 		m, err := overhead.Run(overhead.Config{
 			Load:     load,
@@ -105,18 +106,19 @@ func runDistributions(jobs int, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Overhead distributions — %s, np=228, One by One, %d jobs\n", load, jobs)
+		fmt.Fprintf(w, "Overhead distributions — %s, np=228, One by One, %d jobs\n", load, jobs)
 		tbl := report.NewTable("overhead", "mean", "p50", "p95", "p99", "max", "stddev")
 		for _, kind := range overhead.Kinds() {
 			d := m.Distribution(kind)
 			tbl.AddRow(kind.String(), d.Mean, d.P50, d.P95, d.P99, d.Max, d.StdDev)
 		}
-		fmt.Println(tbl)
+		fmt.Fprintln(w, tbl)
 	}
 	return nil
 }
 
-func run(fig, jobs int, quick bool, seed uint64, csvPath string, workers int) error {
+// run writes the selected figures of the sweep to w.
+func run(w io.Writer, fig, jobs int, quick bool, seed uint64, csvPath string, workers int) error {
 	cfg := overhead.SweepConfig{Jobs: jobs, Seed: seed, Workers: workers}
 	if quick {
 		cfg = cfg.Quick()
@@ -141,7 +143,7 @@ func run(fig, jobs int, quick bool, seed uint64, csvPath string, workers int) er
 			if fd == nil {
 				continue
 			}
-			fmt.Printf("Figure %d (%s) — %s — mean over %d jobs\n",
+			fmt.Fprintf(w, "Figure %d (%s) — %s — mean over %d jobs\n",
 				kind.Figure(), kind, load, cfg.Jobs)
 			tbl := report.NewTable(append([]string{"np"}, policyNames(fd)...)...)
 			for i, pt := range fd.Series[0].Points {
@@ -151,7 +153,7 @@ func run(fig, jobs int, quick bool, seed uint64, csvPath string, workers int) er
 				}
 				tbl.AddRow(row...)
 			}
-			fmt.Println(tbl)
+			fmt.Fprintln(w, tbl)
 		}
 	}
 	if csvPath != "" {
@@ -163,7 +165,7 @@ func run(fig, jobs int, quick bool, seed uint64, csvPath string, workers int) er
 		if err := overhead.WriteCSV(f, allFigs); err != nil {
 			return err
 		}
-		fmt.Printf("CSV written to %s\n", csvPath)
+		fmt.Fprintf(w, "CSV written to %s\n", csvPath)
 	}
 	return nil
 }

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"runtime"
 	"strings"
 	"testing"
+
+	"rtseed/internal/golden"
 )
 
 func testFlagSet() *flag.FlagSet {
@@ -66,26 +69,26 @@ func TestParseFlagsRejectsNonPositiveJobs(t *testing.T) {
 }
 
 func TestRunQuickSingleFigure(t *testing.T) {
-	if err := run(13, 3, true, 0, "", 2); err != nil {
+	if err := run(io.Discard, 13, 3, true, 0, "", 2); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	if err := run(99, 3, true, 0, "", 2); err == nil {
+	if err := run(io.Discard, 99, 3, true, 0, "", 2); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
 }
 
 func TestRunWithCSV(t *testing.T) {
 	path := t.TempDir() + "/figs.csv"
-	if err := run(10, 2, true, 0, path, 2); err != nil {
+	if err := run(io.Discard, 10, 2, true, 0, path, 2); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunDistributions(t *testing.T) {
-	if err := runDistributions(3, 0); err != nil {
+	if err := runDistributions(io.Discard, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -101,4 +104,34 @@ func TestParseFlagsProfilePaths(t *testing.T) {
 	if o, err = parseFlags(testFlagSet(), nil); err != nil || o.cpuprofile != "" || o.memprofile != "" {
 		t.Errorf("profiling not off by default: %+v (err %v)", o, err)
 	}
+}
+
+// TestGoldenReport pins the bytes of `rtseed-overhead -quick`.
+func TestGoldenReport(t *testing.T) {
+	o, err := parseFlags(testFlagSet(), []string{"-quick"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, o.fig, o.jobs, o.quick, o.seed, o.csvPath, o.workers); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "rtseed-overhead -quick", buf.Bytes())
+}
+
+// FuzzParseFlags parses arbitrary command lines: parseFlags must never
+// panic, and every command line it accepts must be runnable.
+func FuzzParseFlags(f *testing.F) {
+	for _, seed := range []string{"", "-quick", "-fig 11 -jobs 5 -workers 3", "-jobs 0", "-workers -1", "-dist -seed 9", "-h"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(testFlagSet(), strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if o.jobs < 1 || o.workers < 1 {
+			t.Fatalf("%q accepted with jobs %d, workers %d", line, o.jobs, o.workers)
+		}
+	})
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rtseed/internal/golden"
 	"rtseed/internal/trace"
 )
 
@@ -155,4 +156,38 @@ func TestParseFlagsProfilePaths(t *testing.T) {
 	if o, err = parseFlags(testFlagSet(), nil); err != nil || o.cpuprofile != "" || o.memprofile != "" {
 		t.Errorf("profiling not off by default: %+v (err %v)", o, err)
 	}
+}
+
+// TestGoldenReport pins the bytes of `rtseed-repro -quick`. A fixed clock
+// leaves the wall-clock footer out: it reads "Generated in 0s.".
+func TestGoldenReport(t *testing.T) {
+	orig := now
+	defer func() { now = orig }()
+	now = func() time.Time { return time.Unix(0, 0) }
+	o, err := parseFlags(testFlagSet(), []string{"-quick"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, o.jobs, o.quick, o.workers); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "rtseed-repro -quick", buf.Bytes())
+}
+
+// FuzzParseFlags parses arbitrary command lines: parseFlags must never
+// panic, and every command line it accepts must be runnable.
+func FuzzParseFlags(f *testing.F) {
+	for _, seed := range []string{"", "-quick", "-jobs 3 -workers 2 -o r.md", "-jobs 0", "-workers 0", "-trace a.rtt -quick", "-h"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(testFlagSet(), strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if o.jobs < 1 || o.workers < 1 {
+			t.Fatalf("%q accepted with jobs %d, workers %d", line, o.jobs, o.workers)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"strings"
 	"testing"
 )
@@ -73,4 +74,24 @@ func TestParseFlagsErrors(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+}
+
+// FuzzParseFlags parses arbitrary command lines: parseFlags must never
+// panic, and every command line it accepts must be runnable.
+func FuzzParseFlags(f *testing.F) {
+	for _, seed := range []string{"", "-sched general -horizon 300ms", "-horizon 0", "-policy two -load cpumem",
+		"-tasks a:m=1ms,w=1ms,T=10ms -trace -gantt", "-margin -1s", "-h"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		fs := flag.NewFlagSet("rtseed-sim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		o, err := parseFlags(fs, strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if o.horizon <= 0 {
+			t.Fatalf("%q accepted with horizon %v", line, o.horizon)
+		}
+	})
 }

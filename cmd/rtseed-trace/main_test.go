@@ -148,3 +148,20 @@ func TestRunRejectsMissingAndCorruptFiles(t *testing.T) {
 		t.Fatal("corrupt file accepted")
 	}
 }
+
+// FuzzParseFlags parses arbitrary command lines: parseFlags must never
+// panic, and every command line it accepts must name one trace file.
+func FuzzParseFlags(f *testing.F) {
+	for _, seed := range []string{"", "t.rtt", "-hist -misses -util 4 -check t.rtt", "-util -1 t.rtt", "a.rtt b.rtt", "-perfetto p.json t.rtt", "-h"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(testFlagSet(), strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if o.util < 0 || o.file == "" {
+			t.Fatalf("%q accepted with util %d, file %q", line, o.util, o.file)
+		}
+	})
+}

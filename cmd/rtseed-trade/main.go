@@ -16,16 +16,21 @@
 // -replay trades against the market ticks recorded in a .rtk workload trace
 // (rtseed-workload gen) instead of the synthetic generator, looping the
 // recording so all -ticks jobs complete; -symbol restricts the recording to
-// one symbol's quotes.
+// one symbol's quotes and needs -replay.
 //
 // -odscale scales the optional-part execution time relative to the optional
 // deadline: >1 means the analyses always overrun and are terminated
 // (imprecise but timely), <1 means they complete (precise).
+//
+// Flag errors exit 2: -ticks below 1, a negative or non-finite -odscale,
+// -symbol without -replay, and -replay with -feed.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"time"
 
@@ -42,26 +47,71 @@ import (
 	"rtseed/internal/workload"
 )
 
-func main() {
-	ticks := flag.Int("ticks", 300, "number of 1s ticks (jobs) to trade")
-	policyName := flag.String("policy", "one", "assignment policy: one, two, all")
-	loadName := flag.String("load", "none", "background load: none, cpu, cpumem")
-	odScale := flag.Float64("odscale", 2.0, "optional execution time as a multiple of the optional deadline headroom")
-	seed := flag.Uint64("seed", 0xfeed, "feed seed")
-	sweep := flag.Bool("sweep", false, "sweep the number of parallel optional parts and report the QoS/latency trade-off instead")
-	feedAddr := flag.String("feed", "", "dial a rtseed-feedd quote server instead of the in-process generator")
-	tracePath := flag.String("trace", "", "write a binary trace of the run to this file (analyze with rtseed-trace)")
-	replayPath := flag.String("replay", "", "trade the ticks recorded in this .rtk workload trace, looping the recording")
-	symbol := flag.Int("symbol", -1, "with -replay, trade only this symbol's ticks (-1: all)")
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	ticks     int
+	policy    assign.Policy
+	load      machine.Load
+	odScale   float64
+	seed      uint64
+	sweep     bool
+	feedAddr  string
+	tracePath string
+	replay    string
+	symbol    int
+}
+
+// parseFlags registers the command's flags on fs, parses args, and
+// validates the result. The flag set is injected so tests can parse without
+// touching the process-global flag.CommandLine.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	var policyName, loadName string
+	fs.IntVar(&o.ticks, "ticks", 300, "number of 1s ticks (jobs) to trade")
+	fs.StringVar(&policyName, "policy", "one", "assignment policy: one, two, all")
+	fs.StringVar(&loadName, "load", "none", "background load: none, cpu, cpumem")
+	fs.Float64Var(&o.odScale, "odscale", 2.0, "optional execution time as a multiple of the optional deadline headroom")
+	fs.Uint64Var(&o.seed, "seed", 0xfeed, "feed seed")
+	fs.BoolVar(&o.sweep, "sweep", false, "sweep the number of parallel optional parts and report the QoS/latency trade-off instead")
+	fs.StringVar(&o.feedAddr, "feed", "", "dial a rtseed-feedd quote server instead of the in-process generator")
+	fs.StringVar(&o.tracePath, "trace", "", "write a binary trace of the run to this file (analyze with rtseed-trace)")
+	fs.StringVar(&o.replay, "replay", "", "trade the ticks recorded in this .rtk workload trace, looping the recording")
+	fs.IntVar(&o.symbol, "symbol", -1, "with -replay, trade only this symbol's ticks (-1: all)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 	var err error
-	switch {
-	case *sweep:
-		err = runSweep(*policyName, *loadName)
-	case *replayPath != "" && *feedAddr != "":
-		err = fmt.Errorf("-replay and -feed are mutually exclusive")
-	default:
-		err = run(*ticks, *policyName, *loadName, *feedAddr, *replayPath, *symbol, *tracePath, *odScale, *seed)
+	if o.policy, err = assign.ParsePolicy(policyName); err != nil {
+		return nil, err
+	}
+	if o.load, err = machine.ParseLoad(loadName); err != nil {
+		return nil, err
+	}
+	if o.ticks < 1 {
+		return nil, fmt.Errorf("-ticks %d: want at least 1 tick", o.ticks)
+	}
+	if o.odScale < 0 || math.IsNaN(o.odScale) || math.IsInf(o.odScale, 0) {
+		return nil, fmt.Errorf("-odscale %v: want a finite, non-negative multiple", o.odScale)
+	}
+	if o.replay != "" && o.feedAddr != "" {
+		return nil, fmt.Errorf("-replay and -feed are mutually exclusive")
+	}
+	if o.symbol != -1 && o.replay == "" {
+		return nil, fmt.Errorf("-symbol %d: only -replay filters by symbol", o.symbol)
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rtseed-trade:", err)
+		os.Exit(2)
+	}
+	if o.sweep {
+		err = runSweep(os.Stdout, o.policy, o.load)
+	} else {
+		err = run(os.Stdout, o)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-trade:", err)
@@ -69,27 +119,19 @@ func main() {
 	}
 }
 
-// runSweep prints the conclusion's trade-off: useful analysis work versus
-// decision latency as the number of parallel optional parts grows.
-func runSweep(policyName, loadName string) error {
-	pol, err := assign.ParsePolicy(policyName)
-	if err != nil {
-		return err
-	}
-	load, err := machine.ParseLoad(loadName)
-	if err != nil {
-		return err
-	}
+// runSweep writes the conclusion's trade-off to w: useful analysis work
+// versus decision latency as the number of parallel optional parts grows.
+func runSweep(w io.Writer, pol assign.Policy, load machine.Load) error {
 	points, err := overhead.QoSSweep(load, pol, nil, 20, 0xfeed, 0)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("QoS/latency trade-off (%v, %v): pick np where marginal work still beats the added latency\n", load, pol)
+	fmt.Fprintf(w, "QoS/latency trade-off (%v, %v): pick np where marginal work still beats the added latency\n", load, pol)
 	tbl := report.NewTable("np", "useful analysis work/job", "decision latency", "misses")
 	for _, p := range points {
 		tbl.AddRow(p.NumParts, p.UsefulWork, p.DecisionLatency, p.DeadlineMisses)
 	}
-	fmt.Println(tbl)
+	fmt.Fprintln(w, tbl)
 	return nil
 }
 
@@ -99,16 +141,8 @@ type localSource struct{ f *trading.Feed }
 // NextTick implements trading.Source.
 func (s localSource) NextTick() (trading.Tick, error) { return s.f.Next(), nil }
 
-func run(ticks int, policyName, loadName, feedAddr, replayPath string, symbol int, tracePath string, odScale float64, seed uint64) error {
-	pol, err := assign.ParsePolicy(policyName)
-	if err != nil {
-		return err
-	}
-	load, err := machine.ParseLoad(loadName)
-	if err != nil {
-		return err
-	}
-
+// run trades o.ticks ticks and writes the run's report to w.
+func run(w io.Writer, o *options) error {
 	// The paper's task: T = 1s (one OANDA tick per second), m = w = 250ms.
 	const (
 		period   = time.Second
@@ -121,32 +155,32 @@ func run(ticks int, policyName, loadName, feedAddr, replayPath string, symbol in
 
 	var source trading.Source
 	switch {
-	case replayPath != "":
-		tr, err := workload.ReadFile(replayPath)
+	case o.replay != "":
+		tr, err := workload.ReadFile(o.replay)
 		if err != nil {
 			return err
 		}
-		feed, err := trading.NewTraceReplay(tr, symbol)
+		feed, err := trading.NewTraceReplay(tr, o.symbol)
 		if err != nil {
-			return fmt.Errorf("%s: %w", replayPath, err)
+			return fmt.Errorf("%s: %w", o.replay, err)
 		}
 		source = feed
-	case feedAddr != "":
-		nf, err := trading.DialFeed(feedAddr)
+	case o.feedAddr != "":
+		nf, err := trading.DialFeed(o.feedAddr)
 		if err != nil {
 			return err
 		}
 		defer nf.Close()
 		source = nf
 	default:
-		feed, err := trading.NewFeed(trading.FeedConfig{Seed: seed, Volatility: 0.002})
+		feed, err := trading.NewFeed(trading.FeedConfig{Seed: o.seed, Volatility: 0.002})
 		if err != nil {
 			return err
 		}
 		source = localSource{feed}
 	}
 	indicators := append(trading.DefaultTechnical(),
-		trading.Fundamental{Series: trading.SyntheticMacro(ticks/10+2, 10, seed+1), Trend: 5})
+		trading.Fundamental{Series: trading.SyntheticMacro(o.ticks/10+2, 10, o.seed+1), Trend: 5})
 	pipe, err := trading.NewPipelineFrom(source, indicators, trading.NewEngine(), trading.NewBroker(), 0)
 	if err != nil {
 		return err
@@ -154,16 +188,16 @@ func run(ticks int, policyName, loadName, feedAddr, replayPath string, symbol in
 
 	// Optional-part execution time relative to the OD headroom after the
 	// mandatory part (od - m = 500ms of optional execution window).
-	optExec := time.Duration(odScale * float64(od-mPart))
+	optExec := time.Duration(o.odScale * float64(od-mPart))
 
-	mach, err := machine.New(machine.XeonPhi3120A(), load, machine.DefaultCostModel(), seed)
+	mach, err := machine.New(machine.XeonPhi3120A(), o.load, machine.DefaultCostModel(), o.seed)
 	if err != nil {
 		return err
 	}
 	k := kernel.New(engine.New(), mach)
 	var traceFile *os.File
-	if tracePath != "" {
-		traceFile, err = os.Create(tracePath)
+	if o.tracePath != "" {
+		traceFile, err = os.Create(o.tracePath)
 		if err != nil {
 			return err
 		}
@@ -173,7 +207,7 @@ func run(ticks int, policyName, loadName, feedAddr, replayPath string, symbol in
 		}))
 	}
 	np := pipe.NumOptional()
-	cpus, err := assign.HWThreads(mach.Topology(), pol, np)
+	cpus, err := assign.HWThreads(mach.Topology(), o.policy, np)
 	if err != nil {
 		return err
 	}
@@ -183,7 +217,7 @@ func run(ticks int, policyName, loadName, feedAddr, replayPath string, symbol in
 		MandatoryCPU:      0,
 		OptionalCPUs:      cpus,
 		OptionalDeadline:  od,
-		Jobs:              ticks,
+		Jobs:              o.ticks,
 		App: core.App{
 			OnMandatory: pipe.OnMandatory,
 			OnOptional:  pipe.OnOptional,
@@ -206,8 +240,8 @@ func run(ticks int, policyName, loadName, feedAddr, replayPath string, symbol in
 	}
 
 	st := p.Stats()
-	fmt.Printf("RT-Seed trading run: %d jobs, np=%d (%v), %v, optional exec %v vs OD %v\n",
-		st.Jobs, np, pol, load, optExec, od)
+	fmt.Fprintf(w, "RT-Seed trading run: %d jobs, np=%d (%v), %v, optional exec %v vs OD %v\n",
+		st.Jobs, np, o.policy, o.load, optExec, od)
 	tbl := report.NewTable("metric", "value")
 	tbl.AddRow("deadline misses", st.DeadlineMisses)
 	tbl.AddRow("mean QoS (part progress)", st.MeanQoS)
@@ -224,6 +258,6 @@ func run(ticks int, policyName, loadName, feedAddr, replayPath string, symbol in
 	tbl.AddRow("per-tick Sharpe", fmt.Sprintf("%.3f", met.Sharpe))
 	tbl.AddRow("hit rate", fmt.Sprintf("%.2f", met.HitRate))
 	tbl.AddRow("feed errors", pipe.SourceErrors())
-	fmt.Println(tbl)
+	fmt.Fprintln(w, tbl)
 	return nil
 }

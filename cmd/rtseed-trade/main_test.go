@@ -1,26 +1,62 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
+	"math"
 	"net"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"rtseed/internal/assign"
+	"rtseed/internal/golden"
+	"rtseed/internal/machine"
 	"rtseed/internal/trace"
 	"rtseed/internal/trading"
 	"rtseed/internal/workload"
 )
 
+func testFlagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("rtseed-trade", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return fs
+}
+
+// runArgs parses args as the command line and runs the trade, returning
+// the report.
+func runArgs(args ...string) (string, error) {
+	o, err := parseFlags(testFlagSet(), args)
+	if err != nil {
+		return "", err
+	}
+	var buf bytes.Buffer
+	err = run(&buf, o)
+	return buf.String(), err
+}
+
 func TestRunShortTrade(t *testing.T) {
-	if err := run(20, "one", "none", "", "", -1, "", 2.0, 7); err != nil {
+	if _, err := runArgs("-ticks", "20", "-seed", "7"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunPreciseMode(t *testing.T) {
-	if err := run(10, "all", "cpu", "", "", -1, "", 0.5, 7); err != nil {
+	if _, err := runArgs("-ticks", "10", "-policy", "all", "-load", "cpu", "-odscale", "0.5", "-seed", "7"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGoldenReport pins the bytes of `rtseed-trade -ticks 30`.
+func TestGoldenReport(t *testing.T) {
+	out, err := runArgs("-ticks", "30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "rtseed-trade -ticks 30", []byte(out))
 }
 
 // -trace captures the trading run: the decoded file's per-task job count
@@ -28,7 +64,7 @@ func TestRunPreciseMode(t *testing.T) {
 func TestRunWritesTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trade.rtt")
 	const ticks = 12
-	if err := run(ticks, "one", "none", "", "", -1, path, 2.0, 7); err != nil {
+	if _, err := runArgs("-ticks", strconv.Itoa(ticks), "-trace", path, "-seed", "7"); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := trace.ReadFile(path)
@@ -52,18 +88,71 @@ func TestRunWritesTrace(t *testing.T) {
 }
 
 func TestRunSweep(t *testing.T) {
-	if err := runSweep("two", "cpumem"); err != nil {
+	if err := runSweep(io.Discard, assign.TwoByTwo, machine.CPUMemoryLoad); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadArgs(t *testing.T) {
-	if err := run(10, "bogus", "none", "", "", -1, "", 1, 7); err == nil {
+	if _, err := runArgs("-ticks", "10", "-policy", "bogus"); err == nil {
 		t.Fatal("bad policy accepted")
 	}
-	if err := run(10, "one", "bogus", "", "", -1, "", 1, 7); err == nil {
+	if _, err := runArgs("-ticks", "10", "-load", "bogus"); err == nil {
 		t.Fatal("bad load accepted")
 	}
+}
+
+// TestParseFlagsErrors covers the rejection paths: each command line used
+// to fail inside the simulation, or to ignore a flag, instead of being
+// refused with a message that names the flag.
+func TestParseFlagsErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-ticks", "0"}, "-ticks"},
+		{[]string{"-ticks", "-5"}, "-ticks"},
+		{[]string{"-odscale", "-1"}, "-odscale"},
+		{[]string{"-odscale", "NaN"}, "-odscale"},
+		{[]string{"-odscale", "+Inf"}, "-odscale"},
+		{[]string{"-odscale", "-Inf"}, "-odscale"},
+		{[]string{"-symbol", "3"}, "-symbol"},
+		{[]string{"-symbol", "-2"}, "-symbol"},
+		{[]string{"-replay", "a.rtk", "-feed", "127.0.0.1:7070"}, "-feed"},
+		{[]string{"-policy", "bogus"}, "policy"},
+		{[]string{"-load", "gpu"}, "load"},
+	} {
+		_, err := parseFlags(testFlagSet(), c.args)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("args %v: error %v, want one naming %s", c.args, err, c.flag)
+		}
+	}
+	for _, args := range [][]string{{"-odscale", "0"}, {"-ticks", "1"}, {"-symbol", "-1"}, {"-replay", "a.rtk", "-symbol", "4"}} {
+		if _, err := parseFlags(testFlagSet(), args); err != nil {
+			t.Errorf("args %v: %v, want accepted", args, err)
+		}
+	}
+}
+
+// FuzzParseFlags parses arbitrary command lines: parseFlags must never
+// panic, and every command line it accepts must be runnable.
+func FuzzParseFlags(f *testing.F) {
+	for _, seed := range []string{"", "-ticks 30", "-ticks 0", "-odscale NaN", "-symbol 4294967296",
+		"-replay m.rtk -symbol 2", "-sweep -policy two -load cpumem", "-feed :7070 -replay m.rtk", "-h"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(testFlagSet(), strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if o.ticks < 1 || !(o.odScale >= 0) || math.IsInf(o.odScale, 1) {
+			t.Fatalf("%q accepted with ticks %d, odscale %v", line, o.ticks, o.odScale)
+		}
+		if o.replay == "" && o.symbol != -1 || o.replay != "" && o.feedAddr != "" {
+			t.Fatalf("%q accepted with replay %q, symbol %d, feed %q", line, o.replay, o.symbol, o.feedAddr)
+		}
+	})
 }
 
 // End-to-end over TCP: a feed daemon serves ticks and the trading run
@@ -80,7 +169,7 @@ func TestRunAgainstNetworkFeed(t *testing.T) {
 	srv := trading.NewFeedServer(feed)
 	go srv.Serve(ln, 1000)
 	defer srv.Close()
-	if err := run(15, "one", "none", ln.Addr().String(), "", -1, "", 2.0, 7); err != nil {
+	if _, err := runArgs("-ticks", "15", "-feed", ln.Addr().String(), "-seed", "7"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -103,13 +192,13 @@ func TestRunReplayTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 25 jobs > 40 recorded ticks per symbol once filtered: looping covers it.
-	if err := run(25, "one", "none", "", path, -1, "", 2.0, 7); err != nil {
+	if _, err := runArgs("-ticks", "25", "-replay", path, "-seed", "7"); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(5, "one", "none", "", "/nonexistent.rtk", -1, "", 2.0, 7); err == nil {
+	if _, err := runArgs("-ticks", "5", "-replay", "/nonexistent.rtk", "-seed", "7"); err == nil {
 		t.Fatal("missing replay file accepted")
 	}
-	if err := run(5, "one", "none", "", path, 1<<20, "", 2.0, 7); err == nil {
+	if _, err := runArgs("-ticks", "5", "-replay", path, "-symbol", strconv.Itoa(1<<20), "-seed", "7"); err == nil {
 		t.Fatal("absent symbol accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -47,10 +48,14 @@ func (f *ReplayFeed) NextTick() (Tick, error) {
 func (f *ReplayFeed) Len() int { return len(f.ticks) }
 
 // NewTraceReplay replays the tick section of a decoded .rtk workload trace
-// as a looping feed, restricted to one symbol's quotes when symbol >= 0.
-// Looping guarantees a consumer never starves: every configured job gets a
-// quote.
+// as a looping feed: all symbols' quotes when symbol is -1, else one
+// symbol's. Symbols are uint32s, so any other value outside
+// [-1, math.MaxUint32] is an error. Looping guarantees a consumer never
+// starves: every configured job gets a quote.
 func NewTraceReplay(tr *workload.Trace, symbol int) (*ReplayFeed, error) {
+	if symbol < -1 || int64(symbol) > math.MaxUint32 {
+		return nil, fmt.Errorf("trading: symbol %d outside [-1, %d]", symbol, uint32(math.MaxUint32))
+	}
 	ticks := make([]Tick, 0, len(tr.Ticks))
 	for _, t := range tr.Ticks {
 		if symbol >= 0 && t.Symbol != uint32(symbol) {

@@ -2,6 +2,8 @@ package trading
 
 import (
 	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -163,5 +165,29 @@ func TestNewTraceReplay(t *testing.T) {
 
 	if _, err := NewTraceReplay(tr, 1<<20); err == nil {
 		t.Error("absent symbol accepted")
+	}
+}
+
+// TestNewTraceReplaySymbolRange rejects symbols no uint32 can hold instead
+// of truncating them: 1<<32 + sym used to replay symbol sym's quotes, and
+// every negative value used to mean "all symbols".
+func TestNewTraceReplaySymbolRange(t *testing.T) {
+	spec, _ := workload.BuiltinSpec("flash-crash")
+	src, err := workload.Compile(spec, workload.CompileConfig{
+		Clients: 8, Seed: 3, Horizon: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := src.Trace(50)
+	sym := int(tr.Ticks[0].Symbol)
+	for _, bad := range []int{1<<32 + sym, -2, math.MinInt} {
+		_, err := NewTraceReplay(tr, bad)
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(bad)) {
+			t.Errorf("symbol %d: error %v, want one naming the symbol", bad, err)
+		}
+	}
+	if _, err := NewTraceReplay(tr, math.MaxUint32); err == nil || !strings.Contains(err.Error(), "no ticks") {
+		t.Errorf("symbol MaxUint32: error %v, want in range with no ticks", err)
 	}
 }
