@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"rtseed/internal/engine"
 	"rtseed/internal/kernel"
@@ -164,7 +165,16 @@ type Process struct {
 	curParts    []task.PartRecord
 
 	records []task.JobRecord
+	// partSlab is the unused tail of the slab that jobs' part records are
+	// carved from (nextParts).
+	partSlab []task.PartRecord
 }
+
+// partSlabBytes bounds one part-record slab. A job's np records are too
+// small to pay for an allocation each: at np = 228 they take 5,472 B, which
+// Go rounds up to its 6,144 B size class, and every one of them is retained
+// in the job records.
+const partSlabBytes = 256 << 10
 
 // section is one fork-join stage of a job: the mandatory burst, then the
 // parallel optional parts [lo, hi) signalled with the section's optional
@@ -212,6 +222,9 @@ func newSectionedProcess(k *kernel.Kernel, cfg Config, sections []section) (*Pro
 		mandCond:    k.NewCondVar(cfg.Task.Name + ".mandatory"),
 		optConds:    make([]*kernel.CondVar, np),
 		optionals:   make([]*kernel.Thread, np),
+		// Non-nil, so that with no optional parts every job's Parts is an
+		// empty, non-nil slice.
+		partSlab: []task.PartRecord{},
 	}
 	mb := &mandBody{p: p}
 	if cfg.ReleaseJitter > 0 {
@@ -442,10 +455,26 @@ func (b *mandBody) startMandatory(c *kernel.TCB) kernel.Next {
 		fn(b.job, b.release, b.mandStart)
 	}
 	p.curJob = b.job
-	p.curParts = make([]task.PartRecord, p.cfg.Task.NumOptional())
+	p.curParts = p.nextParts(p.cfg.Jobs - b.job)
 	b.sec = 0
 	b.pc = pmAfterMand
 	return kernel.Compute(p.sections[0].mandatory)
+}
+
+// nextParts carves the current job's part records from the slab. An empty
+// slab is refilled with records for as many jobs as fit in partSlabBytes,
+// but at least one and at most jobsLeft, so a short run allocates no more
+// than it needs. The records are capped at np: an append to a job's Parts
+// reallocates instead of overwriting the next job's records.
+func (p *Process) nextParts(jobsLeft int) []task.PartRecord {
+	np := p.cfg.Task.NumOptional()
+	if len(p.partSlab) < np {
+		jobs := min(max(partSlabBytes/(np*int(unsafe.Sizeof(task.PartRecord{}))), 1), jobsLeft)
+		p.partSlab = make([]task.PartRecord, jobs*np)
+	}
+	parts := p.partSlab[:np:np]
+	p.partSlab = p.partSlab[np:]
+	return parts
 }
 
 // fork runs after a section's mandatory part: wake the section's active
