@@ -170,10 +170,9 @@ type Process struct {
 	partSlab []task.PartRecord
 }
 
-// partSlabBytes bounds one part-record slab. A job's np records are too
-// small to pay for an allocation each: at np = 228 they take 5,472 B, which
-// Go rounds up to its 6,144 B size class, and every one of them is retained
-// in the job records.
+// partSlabBytes bounds one part-record slab. Allocated on their own, a
+// job's records are rounded up to a Go size class, and every job's records
+// are retained: at np = 228 that is 6,144 B for 5,472 B of records.
 const partSlabBytes = 256 << 10
 
 // section is one fork-join stage of a job: the mandatory burst, then the

@@ -2,10 +2,10 @@
 // change that must leave a report's bytes alone is checked by `go test`
 // rather than by diffing two runs by hand.
 //
-// Each command package keeps its digests in testdata/golden.sha256, one
-// report per line in sha256sum's format: the hex digest, two spaces, and
-// the command line that produces the report. Where the report is the
-// command's whole stdout, `CMD | sha256sum` prints the same digest.
+// Each command package keeps its digest in testdata/golden.sha256, in
+// sha256sum's format: the hex digest, two spaces, and the command line that
+// produces the report. Where the report is the command's whole stdout,
+// `CMD | sha256sum` prints the same digest.
 //
 // An intentional change to a report regenerates the digests with
 //
@@ -15,31 +15,25 @@
 package golden
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 )
 
-// File is the digest file, relative to the package directory a test runs in.
-const File = "testdata/golden.sha256"
+// file is the digest file, relative to the package directory a test runs in.
+const file = "testdata/golden.sha256"
 
-var update = flag.Bool("update-golden", false, "rewrite the report digests in "+File)
+var update = flag.Bool("update-golden", false, "rewrite the report digest in "+file)
 
-// Check compares the SHA-256 of report with the digest File records for
-// cmdline. With -update-golden it records the report's digest instead.
+// Check compares the SHA-256 of report, produced by cmdline, with the digest
+// in testdata/golden.sha256. With -update-golden it records it instead.
 func Check(t testing.TB, cmdline string, report []byte) {
 	t.Helper()
-	if err := check(File, cmdline, report, *update); err != nil {
+	if err := check(file, cmdline, report, *update); err != nil {
 		t.Error(err)
 	}
 }
@@ -47,60 +41,20 @@ func Check(t testing.TB, cmdline string, report []byte) {
 // check is Check on an explicit digest file.
 func check(path, cmdline string, report []byte, update bool) error {
 	sum := sha256.Sum256(report)
-	got := hex.EncodeToString(sum[:])
-	digests, err := read(path)
-	if err != nil && !(update && errors.Is(err, fs.ErrNotExist)) {
+	line := hex.EncodeToString(sum[:]) + "  " + cmdline + "\n"
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(path, []byte(line), 0o644)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
 		return err
 	}
-	if update {
-		if digests == nil {
-			digests = map[string]string{}
-		}
-		digests[cmdline] = got
-		return write(path, digests)
-	}
-	want, ok := digests[cmdline]
-	if !ok {
-		return fmt.Errorf("%s: no digest for %q (record one with -update-golden)", path, cmdline)
-	}
-	if got != want {
-		return fmt.Errorf("%q: report digest %s, %s records %s; if the change is intended, rerun with -update-golden and say why in the commit",
-			cmdline, got, path, want)
+	if string(want) != line {
+		return fmt.Errorf("%s records %q, the report gives %q; if the change is intended, rerun with -update-golden and say why in the commit",
+			path, want, line)
 	}
 	return nil
-}
-
-// read parses a digest file into a map from command line to hex digest.
-func read(path string) (map[string]string, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	digests := map[string]string{}
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	for n := 1; sc.Scan(); n++ {
-		digest, cmdline, ok := strings.Cut(sc.Text(), "  ")
-		if !ok || len(digest) != 2*sha256.Size || cmdline == "" {
-			return nil, fmt.Errorf("%s:%d: want \"<sha256>  <command line>\", got %q", path, n, sc.Text())
-		}
-		digests[cmdline] = digest
-	}
-	return digests, sc.Err()
-}
-
-// write stores digests one per line, ordered by command line.
-func write(path string, digests map[string]string) error {
-	cmdlines := make([]string, 0, len(digests))
-	for c := range digests {
-		cmdlines = append(cmdlines, c)
-	}
-	sort.Strings(cmdlines)
-	var b strings.Builder
-	for _, c := range cmdlines {
-		fmt.Fprintf(&b, "%s  %s\n", digests[c], c)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
