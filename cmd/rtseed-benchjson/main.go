@@ -25,6 +25,9 @@
 // lists PR13 before PR3. Every benchmark that appears in any report gets a
 // series of ns/op medians across the points it was measured at, so a hot
 // path's history across the PR stack reads out of one file.
+//
+// Flag errors exit 2: -trajectory without report files or with -baseline,
+// and report files without -trajectory.
 package main
 
 import (
@@ -38,6 +41,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"rtseed/internal/report"
 )
 
 // Result is one benchmark measurement (the median when Samples > 1).
@@ -136,7 +141,7 @@ func applyBaseline(rep *Report, path string) error {
 	}
 	var base Report
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("rtseed-benchjson: bad baseline %s: %v", path, err)
+		return fmt.Errorf("bad baseline %s: %v", path, err)
 	}
 	prior := make(map[string]float64, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
@@ -200,7 +205,7 @@ func buildTrajectory(paths []string) (*Trajectory, error) {
 	for _, path := range paths {
 		n, ok := prNumber(pointLabel(path))
 		if !ok {
-			return nil, fmt.Errorf("rtseed-benchjson: report %s is not named BENCH_PR<N>.json", path)
+			return nil, fmt.Errorf("report %s is not named BENCH_PR<N>.json", path)
 		}
 		pr[path] = n
 	}
@@ -217,7 +222,7 @@ func buildTrajectory(paths []string) (*Trajectory, error) {
 		}
 		var rep Report
 		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, fmt.Errorf("rtseed-benchjson: bad report %s: %v", path, err)
+			return nil, fmt.Errorf("bad report %s: %v", path, err)
 		}
 		label := pointLabel(path)
 		traj.Points = append(traj.Points, label)
@@ -251,7 +256,7 @@ func buildTrajectory(paths []string) (*Trajectory, error) {
 func parseLine(line string) (Result, error) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
-		return Result{}, fmt.Errorf("rtseed-benchjson: short benchmark line %q", line)
+		return Result{}, fmt.Errorf("short benchmark line %q", line)
 	}
 	res := Result{BytesPerOp: -1, AllocsPerOp: -1}
 	res.Name = f[0]
@@ -262,7 +267,7 @@ func parseLine(line string) (Result, error) {
 	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
-		return Result{}, fmt.Errorf("rtseed-benchjson: bad iteration count in %q: %v", line, err)
+		return Result{}, fmt.Errorf("bad iteration count in %q: %v", line, err)
 	}
 	res.Iterations = iters
 	for i := 2; i+1 < len(f); i += 2 {
@@ -270,78 +275,92 @@ func parseLine(line string) (Result, error) {
 		switch unit {
 		case "ns/op":
 			if res.NsPerOp, err = strconv.ParseFloat(val, 64); err != nil {
-				return Result{}, fmt.Errorf("rtseed-benchjson: bad ns/op in %q: %v", line, err)
+				return Result{}, fmt.Errorf("bad ns/op in %q: %v", line, err)
 			}
 		case "B/op":
 			if res.BytesPerOp, err = strconv.ParseInt(val, 10, 64); err != nil {
-				return Result{}, fmt.Errorf("rtseed-benchjson: bad B/op in %q: %v", line, err)
+				return Result{}, fmt.Errorf("bad B/op in %q: %v", line, err)
 			}
 		case "allocs/op":
 			if res.AllocsPerOp, err = strconv.ParseInt(val, 10, 64); err != nil {
-				return Result{}, fmt.Errorf("rtseed-benchjson: bad allocs/op in %q: %v", line, err)
+				return Result{}, fmt.Errorf("bad allocs/op in %q: %v", line, err)
 			}
 		}
 	}
 	if res.NsPerOp == 0 && res.Iterations == 0 {
-		return Result{}, fmt.Errorf("rtseed-benchjson: no measurements in %q", line)
+		return Result{}, fmt.Errorf("no measurements in %q", line)
 	}
 	return res, nil
 }
 
-func main() {
-	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
-	baseline := flag.String("baseline", "", "prior report to compare against (adds baseline_ns_per_op and speedup)")
-	trajectory := flag.Bool("trajectory", false, "merge the per-PR report files given as arguments into one longitudinal record")
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	out        string
+	baseline   string
+	trajectory bool
+	reports    []string // -trajectory's per-PR report files
+}
 
-	var doc any
-	if *trajectory {
-		if flag.NArg() == 0 {
-			fmt.Fprintln(os.Stderr, "rtseed-benchjson: -trajectory needs at least one report file argument")
-			os.Exit(2)
-		}
-		if *baseline != "" {
-			fmt.Fprintln(os.Stderr, "rtseed-benchjson: -baseline does not apply in -trajectory mode")
-			os.Exit(2)
-		}
-		traj, err := buildTrajectory(flag.Args())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtseed-benchjson:", err)
-			os.Exit(1)
-		}
-		doc = traj
-	} else {
-		rep, err := parseBench(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if len(rep.Benchmarks) == 0 {
-			fmt.Fprintln(os.Stderr, "rtseed-benchjson: no benchmark results on stdin")
-			os.Exit(1)
-		}
-		if *baseline != "" {
-			if err := applyBaseline(rep, *baseline); err != nil {
-				fmt.Fprintln(os.Stderr, "rtseed-benchjson:", err)
-				os.Exit(1)
-			}
-		}
-		doc = rep
+// parseFlags registers the command's flags on fs, parses args, and
+// validates the result. The flag set is injected so tests can parse without
+// touching the process-global flag.CommandLine.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.StringVar(&o.out, "o", "", "write the JSON report to this file (default stdout)")
+	fs.StringVar(&o.baseline, "baseline", "", "prior report to compare against (adds baseline_ns_per_op and speedup)")
+	fs.BoolVar(&o.trajectory, "trajectory", false, "merge the per-PR report files given as arguments into one longitudinal record")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtseed-benchjson:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+	o.reports = fs.Args()
+	switch {
+	case o.trajectory && len(o.reports) == 0:
+		return nil, fmt.Errorf("-trajectory needs at least one report file argument")
+	case o.trajectory && o.baseline != "":
+		return nil, fmt.Errorf("-baseline does not apply in -trajectory mode")
+	case !o.trajectory && len(o.reports) > 0:
+		return nil, fmt.Errorf("argument %q: report files are only read with -trajectory; benchmark output comes on stdin", o.reports[0])
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rtseed-benchjson:", err)
+		os.Exit(2)
+	}
+	doc, err := document(o, os.Stdin)
+	if err == nil {
+		err = report.Emit(o.out, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(doc)
+		})
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// document builds the record o asks for: the trajectory of o.reports, or
+// the report of the benchmark stream on stdin.
+func document(o *options, stdin io.Reader) (any, error) {
+	if o.trajectory {
+		return buildTrajectory(o.reports)
+	}
+	rep, err := parseBench(stdin)
+	if err != nil {
+		return nil, err
+	}
+	if len(rep.Benchmarks) == 0 {
+		return nil, fmt.Errorf("no benchmark results on stdin")
+	}
+	if o.baseline != "" {
+		if err := applyBaseline(rep, o.baseline); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
 }

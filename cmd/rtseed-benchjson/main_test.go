@@ -1,13 +1,62 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
+
+func testFlagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("rtseed-benchjson", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return fs
+}
+
+func TestParseFlagsErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trajectory"}, "-trajectory"},
+		{[]string{"-trajectory", "-baseline", "b.json", "BENCH_PR3.json"}, "-baseline"},
+		{[]string{"BENCH_PR3.json"}, "-trajectory"},
+		{[]string{"-o", "out.json", "stray"}, "stray"},
+	} {
+		_, err := parseFlags(testFlagSet(), c.args)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: error %v, want one naming %s", c.args, err, c.want)
+		}
+	}
+	for _, args := range [][]string{{}, {"-o", "out.json", "-baseline", "b.json"}, {"-trajectory", "BENCH_PR3.json", "BENCH_PR6.json"}} {
+		if _, err := parseFlags(testFlagSet(), args); err != nil {
+			t.Errorf("args %v: %v, want accepted", args, err)
+		}
+	}
+}
+
+// FuzzParseFlags parses arbitrary command lines: parseFlags must never
+// panic, and every command line it accepts reads exactly one input, the
+// report files with -trajectory and stdin without.
+func FuzzParseFlags(f *testing.F) {
+	for _, seed := range []string{"", "-o out.json", "-baseline b.json", "-trajectory", "-trajectory BENCH_PR3.json",
+		"-trajectory -baseline b.json BENCH_PR3.json", "BENCH_PR3.json", "-o", "-h"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(testFlagSet(), strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if o.trajectory != (len(o.reports) > 0) || o.trajectory && o.baseline != "" {
+			t.Fatalf("%q accepted with trajectory %v, reports %q, baseline %q", line, o.trajectory, o.reports, o.baseline)
+		}
+	})
+}
 
 const sampleBenchOutput = `goos: linux
 goarch: amd64

@@ -154,17 +154,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-cluster:", err)
 		os.Exit(2)
 	}
-	w := io.Writer(os.Stdout)
-	if o.out != "" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtseed-cluster:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := run(w, os.Stderr, o); err != nil {
+	if err := report.Emit(o.out, func(w io.Writer) error { return run(w, os.Stderr, o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-cluster:", err)
 		os.Exit(1)
 	}

@@ -3,8 +3,12 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
+	"io"
+	"math"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,16 +16,69 @@ import (
 	"rtseed/internal/workload"
 )
 
+func testFlagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("rtseed-feedd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return fs
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
-	if err := run("256.256.256.256:1", 1, 1, 0.001, "", -1); err == nil {
+	if err := run(&options{listen: "256.256.256.256:1", ticks: 1, seed: 1, vol: 0.001, symbol: -1}); err == nil {
 		t.Fatal("bad listen address accepted")
 	}
-	if err := run("127.0.0.1:0", 1, 1, -1, "", -1); err == nil {
+	if err := run(&options{listen: "127.0.0.1:0", ticks: 1, seed: 1, vol: -1, symbol: -1}); err == nil {
 		t.Fatal("negative volatility accepted")
 	}
-	if err := run("127.0.0.1:0", 1, 1, 0.001, "/nonexistent/trace.rtk", -1); err == nil {
+	if err := run(&options{listen: "127.0.0.1:0", ticks: 1, seed: 1, vol: 0.001, replay: "/nonexistent/trace.rtk", symbol: -1}); err == nil {
 		t.Fatal("missing replay file accepted")
 	}
+}
+
+func TestParseFlagsErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-ticks", "0"}, "-ticks"},
+		{[]string{"-ticks", "-5"}, "-ticks"},
+		{[]string{"-vol", "-0.1"}, "-vol"},
+		{[]string{"-vol", "NaN"}, "-vol"},
+		{[]string{"-vol", "+Inf"}, "-vol"},
+		{[]string{"-vol", "-Inf"}, "-vol"},
+		{[]string{"-symbol", "5"}, "-symbol"},
+		{[]string{"-symbol", "-2"}, "-symbol"},
+	} {
+		_, err := parseFlags(testFlagSet(), c.args)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("args %v: error %v, want one naming %s", c.args, err, c.flag)
+		}
+	}
+	for _, args := range [][]string{{}, {"-vol", "0"}, {"-ticks", "1"}, {"-symbol", "-1"}, {"-replay", "a.rtk", "-symbol", "4"}} {
+		if _, err := parseFlags(testFlagSet(), args); err != nil {
+			t.Errorf("args %v: %v, want accepted", args, err)
+		}
+	}
+}
+
+// FuzzParseFlags parses arbitrary command lines: parseFlags must never
+// panic, and every command line it accepts must be servable.
+func FuzzParseFlags(f *testing.F) {
+	for _, seed := range []string{"", "-ticks 30", "-ticks 0", "-vol NaN", "-vol 1e308", "-symbol 5",
+		"-replay m.rtk -symbol 2", "-listen :0 -seed 7", "-h"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(testFlagSet(), strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if o.ticks < 1 || !(o.vol >= 0) || math.IsInf(o.vol, 1) {
+			t.Fatalf("%q accepted with ticks %d, vol %v", line, o.ticks, o.vol)
+		}
+		if o.replay == "" && o.symbol != -1 {
+			t.Fatalf("%q accepted with symbol %d but no replay", line, o.symbol)
+		}
+	})
 }
 
 // writeTestTrace records a small flash-crash trace and returns its path plus

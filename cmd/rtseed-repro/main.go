@@ -80,22 +80,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-repro:", err)
 		os.Exit(2)
 	}
-	w := io.Writer(os.Stdout)
-	if o.out != "" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtseed-repro:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
 	stop, err := prof.Start(o.cpuprofile, o.memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-repro:", err)
 		os.Exit(1)
 	}
-	err = run(w, o.jobs, o.quick, o.workers)
+	err = report.Emit(o.out, func(w io.Writer) error { return run(w, o.jobs, o.quick, o.workers) })
 	if err == nil && o.trace != "" {
 		err = writeTraceFile(o.trace)
 	}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -190,4 +192,43 @@ func FuzzParseFlags(f *testing.F) {
 			t.Fatalf("%q accepted with jobs %d, workers %d", line, o.jobs, o.workers)
 		}
 	})
+}
+
+// TestMain runs the test binary as the command itself when RTSEED_RUN_MAIN
+// is set, so a test can check main's exit status and stderr.
+func TestMain(m *testing.M) {
+	if os.Getenv("RTSEED_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUnwritableReportFails: a report that cannot be written, to -o or to
+// stdout, must exit 1 with an error naming the output.
+func TestUnwritableReportFails(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	defer full.Close()
+	for _, c := range []struct {
+		args   []string
+		stdout *os.File
+		name   string
+	}{
+		{[]string{"-quick", "-o", "/dev/full"}, nil, "/dev/full"},
+		{[]string{"-quick"}, full, "/dev/stdout"},
+	} {
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), "RTSEED_RUN_MAIN=1")
+		cmd.Stdout = c.stdout
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), c.name) {
+			t.Errorf("%v: %v, stderr %q; want exit status 1 naming %s", c.args, err, stderr.String(), c.name)
+		}
+	}
 }

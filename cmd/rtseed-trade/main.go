@@ -135,12 +135,6 @@ func runSweep(w io.Writer, pol assign.Policy, load machine.Load) error {
 	return nil
 }
 
-// localSource adapts the in-process generator to trading.Source.
-type localSource struct{ f *trading.Feed }
-
-// NextTick implements trading.Source.
-func (s localSource) NextTick() (trading.Tick, error) { return s.f.Next(), nil }
-
 // run trades o.ticks ticks and writes the run's report to w.
 func run(w io.Writer, o *options) error {
 	// The paper's task: T = 1s (one OANDA tick per second), m = w = 250ms.
@@ -177,7 +171,7 @@ func run(w io.Writer, o *options) error {
 		if err != nil {
 			return err
 		}
-		source = localSource{feed}
+		source = feed
 	}
 	indicators := append(trading.DefaultTechnical(),
 		trading.Fundamental{Series: trading.SyntheticMacro(o.ticks/10+2, 10, o.seed+1), Trend: 5})

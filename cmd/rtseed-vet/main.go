@@ -1,6 +1,7 @@
-// Command rtseed-vet runs the repository's invariant analyzers —
-// determinism, noalloc, eventhandle, exhaustive, kernelctx, and waiverdrift
-// — over the module, the way go vet runs its passes.
+// Command rtseed-vet runs the repository's nine invariant analyzers —
+// detflow, noalloc, eventhandle, exhaustive, timeunits, bodystep, isoshare,
+// kernelctx, and waiverdrift — over the module, the way go vet runs its
+// passes. Each analyzer runs once per invocation.
 //
 // Usage:
 //

@@ -523,7 +523,7 @@ func TestPrintJSONEmitsArray(t *testing.T) {
 
 func TestPrintJSONRoundTrip(t *testing.T) {
 	in := []lint.Diagnostic{{
-		Analyzer: "determinism",
+		Analyzer: "detflow",
 		Pos:      token.Position{Filename: "x.go", Line: 3, Column: 7},
 		File:     "x.go", Line: 3, Col: 7,
 		Message: "call to time.Now",
@@ -536,7 +536,7 @@ func TestPrintJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if len(out) != 1 || out[0].Analyzer != "determinism" || out[0].Line != 3 {
+	if len(out) != 1 || out[0].Analyzer != "detflow" || out[0].Line != 3 {
 		t.Errorf("round trip = %+v", out)
 	}
 }

@@ -44,8 +44,30 @@ type expectation struct {
 }
 
 // Run applies a to the fixture package in dir (relative to the caller's
-// working directory) and reports mismatches against its want comments.
-func Run(t *testing.T, a *lint.Analyzer, dir string) {
+// working directory) and reports mismatches against its want comments. The
+// prior analyzers, if any, run first over the same package in the same
+// lint.Session with their findings discarded, the way the suite driver runs
+// the rest of the suite before waiverdrift.
+func Run(t *testing.T, a *lint.Analyzer, dir string, prior ...*lint.Analyzer) {
+	t.Helper()
+	pkg := Load(t, dir)
+	session := lint.NewSession()
+	for _, p := range prior {
+		if _, err := lint.RunAnalyzer(p, pkg, session); err != nil {
+			t.Fatalf("running %s: %v", p.Name, err)
+		}
+	}
+	diags, err := lint.RunAnalyzer(a, pkg, session)
+	if err != nil {
+		t.Fatalf("running %s: %v", a.Name, err)
+	}
+	checkExpectations(t, pkg.Fset, pkg.Syntax, diags)
+}
+
+// Load parses and type-checks the fixture package in dir (relative to the
+// caller's working directory) as rtseed/fixture/<base name of dir>, failing
+// the test on malformed directives.
+func Load(t *testing.T, dir string) *lint.Package {
 	t.Helper()
 	moduleDir := findModuleRoot(t, dir)
 	fset := token.NewFileSet()
@@ -76,16 +98,23 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	if err != nil {
 		t.Fatalf("typechecking fixture: %v", err)
 	}
-	if problems := pkg.Directives.Problems; len(problems) > 0 {
-		for _, p := range problems {
-			t.Errorf("malformed directive: %s", p)
+	for _, p := range pkg.Directives.Problems {
+		t.Errorf("malformed directive: %s", p)
+	}
+	return pkg
+}
+
+// WantLines returns the position of every want comment in pkg: the lines
+// on which the fixture expects findings.
+func WantLines(t *testing.T, pkg *lint.Package) []token.Position {
+	t.Helper()
+	var lines []token.Position
+	for _, w := range collectWants(t, pkg.Fset, pkg.Syntax) {
+		if n := len(lines); n == 0 || lines[n-1].Filename != w.file || lines[n-1].Line != w.line {
+			lines = append(lines, token.Position{Filename: w.file, Line: w.line})
 		}
 	}
-	diags, err := lint.RunAnalyzer(a, pkg)
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	checkExpectations(t, fset, files, diags)
+	return lines
 }
 
 func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lint.Diagnostic) {

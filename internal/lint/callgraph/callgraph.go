@@ -264,7 +264,7 @@ type ifaceCall struct {
 }
 
 // Shared returns the call graph of mp's loaded package set, built once per
-// module cache and reused by every module analyzer in the run (kernelctx,
+// session and reused by every module analyzer in the run (kernelctx,
 // waiverdrift, and the summary consumers all need it).
 func Shared(mp *lint.ModulePass) *Graph {
 	return mp.Shared("callgraph", func() any { return Build(mp.Pkgs) }).(*Graph)

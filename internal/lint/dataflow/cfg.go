@@ -5,9 +5,9 @@
 // (PR 5) is the whole-module call graph — reachability over functions.
 // This package adds the missing value dimension: per-function control-flow
 // graphs built from go/ast, a generic forward worklist solver over them,
-// reaching definitions, and a small taint/abstract-domain toolkit keyed on
-// types.Object plus field paths. The timeunits, detflow, and bodystep
-// analyzers are built on top of it.
+// and a small taint/abstract-domain toolkit keyed on types.Object plus
+// field paths. The timeunits, detflow, bodystep, and eventhandle analyzers
+// are built on top of it.
 //
 // The CFG builder is deliberately type-free: it consumes syntax alone, so
 // it can run over anything that parses (including fuzz-generated bodies)
@@ -47,23 +47,6 @@ type CFG struct {
 	Exit   *Block
 	Blocks []*Block
 	Defers []*ast.DeferStmt
-}
-
-// Reachable returns the set of blocks reachable from Entry.
-func (c *CFG) Reachable() map[*Block]bool {
-	seen := map[*Block]bool{c.Entry: true}
-	work := []*Block{c.Entry}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range b.Succs {
-			if !seen[s] {
-				seen[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return seen
 }
 
 // BuildCFG constructs the control-flow graph of a function body. body may be

@@ -84,14 +84,6 @@ func CheckInvariants(c *CFG) error {
 			}
 		}
 	}
-	// Every block reported reachable must actually be reached by the walk
-	// that Reachable performs (tautological by construction, but the walk
-	// also verifies no nil successors are encountered).
-	for b := range c.Reachable() {
-		if !index[b] {
-			return fmt.Errorf("reachable block not in Blocks")
-		}
-	}
 	return nil
 }
 
@@ -144,16 +136,15 @@ func TestCFGShapes(t *testing.T) {
 
 func TestCFGLoopEdges(t *testing.T) {
 	c := buildFor(t, `for i := 0; i < 3; i++ { if i == 1 { continue }; if i == 2 { break } }`)
-	// The loop head must be reachable and participate in a cycle.
-	reach := c.Reachable()
+	// The loop head must participate in a cycle.
 	var head *Block
-	for b := range reach {
+	for _, b := range c.Blocks {
 		if b.kind == "for.head" {
 			head = b
 		}
 	}
 	if head == nil {
-		t.Fatal("no reachable for.head block")
+		t.Fatal("no for.head block")
 	}
 	if len(head.Preds) < 2 {
 		t.Errorf("loop head has %d preds, want >= 2 (entry edge + back edge)", len(head.Preds))

@@ -41,11 +41,8 @@ func Forward[S any](c *CFG, p Problem[S]) map[*Block]S {
 		}
 		pending[b.Index] = false
 
-		state, ok := in[b]
-		if !ok {
-			continue
-		}
-		out := p.Copy(state)
+		// A block is only ever pending once it has an IN state.
+		out := p.Copy(in[b])
 		for _, n := range b.Nodes {
 			p.Node(n, out)
 		}

@@ -1,11 +1,15 @@
-// Package detflow implements taint-based determinism checking: the dataflow
-// successor to the determinism analyzer's value rules.
+// Package detflow enforces the determinism contract in the simulation
+// packages: a run must be a pure function of its seed. It has two rules.
 //
-// The syntactic determinism analyzer flags every wall-clock read in the
-// simulation packages, which forces waivers onto code whose clock values
-// never escape (busy-wait loops, local latency probes). This analyzer flags
-// a nondeterministic value only when it actually reaches a sink — when the
-// run's output stops being a pure function of its seed:
+// The call-site rule flags calls that are wrong wherever their values go:
+// blocking on or arming a host timer (time.Sleep, time.NewTimer, ...),
+// drawing from the process-global math/rand source, seeding a rand
+// constructor from the wall clock, and reading the environment.
+//
+// The taint rule flags a nondeterministic value only when it actually
+// reaches a sink — when the run's output stops being a pure function of its
+// seed — so code whose clock values never escape (busy-wait loops, local
+// latency probes) needs no waiver:
 //
 //   - sources: wall-clock reads (time.Now/Since/Until), the process-global
 //     math/rand source, environment reads (os.Getenv and friends), and the
@@ -30,8 +34,9 @@
 // sums, min/max, counts — are the common benign pattern), and a call into
 // package sort or slices clears map-order taint from its argument, because
 // sorting re-establishes a deterministic order. Findings are waived with
-// //rtseed:nondeterministic-ok <reason>, the same directive the syntactic
-// analyzer consumes — one escape hatch per contract, not per checker.
+// //rtseed:nondeterministic-ok <reason>, which waives the call-site rule
+// too — one escape hatch per contract. A call that breaks both rules (a
+// global rand draw that is returned) carries one finding from each.
 package detflow
 
 import (
@@ -43,16 +48,18 @@ import (
 	"rtseed/internal/lint"
 	"rtseed/internal/lint/callgraph"
 	"rtseed/internal/lint/dataflow"
-	"rtseed/internal/lint/determinism"
 	"rtseed/internal/lint/summary"
 )
 
-// Analyzer is the taint-based determinism checker. It is a module analyzer
-// so it can consult whole-module function summaries; the packages it
-// reports on are the same determinism scope the syntactic analyzer uses.
+// Analyzer is the determinism checker. It is a module analyzer so it can
+// consult whole-module function summaries; it reports on the packages of
+// lint.SimScopePackages.
 var Analyzer = &lint.Analyzer{
 	Name: "detflow",
-	Doc: "flag nondeterministic values that reach results, traces, or escaping stores\n\n" +
+	Doc: "flag host-timer, global-rand and env calls, and nondeterministic values\n" +
+		"that reach results, traces, or escaping stores\n\n" +
+		"Flags time.Sleep and the other host-timer calls, global math/rand\n" +
+		"draws, wall-clock-seeded rand constructors, and env reads at the call.\n" +
 		"Taint-tracks wall-clock reads, global math/rand, env reads, and map\n" +
 		"iteration order through each function's CFG and, via whole-module\n" +
 		"function summaries, across call frames; a finding fires only when the\n" +
@@ -75,7 +82,7 @@ const tracePkg = "rtseed/internal/trace"
 // inScope reports whether detflow reports on importPath: the shared
 // determinism scope, plus fixture packages so the analyzer is testable.
 func inScope(importPath string) bool {
-	return determinism.InScope(importPath) || strings.HasPrefix(importPath, "rtseed/fixture/")
+	return lint.InSimScope(importPath) || strings.HasPrefix(importPath, "rtseed/fixture/")
 }
 
 // taint records where a nondeterministic value came from.
@@ -96,7 +103,9 @@ func run(mp *lint.ModulePass) error {
 		if !inScope(pkg.ImportPath) {
 			continue
 		}
-		runPkg(mp.PackagePass(pkg), sums)
+		pass := mp.PackagePass(pkg)
+		checkCalls(pass)
+		runPkg(pass, sums)
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ import (
 //   - //rtseed:noalloc goes in the doc comment of a function declaration
 //     (or on the line immediately above it) and marks the function for the
 //     noalloc analyzer.
-//   - //rtseed:nondeterministic-ok <reason> waives a determinism finding on
+//   - //rtseed:nondeterministic-ok <reason> waives a detflow finding on
 //     its own line, on the line below it, or — in a function's doc comment —
 //     for the whole function. The reason is mandatory.
 //   - //rtseed:alloc-ok <reason> waives a noalloc finding on its own line or
@@ -165,8 +165,8 @@ func (d *Directives) at(filename string, line int, name string) *Directive {
 
 // All returns every well-formed directive of the package, sorted by file,
 // line, and declaration order within the line. The pointers are stable: the
-// same *Directive is returned by at/forDecl/ForLit lookups, so audit passes
-// can key usage maps on them.
+// same *Directive is returned by at/forDecl/ForLit lookups, so a Session
+// can key its consulted set on them.
 func (d *Directives) All() []*Directive {
 	var out []*Directive
 	for _, byLine := range d.byLine {

@@ -8,8 +8,9 @@
 //   - storing a live handle into a struct field or package-level variable
 //     whose declaration is not blessed with //rtseed:handle-ok <reason>;
 //   - declaring a package-level engine.Event variable at all;
-//   - using a handle after cancelling it in the same function, unless the
-//     use is re-guarded by Scheduled or the variable was reassigned.
+//   - using a handle after cancelling it on some path through the same
+//     function, unless the use is re-guarded by Scheduled or the variable
+//     was reassigned in between.
 //
 // Zeroing a stored handle (x = engine.Event{}) is the sanctioned way to
 // drop one and is never flagged.
@@ -19,9 +20,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
 
 	"rtseed/internal/lint"
+	"rtseed/internal/lint/dataflow"
 )
 
 // Analyzer is the event-handle discipline checker.
@@ -114,7 +116,7 @@ func checkStore(pass *lint.Pass, lhs, rhs ast.Expr) {
 	if target == nil {
 		return
 	}
-	if pass.Waived(lhs.Pos(), lint.DirHandleOK) || pass.Waived(target.Pos(), lint.DirHandleOK) {
+	if waived(pass, lhs.Pos(), target.Pos()) {
 		return
 	}
 	kind := "struct field"
@@ -150,11 +152,25 @@ func checkCompositeStore(pass *lint.Pass, lit *ast.CompositeLit) {
 		if field == nil || !isEventType(field.Type()) || !storesLiveEvent(pass, value) {
 			continue
 		}
-		if pass.Waived(value.Pos(), lint.DirHandleOK) || pass.Waived(field.Pos(), lint.DirHandleOK) {
+		if waived(pass, value.Pos(), field.Pos()) {
 			continue
 		}
 		pass.Reportf(value.Pos(), "engine.Event handle stored into struct field %q via composite literal; annotate the field //rtseed:handle-ok if every use re-checks Scheduled", field.Name())
 	}
+}
+
+// waived reports whether a handle-ok directive waives a store at any of the
+// positions (the store and the declaration it writes). It looks up every
+// position, so each directive that would waive the finding is recorded as
+// consulted, even when an earlier one already waives it.
+func waived(pass *lint.Pass, positions ...token.Pos) bool {
+	found := false
+	for _, pos := range positions {
+		if pass.Waived(pos, lint.DirHandleOK) {
+			found = true
+		}
+	}
+	return found
 }
 
 // persistentTarget resolves lhs to the struct field or package-level
@@ -194,103 +210,134 @@ func storesLiveEvent(pass *lint.Pass, rhs ast.Expr) bool {
 	return true
 }
 
-// Event kinds for the linear use-after-cancel scan, in source order.
-const (
-	opUse = iota
-	opCancel
-	opClear // reassignment or a Scheduled() re-check
-)
+// cancelled is the use-after-Cancel state: the handle variables that some
+// path to this point has cancelled (or freed) without a later reassignment
+// or Scheduled re-check.
+type cancelled map[*types.Var]bool
 
-type handleOp struct {
-	kind int
-	pos  token.Pos
+// cancelChecker applies one node's effect to the cancelled set, reporting
+// uses of cancelled handles when report is set (only the post-solve replay
+// reports; the solver's passes run silent).
+type cancelChecker struct {
+	pass   *lint.Pass
+	report bool
 }
 
-// checkUseAfterCancel walks one function and flags local handles used after
-// a Cancel/Free call without an intervening reassignment or Scheduled
-// re-check. The scan is linear in source order — a deliberate approximation
-// that matches the straight-line cancel-then-touch bug it exists to catch.
+// checkUseAfterCancel flags local handles used after a Cancel/Free call on
+// some path through the function, without an intervening reassignment or
+// Scheduled re-check. It is a forward may-analysis over the function's CFG,
+// so a Cancel on a branch that returns does not taint the code after the
+// branch, and a Cancel at the bottom of a loop reaches a use at its top.
 func checkUseAfterCancel(pass *lint.Pass, decl *ast.FuncDecl) {
-	info := pass.TypesInfo()
-	classified := map[*ast.Ident]int{}
-	ops := map[*types.Var][]handleOp{}
-
-	eventVar := func(expr ast.Expr) (*ast.Ident, *types.Var) {
-		id, ok := ast.Unparen(expr).(*ast.Ident)
-		if !ok {
-			return nil, nil
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || v.IsField() || !isEventType(v.Type()) {
-			return nil, nil
-		}
-		return id, v
+	ck := &cancelChecker{pass: pass}
+	cfg := dataflow.BuildCFG(decl.Body)
+	prob := dataflow.Problem[cancelled]{
+		Entry: func() cancelled { return cancelled{} },
+		Copy:  maps.Clone[cancelled],
+		Join: func(dst, src cancelled) bool {
+			changed := false
+			for v := range src {
+				if !dst[v] {
+					dst[v] = true
+					changed = true
+				}
+			}
+			return changed
+		},
+		Node: ck.node,
 	}
+	in := dataflow.Forward(cfg, prob)
+	ck.report = true
+	for _, b := range cfg.Blocks {
+		if state, ok := in[b]; ok {
+			dataflow.Replay(b, state, prob, func(ast.Node, cancelled) {})
+		}
+	}
+}
 
-	// First pass: classify the idents appearing in cancels, re-checks, and
-	// assignments; everything else defaults to a plain use.
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
+// node is the transfer function. A range statement's CFG node stands for
+// its header only: the body has blocks of its own.
+func (c *cancelChecker) node(n ast.Node, s cancelled) {
+	if rs, ok := n.(*ast.RangeStmt); ok {
+		c.walk(rs.X, s)
+		c.assign(s, rs.Key, rs.Value)
+		return
+	}
+	c.walk(n, s)
+}
+
+// assign removes the handle variables among lhs from the set, since the
+// assignment overwrites the cancelled handle; any other destination is
+// walked as an expression.
+func (c *cancelChecker) assign(s cancelled, lhs ...ast.Expr) {
+	for _, e := range lhs {
+		if v := c.eventVar(e); v != nil {
+			delete(s, v)
+		} else if e != nil {
+			c.walk(e, s)
+		}
+	}
+}
+
+// walk applies the handle operations under n in evaluation order:
+// Cancel/Free adds its handle arguments, a Scheduled selector and an
+// assignment remove their handle, and any other mention of a handle in the
+// set is a use.
+func (c *cancelChecker) walk(n ast.Node, s cancelled) {
+	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.CallExpr:
-			fn := pass.CalleeFunc(n)
-			if fn != nil && (fn.Name() == "Cancel" || fn.Name() == "Free") {
-				for _, arg := range n.Args {
-					if id, _ := eventVar(arg); id != nil {
-						classified[id] = opCancel
-					}
-				}
-			}
-		case *ast.SelectorExpr:
-			if n.Sel.Name == "Scheduled" {
-				if id, _ := eventVar(n.X); id != nil {
-					classified[id] = opClear
-				}
-			}
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if id, _ := eventVar(lhs); id != nil {
-					classified[id] = opClear
+			for _, rhs := range n.Rhs {
+				c.walk(rhs, s)
+			}
+			c.assign(s, n.Lhs...)
+			return false
+		case *ast.ValueSpec:
+			for _, v := range n.Values {
+				c.walk(v, s)
+			}
+			for _, name := range n.Names {
+				c.assign(s, name)
+			}
+			return false
+		case *ast.CallExpr:
+			fn := c.pass.CalleeFunc(n)
+			if fn == nil || fn.Name() != "Cancel" && fn.Name() != "Free" {
+				return true
+			}
+			c.walk(n.Fun, s)
+			for _, arg := range n.Args {
+				if v := c.eventVar(arg); v != nil {
+					s[v] = true
+				} else {
+					c.walk(arg, s)
 				}
+			}
+			return false
+		case *ast.SelectorExpr:
+			if v := c.eventVar(n.X); v != nil && n.Sel.Name == "Scheduled" {
+				delete(s, v)
+				return false
+			}
+		case *ast.Ident:
+			if v := c.eventVar(n); v != nil && s[v] && c.report && !c.pass.Waived(n.Pos(), lint.DirHandleOK) {
+				c.pass.Reportf(n.Pos(), "%q used after Cancel; the handle is inert (or worse, recycled) — re-check Scheduled or reassign it first", v.Name())
 			}
 		}
 		return true
 	})
+}
 
-	// Second pass: gather every handle ident with its classification.
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if _, v := eventVar(id); v != nil {
-			kind, ok := classified[id]
-			if !ok {
-				kind = opUse
-			}
-			ops[v] = append(ops[v], handleOp{kind: kind, pos: id.Pos()})
-		}
-		return true
-	})
-
-	for v, seq := range ops {
-		sort.Slice(seq, func(i, j int) bool { return seq[i].pos < seq[j].pos })
-		cancelled := false
-		for _, op := range seq {
-			switch op.kind {
-			case opCancel:
-				cancelled = true
-			case opClear:
-				cancelled = false
-			case opUse:
-				if cancelled && !pass.Waived(op.pos, lint.DirHandleOK) {
-					pass.Reportf(op.pos, "%q used after Cancel; the handle is inert (or worse, recycled) — re-check Scheduled or reassign it first", v.Name())
-					cancelled = false // one report per cancellation is enough
-				}
-			}
-		}
+// eventVar resolves expr to the engine.Event variable it names, or nil when
+// it is not a plain identifier of a non-field handle variable.
+func (c *cancelChecker) eventVar(expr ast.Expr) *types.Var {
+	id, ok := ast.Unparen(expr).(*ast.Ident)
+	if !ok {
+		return nil
 	}
+	v, ok := c.pass.TypesInfo().ObjectOf(id).(*types.Var)
+	if !ok || v.IsField() || !isEventType(v.Type()) {
+		return nil
+	}
+	return v
 }

@@ -99,13 +99,7 @@ type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 	diags    *[]Diagnostic
-
-	// audit makes Waived/WaivedIn record the directive a finding would have
-	// been waived by — in used — and then report the finding anyway. The
-	// waiverdrift analyzer re-runs the other analyzers in this mode to
-	// learn which waivers still shield a live violation.
-	audit bool
-	used  map[*Directive]bool
+	session  *Session
 }
 
 // Reportf records a finding at pos.
@@ -123,8 +117,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Waived reports whether a finding at pos is waived by a directive of the
 // given name on the same source line or on the line immediately above it.
-// In audit mode the matching directive is recorded as used and the finding
-// stands.
+// A directive it finds is recorded in the session as consulted.
 func (p *Pass) Waived(pos token.Pos, name string) bool {
 	position := p.Pkg.Fset.Position(pos)
 	dir := p.Pkg.Directives.at(position.Filename, position.Line, name)
@@ -134,27 +127,23 @@ func (p *Pass) Waived(pos token.Pos, name string) bool {
 	if dir == nil {
 		return false
 	}
-	if p.used != nil {
-		p.used[dir] = true
-	}
-	return !p.audit
+	p.session.consulted[dir] = true
+	return true
 }
 
 // WaivedIn is Waived extended with function-scope waivers: a directive in
 // the doc comment of the enclosing function waives every finding inside it.
+// Both the line and the function directive are looked up, so each is
+// recorded as consulted even when the other alone would waive the finding.
 func (p *Pass) WaivedIn(decl *ast.FuncDecl, pos token.Pos, name string) bool {
-	lineWaived := p.Waived(pos, name)
-	var funcDir *Directive
+	waived := p.Waived(pos, name)
 	if decl != nil {
-		funcDir = p.FuncDirective(decl, name)
+		if dir := p.FuncDirective(decl, name); dir != nil {
+			p.session.consulted[dir] = true
+			waived = true
+		}
 	}
-	if funcDir != nil && p.used != nil {
-		p.used[funcDir] = true
-	}
-	if p.audit {
-		return false
-	}
-	return lineWaived || funcDir != nil
+	return waived
 }
 
 // FuncDirective returns the directive of the given name attached to decl —
@@ -209,17 +198,46 @@ func (p *Pass) InspectFuncs(visit func(file *ast.File, decl *ast.FuncDecl, n ast
 	}
 }
 
-// A ModuleCache shares expensive whole-module computations — the call
-// graph, the function-summary set — between the module analyzers of one
-// suite run (including waiverdrift's audit re-runs, which would otherwise
-// rebuild everything a second time). Keys are chosen by the computing
-// package; values are opaque to the framework.
-type ModuleCache struct {
-	entries map[string]any
+// A Session is the state one suite run shares between its analyzers over one
+// loaded package set. Module analyzers memoize expensive whole-module
+// computations in it (the call graph, the function-summary set), so each is
+// built once per run. Every Pass records in it which packages each analyzer
+// examined and which waiver directives it consulted: waiverdrift, last in
+// the suite, reads that record to tell live waivers from stale ones without
+// running any analyzer a second time.
+type Session struct {
+	cache     map[string]any
+	examined  map[examination]bool
+	consulted map[*Directive]bool
 }
 
-// NewModuleCache returns an empty cache, one per driver run.
-func NewModuleCache() *ModuleCache { return &ModuleCache{entries: map[string]any{}} }
+// An examination is one analyzer having run over one package.
+type examination struct{ analyzer, importPath string }
+
+// NewSession returns an empty session, one per suite run.
+func NewSession() *Session {
+	return &Session{
+		cache:     map[string]any{},
+		examined:  map[examination]bool{},
+		consulted: map[*Directive]bool{},
+	}
+}
+
+// Consulted reports whether an analyzer of this session found d while
+// deciding whether to waive a finding.
+func (s *Session) Consulted(d *Directive) bool { return s.consulted[d] }
+
+// Examined reports whether the named analyzer ran over the package at
+// importPath in this session.
+func (s *Session) Examined(analyzer, importPath string) bool {
+	return s.examined[examination{analyzer, importPath}]
+}
+
+// pass builds the Pass of analyzer a over pkg, recording the examination.
+func (s *Session) pass(a *Analyzer, pkg *Package, diags *[]Diagnostic) *Pass {
+	s.examined[examination{a.Name, pkg.ImportPath}] = true
+	return &Pass{Analyzer: a, Pkg: pkg, diags: diags, session: s}
+}
 
 // A ModulePass connects one module-level Analyzer run to the whole loaded
 // package set and collects its findings.
@@ -227,34 +245,20 @@ type ModulePass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
 	diags    *[]Diagnostic
-
-	// audit and used mirror Pass's audit mode; PackagePass propagates them,
-	// so module analyzers that report through per-package passes are
-	// auditable the same way single-package ones are.
-	audit bool
-	used  map[*Directive]bool
-
-	cache *ModuleCache
+	session  *Session
 }
 
-// Cache returns the run's module cache, creating a private one when the
-// driver did not supply any (standalone RunModuleAnalyzer calls).
-func (mp *ModulePass) Cache() *ModuleCache {
-	if mp.cache == nil {
-		mp.cache = NewModuleCache()
-	}
-	return mp.cache
-}
+// Session returns the suite run this pass belongs to.
+func (mp *ModulePass) Session() *Session { return mp.session }
 
-// Shared returns the cached value under key, building and memoizing it on
-// first use. The cache is keyed per driver run over one loaded package set,
-// so builders may close over mp.Pkgs.
+// Shared returns the session's value under key, building and memoizing it on
+// first use. A session covers one loaded package set, so builders may close
+// over mp.Pkgs.
 func (mp *ModulePass) Shared(key string, build func() any) any {
-	c := mp.Cache()
-	v, ok := c.entries[key]
+	v, ok := mp.session.cache[key]
 	if !ok {
 		v = build()
-		c.entries[key] = v
+		mp.session.cache[key] = v
 	}
 	return v
 }
@@ -286,21 +290,21 @@ func (mp *ModulePass) ReportfAt(position token.Position, format string, args ...
 }
 
 // PackagePass builds a single-package Pass bound to this module run's
-// analyzer and diagnostic sink, for module analyzers that mix per-package
-// and whole-program checks.
+// analyzer, diagnostic sink and session, for module analyzers that mix
+// per-package and whole-program checks. It records that the analyzer
+// examined pkg.
 func (mp *ModulePass) PackagePass(pkg *Package) *Pass {
-	return &Pass{Analyzer: mp.Analyzer, Pkg: pkg, diags: mp.diags, audit: mp.audit, used: mp.used}
+	return mp.session.pass(mp.Analyzer, pkg, mp.diags)
 }
 
-// RunAnalyzer applies a to pkg and returns its findings sorted by position.
-// A module analyzer is run over the single-package set.
-func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+// RunAnalyzer applies a to pkg within session s and returns its findings
+// sorted by position. A module analyzer is run over the single-package set.
+func RunAnalyzer(a *Analyzer, pkg *Package, s *Session) ([]Diagnostic, error) {
 	if a.RunModule != nil {
-		return RunModuleAnalyzer(a, []*Package{pkg})
+		return RunModuleAnalyzer(a, []*Package{pkg}, s)
 	}
 	var diags []Diagnostic
-	pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags}
-	if err := a.Run(pass); err != nil {
+	if err := a.Run(s.pass(a, pkg, &diags)); err != nil {
 		return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
 	}
 	SortDiagnostics(diags)
@@ -308,57 +312,15 @@ func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 }
 
 // RunModuleAnalyzer applies a module analyzer to the whole loaded package
-// set and returns its findings sorted by position.
-func RunModuleAnalyzer(a *Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	return RunModuleAnalyzerCached(a, pkgs, nil)
-}
-
-// RunModuleAnalyzerCached is RunModuleAnalyzer with a shared module cache,
-// so a driver running several module analyzers over the same package set
-// builds the call graph and summaries once. A nil cache means private.
-func RunModuleAnalyzerCached(a *Analyzer, pkgs []*Package, cache *ModuleCache) ([]Diagnostic, error) {
+// set within session s and returns its findings sorted by position.
+func RunModuleAnalyzer(a *Analyzer, pkgs []*Package, s *Session) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	pass := &ModulePass{Analyzer: a, Pkgs: pkgs, diags: &diags, cache: cache}
+	pass := &ModulePass{Analyzer: a, Pkgs: pkgs, diags: &diags, session: s}
 	if err := a.RunModule(pass); err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
 	SortDiagnostics(diags)
 	return diags, nil
-}
-
-// RunAnalyzerAudit applies a single-package analyzer to pkg with waivers
-// disabled: every finding is reported even when a directive covers it, and
-// the directives that would have waived one are returned. Stale-waiver
-// auditing diffs that set against the package's declared waivers.
-func RunAnalyzerAudit(a *Analyzer, pkg *Package) ([]Diagnostic, map[*Directive]bool, error) {
-	var diags []Diagnostic
-	used := map[*Directive]bool{}
-	pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags, audit: true, used: used}
-	if err := a.Run(pass); err != nil {
-		return nil, nil, fmt.Errorf("%s (audit) on %s: %w", a.Name, pkg.ImportPath, err)
-	}
-	SortDiagnostics(diags)
-	return diags, used, nil
-}
-
-// RunModuleAnalyzerAudit applies a module analyzer to the whole loaded
-// package set with waivers disabled, returning the directives that would
-// have waived a finding — the module-level counterpart of RunAnalyzerAudit.
-func RunModuleAnalyzerAudit(a *Analyzer, pkgs []*Package) ([]Diagnostic, map[*Directive]bool, error) {
-	return RunModuleAnalyzerAuditCached(a, pkgs, nil)
-}
-
-// RunModuleAnalyzerAuditCached is RunModuleAnalyzerAudit with a shared
-// module cache (see RunModuleAnalyzerCached).
-func RunModuleAnalyzerAuditCached(a *Analyzer, pkgs []*Package, cache *ModuleCache) ([]Diagnostic, map[*Directive]bool, error) {
-	var diags []Diagnostic
-	used := map[*Directive]bool{}
-	pass := &ModulePass{Analyzer: a, Pkgs: pkgs, diags: &diags, audit: true, used: used, cache: cache}
-	if err := a.RunModule(pass); err != nil {
-		return nil, nil, fmt.Errorf("%s (audit): %w", a.Name, err)
-	}
-	SortDiagnostics(diags)
-	return diags, used, nil
 }
 
 // SortDiagnostics orders findings by file, line, column, analyzer, message.

@@ -2,10 +2,10 @@ package lint
 
 // scope.go is the single source of truth for the simulation-determinism
 // scope: the set of rtseed/internal packages whose non-test code must be a
-// pure function of its inputs. The determinism, detflow, and isoshare
+// pure function of its inputs. The detflow, timeunits, and isoshare
 // analyzers all consult InSimScope, so a package is either covered by all
-// three tiers or deliberately exempt — never covered by one and silently
-// skipped by another. TestSimScopeCoversInternalPackages asserts that every
+// three or deliberately exempt — never covered by one and silently skipped
+// by another. TestSimScopeCoversInternalPackages asserts that every
 // directory under internal/ appears in exactly one of the two tables below,
 // so a new package cannot dodge the analyzers by omission.
 

@@ -91,3 +91,26 @@ func TestSimScopeExemptRTNotImported(t *testing.T) {
 		}
 	}
 }
+
+// TestInSimScope pins the scope predicate on sample import paths: whole
+// path components only, so a name that merely starts with a scoped
+// package's name stays out.
+func TestInSimScope(t *testing.T) {
+	for path, want := range map[string]bool{
+		"rtseed/internal/engine":      true,
+		"rtseed/internal/kernel":      true,
+		"rtseed/internal/sweep":       true,
+		"rtseed/internal/trace":       true,
+		"rtseed/internal/workload":    true,
+		"rtseed/internal/report":      true,
+		"rtseed/internal/lint":        false,
+		"rtseed/internal/trading":     false,
+		"rtseed/internal/rt":          false, // host-clock runner: exempt by design, see SimScopeExemptions
+		"rtseed/cmd/rtseed-overhead":  false,
+		"rtseed/internal/engineering": false, // prefix of a scoped name must not match
+	} {
+		if got := InSimScope(path); got != want {
+			t.Errorf("InSimScope(%q) = %v, want %v", path, got, want)
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 
 	"rtseed/internal/lint"
 	"rtseed/internal/lint/bodystep"
-	"rtseed/internal/lint/determinism"
 	"rtseed/internal/lint/detflow"
 	"rtseed/internal/lint/eventhandle"
 	"rtseed/internal/lint/exhaustive"
@@ -22,14 +21,13 @@ import (
 	"rtseed/internal/lint/waiverdrift"
 )
 
-// Analyzers is the vet suite, in reporting order: the per-package invariant
-// checkers first (syntactic, then dataflow), then the whole-program
-// call-graph and summary-driven analyzers. The module analyzers share one
-// ModuleCache per run, so the call graph and function summaries are built
-// once and reused by detflow, noalloc, isoshare, kernelctx, and the
-// waiverdrift audit.
+// Analyzers is the vet suite, one analyzer per contract. The driver runs the
+// per-package analyzers first, then the module analyzers in this order, all
+// in one lint.Session: the call graph and function summaries are built once
+// and reused by detflow, noalloc, isoshare, kernelctx and waiverdrift, and
+// waiverdrift, which must stay last, audits the waivers from the record the
+// others left in the session.
 var Analyzers = []*lint.Analyzer{
-	determinism.Analyzer,
 	detflow.Analyzer,
 	noalloc.Analyzer,
 	eventhandle.Analyzer,
@@ -95,6 +93,7 @@ func RunWithStats(dir string, patterns []string) ([]lint.Diagnostic, Stats, erro
 			}
 		}
 	}
+	session := lint.NewSession()
 	var diags []lint.Diagnostic
 	for _, pkg := range pkgs {
 		diags = append(diags, pkg.Directives.Problems...)
@@ -105,19 +104,18 @@ func RunWithStats(dir string, patterns []string) ([]lint.Diagnostic, Stats, erro
 			if a.AppliesTo != nil && !a.AppliesTo(pkg.ImportPath) {
 				continue
 			}
-			found, err := lint.RunAnalyzer(a, pkg)
+			found, err := lint.RunAnalyzer(a, pkg, session)
 			if err != nil {
 				return nil, stats, err
 			}
 			diags = append(diags, found...)
 		}
 	}
-	cache := lint.NewModuleCache()
 	for _, a := range Analyzers {
 		if a.RunModule == nil {
 			continue
 		}
-		found, err := lint.RunModuleAnalyzerCached(a, pkgs, cache)
+		found, err := lint.RunModuleAnalyzer(a, pkgs, session)
 		if err != nil {
 			return nil, stats, err
 		}

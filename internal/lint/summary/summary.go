@@ -1,13 +1,14 @@
 // Package summary is the fourth tier of the rtseed-vet analyzer stack:
 // per-function summaries computed over the whole-module call graph.
 //
-// Tier 1 is syntactic (determinism, noalloc's body checks), tier 2 is the
-// call graph (kernelctx's reachability), tier 3 is intraprocedural dataflow
-// (detflow, timeunits). Each of those stops at a function boundary: a
-// wall-clock read laundered through one helper frame, or a package variable
-// bumped by a callee, is invisible to them. This package closes that gap by
-// computing, for every function body in the loaded set, a conservative
-// digest of its caller-visible behavior:
+// Tier 1 is syntactic (detflow's call-site rule, noalloc's body checks),
+// tier 2 is the call graph (kernelctx's reachability), tier 3 is
+// intraprocedural dataflow (detflow, timeunits, bodystep, eventhandle).
+// Each of those stops at a function boundary: a wall-clock read laundered
+// through one helper frame, or a package variable bumped by a callee, is
+// invisible to them. This package closes that gap by computing, for every
+// function body in the loaded set, a conservative digest of its
+// caller-visible behavior:
 //
 //   - ReturnTaint: nondeterminism sources (wall-clock, global rand,
 //     environment reads) whose values reach a return value, transitively
@@ -229,7 +230,7 @@ func newSummary(n *callgraph.Node) *Summary {
 }
 
 // Shared returns the summary set of mp's loaded package set, computed once
-// per module cache over the shared call graph.
+// per session over the shared call graph.
 func Shared(mp *lint.ModulePass) *Set {
 	return mp.Shared("summary", func() any {
 		return Compute(mp.Pkgs, callgraph.Shared(mp))
@@ -403,8 +404,8 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // clockValueFuncs are the time functions whose results depend on the host
-// clock; the blocking ones (Sleep, NewTimer, ...) belong to the syntactic
-// determinism analyzer — blocking is a side effect, not a value.
+// clock; the blocking ones (Sleep, NewTimer, ...) belong to detflow's
+// call-site rule — blocking is a side effect, not a value.
 var clockValueFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 // envValueFuncs read the process environment.

@@ -1,8 +1,8 @@
-// Package determfix is the syntactic determinism analyzer's fixture: each
-// flagged line carries a want expectation; the clean and waived functions
-// document the accepted patterns. Value-flow cases (clock reads or map
-// order reaching results) live in the detflow fixture.
-package determfix
+// The detflow fixture's call-site cases: host timers, the global rand
+// source, wall-clock seeds and environment reads are flagged at the call,
+// wherever the value goes; the clean and waived functions document the
+// accepted patterns. A call whose value also reaches a sink carries both.
+package detflowfix
 
 import (
 	"math/rand"
@@ -20,16 +20,16 @@ func hostTimers(d time.Duration) {
 	k.Stop()
 }
 
-// Clean: reading the clock is no longer a syntactic finding — whether the
-// value matters is the detflow analyzer's call.
+// Taint rule only: reading the clock is no call-site finding, but the value
+// reaching the caller is.
 func readClock() time.Time {
-	return time.Now()
+	return time.Now() // want `wall-clock value from time\.Now \(line \d+\) is returned to the caller`
 }
 
 // Flagged pattern 2: the process-global math/rand source.
 func globalRand(n int) int {
 	rand.Shuffle(n, func(i, j int) {}) // want `global math/rand`
-	return rand.Intn(n)                // want `global math/rand`
+	return rand.Intn(n)                // want `global math/rand` `random value from math/rand\.Intn \(line \d+\) is returned`
 }
 
 // Clean: a locally seeded source is reproducible.
@@ -44,18 +44,18 @@ func envBranch() bool {
 		return true
 	}
 	_, ok := os.LookupEnv("RTSEED_TRACE") // want `environment`
-	return ok
+	return ok                             // want `environment-dependent value from os\.LookupEnv \(line \d+\) is returned`
 }
 
 // Accepted escape hatch: a line-scoped waiver with a reason.
-func waivedLine(d time.Duration) {
+func waivedSleep(d time.Duration) {
 	time.Sleep(d) //rtseed:nondeterministic-ok fixture: pacing a host-facing demo loop
 }
 
 // Accepted escape hatch: a function-scoped waiver in the doc comment.
 //
 //rtseed:nondeterministic-ok fixture: arms a real timer by design
-func waivedFunc(d time.Duration) *time.Timer {
+func waivedTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
@@ -74,12 +74,12 @@ func inverseCDF(seed int64, shape float64) float64 {
 // Flagged sampling idiom: drawing inter-arrival gaps from the process-global
 // source ties the workload to run order.
 func globalGap() float64 {
-	return rand.ExpFloat64() // want `global math/rand`
+	return rand.ExpFloat64() // want `global math/rand` `random value from math/rand\.ExpFloat64 \(line \d+\) is returned`
 }
 
 // Flagged sampling idiom: a wall-clock seed makes every run a different
 // population even though the source itself is local.
 func clockSeeded(n int) int {
 	r := rand.New(rand.NewSource(time.Now().UnixNano())) // want `wall-clock seed`
-	return r.Intn(n)
+	return r.Intn(n)                                     // want `wall-clock value from time\.Now \(line \d+\) is returned`
 }

@@ -33,7 +33,7 @@ var mode string
 
 // Flagged: environment read into a package variable.
 func loadMode() {
-	mode = os.Getenv("RTSEED_MODE") // want `environment-dependent value from os\.Getenv \(line \d+\) is stored in mode`
+	mode = os.Getenv("RTSEED_MODE") // want `environment-dependent value from os\.Getenv \(line \d+\) is stored in mode` `call to os\.Getenv reads the process environment`
 }
 
 // Flagged: wall clock stored into another package's variable.
@@ -43,7 +43,7 @@ func stampArgs() {
 
 // Flagged: global rand into a return value, laundered through locals.
 func jitter(n int) int {
-	j := rand.Intn(n)
+	j := rand.Intn(n) // want `call to math/rand\.Intn uses the global math/rand source`
 	k := j * 2
 	return k // want `globally-seeded random value from math/rand\.Intn \(line \d+\) is returned to the caller`
 }

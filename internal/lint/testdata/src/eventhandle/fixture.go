@@ -66,6 +66,51 @@ func reassignAfterCancel(e *engine.Engine) engine.Time {
 	return ev.When()
 }
 
+// Flagged: the Cancel happens on one path only, and that path reaches the
+// use.
+func cancelOnOneBranch(e *engine.Engine, stop bool) engine.Time {
+	ev := e.After(time.Second, 0, noop)
+	if stop {
+		e.Cancel(ev)
+	}
+	return ev.When() // want `"ev" used after Cancel`
+}
+
+// Clean: the cancelling branch returns, so no path from the Cancel reaches
+// the use after the if.
+func cancelOnReturningBranch(e *engine.Engine, stop bool) engine.Time {
+	ev := e.After(time.Second, 0, noop)
+	if stop {
+		e.Cancel(ev)
+		return 0
+	}
+	return ev.When()
+}
+
+// Flagged: the Cancel at the bottom of the loop reaches the use at its top
+// on the next iteration.
+func cancelAtLoopBottom(e *engine.Engine, n int) engine.Time {
+	ev := e.After(time.Second, 0, noop)
+	var last engine.Time
+	for i := 0; i < n; i++ {
+		last = ev.When() // want `"ev" used after Cancel`
+		e.Cancel(ev)
+	}
+	return last
+}
+
+// Clean: the handle is re-armed before the loop comes back around.
+func rearmInLoop(e *engine.Engine, n int) engine.Time {
+	ev := e.After(time.Second, 0, noop)
+	var last engine.Time
+	for i := 0; i < n; i++ {
+		last = ev.When()
+		e.Cancel(ev)
+		ev = e.After(time.Second, 0, noop)
+	}
+	return last
+}
+
 // Accepted escape hatch: a use-site waiver with a reason.
 func waivedUse(e *engine.Engine) bool {
 	ev := e.After(time.Second, 0, noop)

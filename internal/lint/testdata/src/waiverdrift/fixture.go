@@ -70,6 +70,16 @@ func storeChecked(c *checked, e *engine.Engine) {
 	c.ev = e.After(time.Millisecond, 0, func() {})
 }
 
+// doubly's blessing and the store's own waiver both shield the store: each
+// is consulted, so neither is stale.
+type doubly struct {
+	ev engine.Event //rtseed:handle-ok re-validated via Scheduled before every use
+}
+
+func storeDoubly(d *doubly, e *engine.Engine) {
+	d.ev = e.After(time.Millisecond, 0, func() {}) //rtseed:handle-ok fixture: a line waiver beside a blessed field
+}
+
 // enqueue is kernel context; livePump still reaches it, so its blessing
 // stays live.
 //
@@ -91,7 +101,7 @@ func staleAlloc(buf []int) int {
 
 // staleNondet: nothing below touches the clock any more.
 func staleNondet() int {
-	//rtseed:nondeterministic-ok formerly read time.Now here // want `stale //rtseed:nondeterministic-ok: the determinism/detflow finding it waives no longer exists`
+	//rtseed:nondeterministic-ok formerly read time.Now here // want `stale //rtseed:nondeterministic-ok: the detflow finding it waives no longer exists`
 	return 42
 }
 

@@ -36,7 +36,6 @@ import (
 
 	"rtseed/internal/lint"
 	"rtseed/internal/lint/dataflow"
-	"rtseed/internal/lint/determinism"
 )
 
 // Analyzer is the time-unit soundness checker.
@@ -47,7 +46,7 @@ var Analyzer = &lint.Analyzer{
 		"tick, or raw; flags abs+abs addition, tick/ns mixing, cross-unit\n" +
 		"comparisons, and conversions outside declared helpers. Waive with\n" +
 		"//rtseed:units-ok <reason>.",
-	AppliesTo: determinism.InScope,
+	AppliesTo: lint.InSimScope,
 	Run:       run,
 }
 

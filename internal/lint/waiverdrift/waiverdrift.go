@@ -9,18 +9,17 @@
 // system honest by re-deriving, on every run, which waivers still shield a
 // live finding:
 //
-//   - Every waiver-consuming analyzer is re-run in audit mode, where
-//     Pass.Waived reports the finding anyway but records the directive that
-//     would have suppressed it. A waiver directive no audit finding touched
-//     is stale and flagged at its own position. nondeterministic-ok is
-//     consumed by two tiers (syntactic determinism and taint-based
-//     detflow): a live finding from either keeps the waiver.
+//   - Every waiver directive has exactly one consuming analyzer. The suite
+//     runs those analyzers before this one in the same lint.Session, which
+//     records each directive a Pass consulted while deciding to waive a
+//     finding and each package an analyzer examined. A waiver no analyzer
+//     consulted is stale, or misplaced when its consumer never examined
+//     the package (the directive sits outside that contract's scope), and
+//     is flagged at its own position.
 //   - Placement is audited too: //rtseed:noalloc must sit on a function
 //     declaration, //rtseed:kernelctx on a declaration or function literal,
 //     //rtseed:kernelctx-entry on a declaration — anywhere else the
 //     directive is dead weight that reads as protection.
-//   - //rtseed:nondeterministic-ok outside the determinism-scoped packages
-//     is misplaced: there is no contract to waive there.
 //   - A //rtseed:kernelctx-entry is an entry to somewhere: if the annotated
 //     function no longer reaches any //rtseed:kernelctx function over any
 //     call-graph edge (including the conservative interface/dynamic tiers —
@@ -35,12 +34,10 @@ package waiverdrift
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"rtseed/internal/lint"
 	"rtseed/internal/lint/bodystep"
 	"rtseed/internal/lint/callgraph"
-	"rtseed/internal/lint/determinism"
 	"rtseed/internal/lint/detflow"
 	"rtseed/internal/lint/eventhandle"
 	"rtseed/internal/lint/exhaustive"
@@ -49,122 +46,50 @@ import (
 	"rtseed/internal/lint/timeunits"
 )
 
-// Analyzer is the waiver-audit checker.
+// Analyzer is the waiver-audit checker. It reads the session the rest of
+// the suite ran in, so it must run after every analyzer in waivers.
 var Analyzer = &lint.Analyzer{
 	Name: "waiverdrift",
 	Doc: "flag stale and misplaced //rtseed: directives\n\n" +
-		"Re-runs the waiver-consuming analyzers with waivers disabled and flags\n" +
-		"every //rtseed:alloc-ok, handle-ok, nondeterministic-ok, partial-ok,\n" +
-		"units-ok, bodystep-ok, and shared-ok that no longer shields a live\n" +
-		"finding, plus directives attached to the wrong kind of code and\n" +
-		"kernelctx-entry blessings that no longer reach kernel context.",
+		"Flags every //rtseed:alloc-ok, handle-ok, nondeterministic-ok,\n" +
+		"partial-ok, units-ok, bodystep-ok, and shared-ok that no analyzer of\n" +
+		"the run consulted to waive a finding, plus directives attached to the\n" +
+		"wrong kind of code and kernelctx-entry blessings that no longer reach\n" +
+		"kernel context.",
 	RunModule: run,
 }
 
-// audited maps each waiver directive to the per-package analyzers whose
-// findings it waives. nondeterministic-ok is consumed by two tiers — the
-// syntactic determinism analyzer here and the taint-based detflow module
-// analyzer below — so a waiver is live if either still finds a violation
-// under it.
-var audited = []struct {
-	dir      string
-	analyzer *lint.Analyzer
-}{
-	{lint.DirHandleOK, eventhandle.Analyzer},
-	{lint.DirNondeterministic, determinism.Analyzer},
-	{lint.DirPartialOK, exhaustive.Analyzer},
-	{lint.DirUnitsOK, timeunits.Analyzer},
-	{lint.DirBodyStepOK, bodystep.Analyzer},
-}
-
-// auditedModule maps waiver directives consumed by module-level analyzers,
-// which are audited once over the whole loaded set rather than per package.
-// The audit runs share the module cache, so the call graph and function
-// summaries are built once per rtseed-vet invocation, not once per auditor.
-var auditedModule = []struct {
-	dir      string
-	analyzer *lint.Analyzer
-}{
-	{lint.DirAllocOK, noalloc.Analyzer},
-	{lint.DirNondeterministic, detflow.Analyzer},
-	{lint.DirSharedOK, isoshare.Analyzer},
-}
-
-// inAuditScope reports whether an analyzer's audit pass runs on importPath.
-// Fixture packages are always in scope so the audit itself is testable.
-func inAuditScope(a *lint.Analyzer, importPath string) bool {
-	return a.AppliesTo == nil || a.AppliesTo(importPath) ||
-		strings.HasPrefix(importPath, "rtseed/fixture/")
+// waivers maps each waiver directive to the one analyzer whose findings it
+// waives.
+var waivers = map[string]*lint.Analyzer{
+	lint.DirAllocOK:          noalloc.Analyzer,
+	lint.DirHandleOK:         eventhandle.Analyzer,
+	lint.DirNondeterministic: detflow.Analyzer,
+	lint.DirPartialOK:        exhaustive.Analyzer,
+	lint.DirUnitsOK:          timeunits.Analyzer,
+	lint.DirBodyStepOK:       bodystep.Analyzer,
+	lint.DirSharedOK:         isoshare.Analyzer,
 }
 
 func run(mp *lint.ModulePass) error {
 	g := callgraph.Shared(mp)
-
-	moduleUsed := map[*lint.Directive]bool{}
-	for _, a := range auditedModule {
-		_, u, err := lint.RunModuleAnalyzerAuditCached(a.analyzer, mp.Pkgs, mp.Cache())
-		if err != nil {
-			return err
-		}
-		for d := range u {
-			moduleUsed[d] = true
-		}
-	}
-
+	session := mp.Session()
 	for _, pkg := range mp.Pkgs {
-		used := map[*lint.Directive]bool{}
-		ran := map[string]bool{}
-		for _, a := range audited {
-			if !inAuditScope(a.analyzer, pkg.ImportPath) {
+		placement := placements(pkg)
+		for _, d := range pkg.Directives.All() {
+			if a, ok := waivers[d.Name]; ok {
+				switch {
+				case session.Consulted(d):
+				case !session.Examined(a.Name, pkg.ImportPath):
+					mp.ReportfAt(d.Pos, "misplaced //rtseed:%s: package %s is outside the %s contract's scope",
+						d.Name, pkg.ImportPath, a.Name)
+				default:
+					mp.ReportfAt(d.Pos, "stale //rtseed:%s: the %s finding it waives no longer exists (remove the waiver)",
+						d.Name, a.Name)
+				}
 				continue
 			}
-			_, u, err := lint.RunAnalyzerAudit(a.analyzer, pkg)
-			if err != nil {
-				return err
-			}
-			for d := range u {
-				used[d] = true
-			}
-			ran[a.dir] = true
-		}
-
-		placement := placements(pkg)
-
-		for _, d := range pkg.Directives.All() {
 			switch d.Name {
-			case lint.DirHandleOK, lint.DirPartialOK, lint.DirUnitsOK, lint.DirBodyStepOK:
-				if used[d] {
-					continue
-				}
-				if !ran[d.Name] {
-					mp.ReportfAt(d.Pos, "misplaced //rtseed:%s: package %s is outside the %s contract's scope",
-						d.Name, pkg.ImportPath, analyzerFor(d.Name))
-					continue
-				}
-				mp.ReportfAt(d.Pos, "stale //rtseed:%s: the %s finding it waives no longer exists (remove the waiver)",
-					d.Name, analyzerFor(d.Name))
-			case lint.DirNondeterministic:
-				// Consumed by two tiers: the per-package syntactic
-				// determinism analyzer and the module-level detflow taint
-				// analyzer. Both share the determinism scope, so a waiver in
-				// a package the per-package audit skipped is misplaced.
-				if used[d] || moduleUsed[d] {
-					continue
-				}
-				if !ran[d.Name] {
-					mp.ReportfAt(d.Pos, "misplaced //rtseed:%s: package %s is outside the %s contract's scope",
-						d.Name, pkg.ImportPath, analyzerFor(d.Name))
-					continue
-				}
-				mp.ReportfAt(d.Pos, "stale //rtseed:%s: the %s finding it waives no longer exists (remove the waiver)",
-					d.Name, analyzerFor(d.Name))
-			case lint.DirAllocOK, lint.DirSharedOK:
-				// Module-analyzer waivers: the auditors self-scope, so
-				// staleness is the only drift to catch here.
-				if !moduleUsed[d] {
-					mp.ReportfAt(d.Pos, "stale //rtseed:%s: the %s finding it waives no longer exists (remove the waiver)",
-						d.Name, analyzerFor(d.Name))
-				}
 			case lint.DirNoalloc:
 				if placement.onDecl[d] == nil {
 					mp.ReportfAt(d.Pos, "misplaced //rtseed:noalloc: not attached to a function declaration")
@@ -187,26 +112,6 @@ func run(mp *lint.ModulePass) error {
 		}
 	}
 	return nil
-}
-
-// analyzerFor names the analyzers whose findings a waiver directive waives,
-// slash-joined when the directive serves more than one tier.
-func analyzerFor(dir string) string {
-	var names []string
-	for _, a := range audited {
-		if a.dir == dir {
-			names = append(names, a.analyzer.Name)
-		}
-	}
-	for _, a := range auditedModule {
-		if a.dir == dir {
-			names = append(names, a.analyzer.Name)
-		}
-	}
-	if len(names) == 0 {
-		return "?"
-	}
-	return strings.Join(names, "/")
 }
 
 // placement records which declaration or literal each annotation-style

@@ -38,9 +38,12 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 			if err != nil {
 				return fmt.Errorf("mem profile: %w", err)
 			}
-			defer f.Close()
 			runtime.GC() // capture the live heap, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			err = pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
 				return fmt.Errorf("mem profile: %w", err)
 			}
 		}

@@ -83,13 +83,26 @@ type Feed struct {
 	sign float64
 }
 
-// NewFeed builds a feed. It returns an error for nonsensical parameters.
+// NewFeed builds a feed. It returns an error for nonsensical parameters,
+// including a non-finite Start, Volatility, Drift or Spread, which would
+// turn every quote into NaN or infinity.
 func NewFeed(cfg FeedConfig) (*Feed, error) {
 	cfg.fillDefaults()
-	if cfg.Start <= 0 || cfg.Volatility < 0 || cfg.Spread < 0 || cfg.Interval <= 0 {
+	if cfg.Start <= 0 || cfg.Volatility < 0 || cfg.Spread < 0 || cfg.Interval <= 0 ||
+		!finite(cfg.Start, cfg.Volatility, cfg.Drift, cfg.Spread) {
 		return nil, fmt.Errorf("trading: invalid feed config %+v", cfg)
 	}
 	return &Feed{cfg: cfg, rng: engine.NewRand(cfg.Seed), mid: cfg.Start, sign: 1}, nil
+}
+
+// finite reports whether every x is neither NaN nor infinite.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Next returns the next tick.

@@ -45,13 +45,8 @@ func NewPipeline(feed *Feed, indicators []Indicator, engine *Engine, broker *Bro
 	if feed == nil {
 		return nil, fmt.Errorf("trading: pipeline needs a feed")
 	}
-	return NewPipelineFrom(feedSource{feed}, indicators, engine, broker, history)
+	return NewPipelineFrom(feed, indicators, engine, broker, history)
 }
-
-// feedSource adapts the in-process generator to the Source interface.
-type feedSource struct{ f *Feed }
-
-func (s feedSource) NextTick() (Tick, error) { return s.f.Next(), nil }
 
 // NewPipelineFrom is NewPipeline for an arbitrary tick source (e.g. a
 // NetFeed dialled to a remote quote server).

@@ -42,6 +42,22 @@ func TestFeedValidation(t *testing.T) {
 	}
 }
 
+// TestFeedRejectsNonFinite: a NaN or infinite parameter would make every
+// quote NaN or infinite, which encoding/json refuses to serve.
+func TestFeedRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, cfg := range []FeedConfig{
+		{Start: nan}, {Start: inf},
+		{Volatility: nan}, {Volatility: inf},
+		{Drift: nan}, {Drift: inf}, {Drift: -inf},
+		{Spread: nan}, {Spread: inf},
+	} {
+		if _, err := NewFeed(cfg); err == nil {
+			t.Errorf("NewFeed(%+v) accepted", cfg)
+		}
+	}
+}
+
 func TestFeedTake(t *testing.T) {
 	f, _ := NewFeed(FeedConfig{Seed: 1})
 	ticks := f.Take(10)
