@@ -1,8 +1,8 @@
-// The detflow fixture's call-site cases: host timers, the global rand
-// source, wall-clock seeds and environment reads are flagged at the call,
-// wherever the value goes; the clean and waived functions document the
-// accepted patterns. A call whose value also reaches a sink carries both.
-package detflowfix
+// Package detcallsfix is the fixture for detflow's call-site rule: host
+// timers, global rand draws, wall-clock seeds and environment reads are
+// flagged at the call, and the clean and waived functions show what passes.
+// A call whose value also reaches a sink carries both rules' findings.
+package detcallsfix
 
 import (
 	"math/rand"
@@ -48,14 +48,14 @@ func envBranch() bool {
 }
 
 // Accepted escape hatch: a line-scoped waiver with a reason.
-func waivedSleep(d time.Duration) {
+func waivedLine(d time.Duration) {
 	time.Sleep(d) //rtseed:nondeterministic-ok fixture: pacing a host-facing demo loop
 }
 
 // Accepted escape hatch: a function-scoped waiver in the doc comment.
 //
 //rtseed:nondeterministic-ok fixture: arms a real timer by design
-func waivedTimer(d time.Duration) *time.Timer {
+func waivedFunc(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
