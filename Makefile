@@ -155,7 +155,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-cluster
 	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-trace
 	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-trade
-	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-feedd
+	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-workload
 	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-benchjson
 
 # bench-json runs the scheduling-core benchmarks (engine, kernel hot paths,

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rtseed/internal/analysis"
@@ -64,11 +65,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-analyze:", err)
 		os.Exit(2)
 	}
-	if o.accept {
-		err = runAcceptance(o.acceptN, o.acceptSets, o.workers, o.acceptSpec)
-	} else {
-		err = runWithSource(o.spec, o.taskFile, o.m)
-	}
+	err = report.Emit("", func(w io.Writer) error {
+		if o.accept {
+			return runAcceptance(w, o.acceptN, o.acceptSets, o.workers, o.acceptSpec)
+		}
+		return runWithSource(w, o.spec, o.taskFile, o.m)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-analyze:", err)
 		os.Exit(1)
@@ -78,7 +80,7 @@ func main() {
 // runAcceptance sweeps random task sets over total utilization and compares
 // the RMWP test against general-RM exact analysis and the Liu & Layland
 // bound — the cost of guaranteeing wind-up parts.
-func runAcceptance(n, sets, workers int, specArg string) error {
+func runAcceptance(w io.Writer, n, sets, workers int, specArg string) error {
 	var utils []float64
 	for u := 0.1; u <= 1.0001; u += 0.1 {
 		utils = append(utils, u)
@@ -103,38 +105,39 @@ func runAcceptance(n, sets, workers int, specArg string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Acceptance ratio over %d random sets per point (n=%d, %s):\n", sets, n, genName)
+	fmt.Fprintf(w, "Acceptance ratio over %d random sets per point (n=%d, %s):\n", sets, n, genName)
 	tbl := report.NewTable("ΣU", "RMWP", "general RM (exact)", "Liu&Layland bound")
 	for _, p := range points {
 		tbl.AddRow(fmt.Sprintf("%.1f", p.Utilization), p.RMWP, p.GeneralRM, p.LLBound)
 	}
-	fmt.Println(tbl)
+	fmt.Fprintln(w, tbl)
 	return nil
 }
 
-// runWithSource resolves the task set from a file or an inline spec.
-func runWithSource(spec, taskFile string, m int) error {
+// runWithSource resolves the task set from a file or an inline spec and
+// writes its analysis to w.
+func runWithSource(w io.Writer, spec, taskFile string, m int) error {
 	if taskFile != "" {
 		set, err := task.LoadFile(taskFile)
 		if err != nil {
 			return err
 		}
-		return analyze(set, m)
+		return analyze(w, set, m)
 	}
 	set, err := task.ParseSpec(spec)
 	if err != nil {
 		return err
 	}
-	return analyze(set, m)
+	return analyze(w, set, m)
 }
 
-func analyze(set *task.Set, m int) error {
+func analyze(w io.Writer, set *task.Set, m int) error {
 
-	fmt.Printf("Task set: n=%d, ΣU=%.3f, system U on %d processors=%.3f, hyperperiod=%v\n",
+	fmt.Fprintf(w, "Task set: n=%d, ΣU=%.3f, system U on %d processors=%.3f, hyperperiod=%v\n",
 		set.Len(), set.Utilization(), m, set.SystemUtilization(m), set.Hyperperiod())
-	fmt.Printf("Liu&Layland bound n(2^(1/n)-1) = %.4f -> utilization test %s\n",
+	fmt.Fprintf(w, "Liu&Layland bound n(2^(1/n)-1) = %.4f -> utilization test %s\n",
 		analysis.LiuLaylandBound(set.Len()), pass(analysis.UtilizationSchedulable(set)))
-	fmt.Printf("RM-US threshold M/(3M-2) = %.4f (tasks above it take the HPQ level 99)\n\n",
+	fmt.Fprintf(w, "RM-US threshold M/(3M-2) = %.4f (tasks above it take the HPQ level 99)\n\n",
 		analysis.RMUSThreshold(m))
 
 	results, rerr := analysis.RMWP(set)
@@ -144,32 +147,32 @@ func analyze(set *task.Set, m int) error {
 			r.OptionalDeadline, r.MandatoryResponse, r.WindupResponse,
 			analysis.NeedsHighestPriority(r.Task, m), r.Schedulable)
 	}
-	fmt.Println("RMWP analysis (uniprocessor, RM order):")
-	fmt.Println(tbl)
+	fmt.Fprintln(w, "RMWP analysis (uniprocessor, RM order):")
+	fmt.Fprintln(w, tbl)
 	if rerr != nil && !errors.Is(rerr, analysis.ErrUnschedulable) {
 		return rerr
 	}
 
-	fmt.Printf("Breakdown utilization scale: %.3f\n\n", analysis.BreakdownUtilization(set, 0.001))
+	fmt.Fprintf(w, "Breakdown utilization scale: %.3f\n\n", analysis.BreakdownUtilization(set, 0.001))
 
 	if rerr == nil {
 		sens, err := analysis.Sensitivities(set)
 		if err == nil {
-			fmt.Println("Per-task sensitivity (largest value keeping the set RMWP-schedulable):")
+			fmt.Fprintln(w, "Per-task sensitivity (largest value keeping the set RMWP-schedulable):")
 			stbl := report.NewTable("task", "max m", "m slack", "max w", "w slack")
 			for _, se := range sens {
 				stbl.AddRow(se.Task, se.MaxMandatory, se.MandatorySlack, se.MaxWindup, se.WindupSlack)
 			}
-			fmt.Println(stbl)
+			fmt.Fprintln(w, stbl)
 		}
 	}
 
 	asg, err := partition.Partition(set, m, partition.FirstFit)
 	if err != nil {
-		fmt.Printf("P-RMWP partitioning onto %d processors (first-fit decreasing): FAILED: %v\n", m, err)
+		fmt.Fprintf(w, "P-RMWP partitioning onto %d processors (first-fit decreasing): FAILED: %v\n", m, err)
 		return nil
 	}
-	fmt.Printf("P-RMWP partitioning onto %d processors (first-fit decreasing): %d used\n",
+	fmt.Fprintf(w, "P-RMWP partitioning onto %d processors (first-fit decreasing): %d used\n",
 		m, asg.UsedProcessors())
 	ptbl := report.NewTable("processor", "tasks", "U")
 	for p, tasks := range asg.PerProcessor {
@@ -185,7 +188,7 @@ func analyze(set *task.Set, m int) error {
 		}
 		ptbl.AddRow(p, names, asg.Utilization(p))
 	}
-	fmt.Println(ptbl)
+	fmt.Fprintln(w, ptbl)
 	return nil
 }
 

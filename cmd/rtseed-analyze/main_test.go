@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -45,41 +49,41 @@ func TestParseFlagsRejectsNonPositiveWorkers(t *testing.T) {
 }
 
 func TestRunPaperTask(t *testing.T) {
-	if err := runWithSource("tau1:m=250ms,w=250ms,T=1s,o=1s,np=8", "", 57); err != nil {
+	if err := runWithSource(io.Discard, "tau1:m=250ms,w=250ms,T=1s,o=1s,np=8", "", 57); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMultiTask(t *testing.T) {
-	if err := runWithSource("a:m=2ms,w=2ms,T=10ms; b:m=5ms,w=3ms,T=40ms", "", 4); err != nil {
+	if err := runWithSource(io.Discard, "a:m=2ms,w=2ms,T=10ms; b:m=5ms,w=3ms,T=40ms", "", 4); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnschedulableStillReports(t *testing.T) {
 	// Unschedulable sets are reported, not errors.
-	if err := runWithSource("a:m=6ms,w=3ms,T=10ms; b:m=6ms,w=3ms,T=10ms", "", 1); err != nil {
+	if err := runWithSource(io.Discard, "a:m=6ms,w=3ms,T=10ms; b:m=6ms,w=3ms,T=10ms", "", 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadSpec(t *testing.T) {
-	if err := runWithSource("garbage", "", 4); err == nil {
+	if err := runWithSource(io.Discard, "garbage", "", 4); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 }
 
 func TestRunAcceptance(t *testing.T) {
-	if err := runAcceptance(3, 10, 2, ""); err != nil {
+	if err := runAcceptance(io.Discard, 3, 10, 2, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunAcceptanceSpec(t *testing.T) {
-	if err := runAcceptance(3, 10, 2, "flash-crash"); err != nil {
+	if err := runAcceptance(io.Discard, 3, 10, 2, "flash-crash"); err != nil {
 		t.Fatal(err)
 	}
-	if err := runAcceptance(3, 10, 2, "no-such-spec.json"); err == nil {
+	if err := runAcceptance(io.Discard, 3, 10, 2, "no-such-spec.json"); err == nil {
 		t.Fatal("missing spec accepted")
 	}
 }
@@ -90,10 +94,10 @@ func TestRunFromTaskFile(t *testing.T) {
 	if err := set.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := runWithSource("ignored", path, 4); err != nil {
+	if err := runWithSource(io.Discard, "ignored", path, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := runWithSource("ignored", filepath.Join(t.TempDir(), "missing.json"), 4); err == nil {
+	if err := runWithSource(io.Discard, "ignored", filepath.Join(t.TempDir(), "missing.json"), 4); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -113,4 +117,36 @@ func FuzzParseFlags(f *testing.F) {
 			t.Fatalf("%q accepted with workers %d", line, o.workers)
 		}
 	})
+}
+
+// TestMain runs the test binary as the command itself when RTSEED_RUN_MAIN
+// is set, so a test can check main's exit status and stderr.
+func TestMain(m *testing.M) {
+	if os.Getenv("RTSEED_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUnwritableReportFails: a report that cannot be written to stdout,
+// plain or -accept, must exit 1 with an error naming the output.
+func TestUnwritableReportFails(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	defer full.Close()
+	for _, args := range [][]string{nil, {"-accept", "-accept-n", "3", "-accept-sets", "5"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "RTSEED_RUN_MAIN=1")
+		cmd.Stdout = full
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "/dev/stdout") {
+			t.Errorf("%v: %v, stderr %q; want exit status 1 naming /dev/stdout", args, err, stderr.String())
+		}
+	}
 }

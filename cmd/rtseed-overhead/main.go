@@ -78,11 +78,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-overhead:", err)
 		os.Exit(1)
 	}
-	if o.dist {
-		err = runDistributions(os.Stdout, o.jobs, o.seed)
-	} else {
-		err = run(os.Stdout, o.fig, o.jobs, o.quick, o.seed, o.csvPath, o.workers)
-	}
+	err = report.Emit("", func(w io.Writer) error {
+		if o.dist {
+			return runDistributions(w, o.jobs, o.seed)
+		}
+		return run(w, o.fig, o.jobs, o.quick, o.seed, o.csvPath, o.workers)
+	})
 	if perr := stop(); err == nil {
 		err = perr
 	}

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
@@ -134,4 +137,34 @@ func FuzzParseFlags(f *testing.F) {
 			t.Fatalf("%q accepted with jobs %d, workers %d", line, o.jobs, o.workers)
 		}
 	})
+}
+
+// TestMain runs the test binary as the command itself when RTSEED_RUN_MAIN
+// is set, so a test can check main's exit status and stderr.
+func TestMain(m *testing.M) {
+	if os.Getenv("RTSEED_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUnwritableReportFails: a report that cannot be written to stdout
+// must exit 1 with an error naming the output.
+func TestUnwritableReportFails(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	defer full.Close()
+	cmd := exec.Command(os.Args[0], "-quick")
+	cmd.Env = append(os.Environ(), "RTSEED_RUN_MAIN=1")
+	cmd.Stdout = full
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "/dev/stdout") {
+		t.Errorf("%v: %v, stderr %q; want exit status 1 naming /dev/stdout", cmd.Args[1:], err, stderr.String())
+	}
 }

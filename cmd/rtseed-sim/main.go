@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -75,13 +76,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-sim:", err)
 		os.Exit(2)
 	}
-	if err := run(o); err != nil {
+	if err := report.Emit("", func(w io.Writer) error { return run(w, o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o *options) error {
+// run simulates the task set and writes the report to w.
+func run(w io.Writer, o *options) error {
 	set, err := task.ParseSpec(o.spec)
 	if err != nil {
 		return err
@@ -95,15 +97,15 @@ func run(o *options) error {
 
 	switch o.sched {
 	case "prmwp":
-		return runPRMWP(k, rec, set, o.policy, o.horizon, o.margin, o.trace, o.gantt)
+		return runPRMWP(w, k, rec, set, o.policy, o.horizon, o.margin, o.trace, o.gantt)
 	case "general":
-		return runGeneral(k, rec, set, o.horizon, o.trace)
+		return runGeneral(w, k, rec, set, o.horizon, o.trace)
 	default:
 		return fmt.Errorf("unknown scheduler %q (want prmwp or general)", o.sched)
 	}
 }
 
-func runPRMWP(k *kernel.Kernel, rec *sched.Recorder, set *task.Set,
+func runPRMWP(w io.Writer, k *kernel.Kernel, rec *sched.Recorder, set *task.Set,
 	pol assign.Policy, horizon, margin time.Duration, trace, gantt bool) error {
 	sys, err := sched.NewPRMWP(k, sched.PRMWPConfig{
 		Set:            set,
@@ -117,7 +119,7 @@ func runPRMWP(k *kernel.Kernel, rec *sched.Recorder, set *task.Set,
 	sys.Start()
 	k.RunUntil(engine.At(horizon))
 
-	fmt.Printf("P-RMWP over %v, policy %v:\n", horizon, pol)
+	fmt.Fprintf(w, "P-RMWP over %v, policy %v:\n", horizon, pol)
 	tbl := report.NewTable("task", "jobs", "misses", "QoS", "completed", "terminated", "discarded")
 	names := make([]string, 0, len(sys.Processes))
 	for name := range sys.Processes {
@@ -129,7 +131,7 @@ func runPRMWP(k *kernel.Kernel, rec *sched.Recorder, set *task.Set,
 		tbl.AddRow(name, st.Jobs, st.DeadlineMisses, st.MeanQoS,
 			st.CompletedParts, st.TerminatedParts, st.DiscardedParts)
 	}
-	fmt.Println(tbl)
+	fmt.Fprintln(w, tbl)
 
 	if trace {
 		name := names[0]
@@ -139,7 +141,7 @@ func runPRMWP(k *kernel.Kernel, rec *sched.Recorder, set *task.Set,
 			return fmt.Errorf("-trace: no job of %s finished within -horizon %v", name, horizon)
 		}
 		tk := recs[0]
-		fmt.Printf("Fig. 3 (semi-fixed-priority): R(t) of %s, job 0 — mandatory then wind-up phase\n", name)
+		fmt.Fprintf(w, "Fig. 3 (semi-fixed-priority): R(t) of %s, job 0 — mandatory then wind-up phase\n", name)
 		var taskDef task.Task
 		for _, t := range set.Tasks {
 			if t.Name == name {
@@ -147,9 +149,9 @@ func runPRMWP(k *kernel.Kernel, rec *sched.Recorder, set *task.Set,
 			}
 		}
 		mand := rec.RemainingTime(p.MandatoryThread(), engine.At(tk.Release), engine.At(tk.WindupStart), taskDef.Mandatory)
-		printTrace(mand)
+		printTrace(w, mand)
 		wind := rec.RemainingTime(p.MandatoryThread(), engine.At(tk.WindupStart), engine.At(tk.Deadline), taskDef.Windup)
-		printTrace(wind)
+		printTrace(w, wind)
 	}
 	if gantt {
 		name := names[0]
@@ -164,13 +166,13 @@ func runPRMWP(k *kernel.Kernel, rec *sched.Recorder, set *task.Set,
 				period = t.Period
 			}
 		}
-		fmt.Printf("Gantt chart of %s, first period:\n", name)
-		fmt.Println(sched.Gantt(rec, threads, engine.At(0), engine.At(period), 80))
+		fmt.Fprintf(w, "Gantt chart of %s, first period:\n", name)
+		fmt.Fprintln(w, sched.Gantt(rec, threads, engine.At(0), engine.At(period), 80))
 	}
 	return nil
 }
 
-func runGeneral(k *kernel.Kernel, rec *sched.Recorder, set *task.Set, horizon time.Duration, trace bool) error {
+func runGeneral(w io.Writer, k *kernel.Kernel, rec *sched.Recorder, set *task.Set, horizon time.Duration, trace bool) error {
 	ordered := set.SortedByRM()
 	procs := make([]*sched.GeneralProcess, len(ordered))
 	for i, tk := range ordered {
@@ -189,27 +191,27 @@ func runGeneral(k *kernel.Kernel, rec *sched.Recorder, set *task.Set, horizon ti
 	}
 	k.RunUntil(engine.At(horizon))
 
-	fmt.Printf("General (Liu & Layland) scheduling over %v:\n", horizon)
+	fmt.Fprintf(w, "General (Liu & Layland) scheduling over %v:\n", horizon)
 	tbl := report.NewTable("task", "jobs", "misses")
 	for _, g := range procs {
 		st := g.Stats()
 		tbl.AddRow(g.Thread().Name(), st.Jobs, st.DeadlineMisses)
 	}
-	fmt.Println(tbl)
+	fmt.Fprintln(w, tbl)
 
 	if trace {
 		g := procs[0]
 		tk := ordered[0]
-		fmt.Printf("Fig. 3 (general scheduling): R(t) of %s, job 0 — one m+w block\n", tk.Name)
-		printTrace(rec.RemainingTime(g.Thread(), engine.At(0), engine.At(tk.Period), tk.WCET()))
+		fmt.Fprintf(w, "Fig. 3 (general scheduling): R(t) of %s, job 0 — one m+w block\n", tk.Name)
+		printTrace(w, rec.RemainingTime(g.Thread(), engine.At(0), engine.At(tk.Period), tk.WCET()))
 	}
 	return nil
 }
 
-func printTrace(points []sched.TracePoint) {
+func printTrace(w io.Writer, points []sched.TracePoint) {
 	tbl := report.NewTable("t", "R(t)")
 	for _, p := range points {
 		tbl.AddRow(p.T, p.R)
 	}
-	fmt.Println(tbl)
+	fmt.Fprintln(w, tbl)
 }

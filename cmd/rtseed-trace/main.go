@@ -63,7 +63,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-trace:", err)
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, o); err != nil {
+	if err := report.Emit("", func(w io.Writer) error { return run(w, o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-trace:", err)
 		os.Exit(1)
 	}

@@ -23,7 +23,7 @@
 // (imprecise but timely), <1 means they complete (precise).
 //
 // Flag errors exit 2: -ticks below 1, a negative or non-finite -odscale,
-// -symbol without -replay, and -replay with -feed.
+// and -symbol without -replay.
 package main
 
 import (
@@ -55,7 +55,6 @@ type options struct {
 	odScale   float64
 	seed      uint64
 	sweep     bool
-	feedAddr  string
 	tracePath string
 	replay    string
 	symbol    int
@@ -73,7 +72,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.Float64Var(&o.odScale, "odscale", 2.0, "optional execution time as a multiple of the optional deadline headroom")
 	fs.Uint64Var(&o.seed, "seed", 0xfeed, "feed seed")
 	fs.BoolVar(&o.sweep, "sweep", false, "sweep the number of parallel optional parts and report the QoS/latency trade-off instead")
-	fs.StringVar(&o.feedAddr, "feed", "", "dial a rtseed-feedd quote server instead of the in-process generator")
 	fs.StringVar(&o.tracePath, "trace", "", "write a binary trace of the run to this file (analyze with rtseed-trace)")
 	fs.StringVar(&o.replay, "replay", "", "trade the ticks recorded in this .rtk workload trace, looping the recording")
 	fs.IntVar(&o.symbol, "symbol", -1, "with -replay, trade only this symbol's ticks (-1: all)")
@@ -93,9 +91,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if o.odScale < 0 || math.IsNaN(o.odScale) || math.IsInf(o.odScale, 0) {
 		return nil, fmt.Errorf("-odscale %v: want a finite, non-negative multiple", o.odScale)
 	}
-	if o.replay != "" && o.feedAddr != "" {
-		return nil, fmt.Errorf("-replay and -feed are mutually exclusive")
-	}
 	if o.symbol != -1 && o.replay == "" {
 		return nil, fmt.Errorf("-symbol %d: only -replay filters by symbol", o.symbol)
 	}
@@ -108,11 +103,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-trade:", err)
 		os.Exit(2)
 	}
-	if o.sweep {
-		err = runSweep(os.Stdout, o.policy, o.load)
-	} else {
-		err = run(os.Stdout, o)
-	}
+	err = report.Emit("", func(w io.Writer) error {
+		if o.sweep {
+			return runSweep(w, o.policy, o.load)
+		}
+		return run(w, o)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-trade:", err)
 		os.Exit(1)
@@ -148,8 +144,7 @@ func run(w io.Writer, o *options) error {
 	)
 
 	var source trading.Source
-	switch {
-	case o.replay != "":
+	if o.replay != "" {
 		tr, err := workload.ReadFile(o.replay)
 		if err != nil {
 			return err
@@ -159,14 +154,7 @@ func run(w io.Writer, o *options) error {
 			return fmt.Errorf("%s: %w", o.replay, err)
 		}
 		source = feed
-	case o.feedAddr != "":
-		nf, err := trading.DialFeed(o.feedAddr)
-		if err != nil {
-			return err
-		}
-		defer nf.Close()
-		source = nf
-	default:
+	} else {
 		feed, err := trading.NewFeed(trading.FeedConfig{Seed: o.seed, Volatility: 0.002})
 		if err != nil {
 			return err

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"math"
-	"net"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -16,7 +18,6 @@ import (
 	"rtseed/internal/golden"
 	"rtseed/internal/machine"
 	"rtseed/internal/trace"
-	"rtseed/internal/trading"
 	"rtseed/internal/workload"
 )
 
@@ -118,7 +119,6 @@ func TestParseFlagsErrors(t *testing.T) {
 		{[]string{"-odscale", "-Inf"}, "-odscale"},
 		{[]string{"-symbol", "3"}, "-symbol"},
 		{[]string{"-symbol", "-2"}, "-symbol"},
-		{[]string{"-replay", "a.rtk", "-feed", "127.0.0.1:7070"}, "-feed"},
 		{[]string{"-policy", "bogus"}, "policy"},
 		{[]string{"-load", "gpu"}, "load"},
 	} {
@@ -138,7 +138,7 @@ func TestParseFlagsErrors(t *testing.T) {
 // panic, and every command line it accepts must be runnable.
 func FuzzParseFlags(f *testing.F) {
 	for _, seed := range []string{"", "-ticks 30", "-ticks 0", "-odscale NaN", "-symbol 4294967296",
-		"-replay m.rtk -symbol 2", "-sweep -policy two -load cpumem", "-feed :7070 -replay m.rtk", "-h"} {
+		"-replay m.rtk -symbol 2", "-sweep -policy two -load cpumem", "-trace t.rtt -seed 7", "-h"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
@@ -149,29 +149,10 @@ func FuzzParseFlags(f *testing.F) {
 		if o.ticks < 1 || !(o.odScale >= 0) || math.IsInf(o.odScale, 1) {
 			t.Fatalf("%q accepted with ticks %d, odscale %v", line, o.ticks, o.odScale)
 		}
-		if o.replay == "" && o.symbol != -1 || o.replay != "" && o.feedAddr != "" {
-			t.Fatalf("%q accepted with replay %q, symbol %d, feed %q", line, o.replay, o.symbol, o.feedAddr)
+		if o.replay == "" && o.symbol != -1 {
+			t.Fatalf("%q accepted with replay %q, symbol %d", line, o.replay, o.symbol)
 		}
 	})
-}
-
-// End-to-end over TCP: a feed daemon serves ticks and the trading run
-// ingests them through the middleware's mandatory parts.
-func TestRunAgainstNetworkFeed(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed, err := trading.NewFeed(trading.FeedConfig{Seed: 7, Volatility: 0.002})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := trading.NewFeedServer(feed)
-	go srv.Serve(ln, 1000)
-	defer srv.Close()
-	if _, err := runArgs("-ticks", "15", "-feed", ln.Addr().String(), "-seed", "7"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestRunReplayTrace trades against a recorded .rtk market: the looping
@@ -200,5 +181,35 @@ func TestRunReplayTrace(t *testing.T) {
 	}
 	if _, err := runArgs("-ticks", "5", "-replay", path, "-symbol", strconv.Itoa(1<<20), "-seed", "7"); err == nil {
 		t.Fatal("absent symbol accepted")
+	}
+}
+
+// TestMain runs the test binary as the command itself when RTSEED_RUN_MAIN
+// is set, so a test can check main's exit status and stderr.
+func TestMain(m *testing.M) {
+	if os.Getenv("RTSEED_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUnwritableReportFails: a report that cannot be written to stdout
+// must exit 1 with an error naming the output.
+func TestUnwritableReportFails(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	defer full.Close()
+	cmd := exec.Command(os.Args[0], "-ticks", "30")
+	cmd.Env = append(os.Environ(), "RTSEED_RUN_MAIN=1")
+	cmd.Stdout = full
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "/dev/stdout") {
+		t.Errorf("%v: %v, stderr %q; want exit status 1 naming /dev/stdout", cmd.Args[1:], err, stderr.String())
 	}
 }

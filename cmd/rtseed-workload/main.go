@@ -11,11 +11,16 @@
 // spec writes a builtin spec as editable JSON. gen compiles a spec into its
 // deterministic client population, synthesizes a market tick stream, and
 // records both as a versioned .rtk trace; feeding that file to
-// rtseed-cluster -replay (or rtseed-feedd/-trade -replay for the ticks)
+// rtseed-cluster -replay (or rtseed-trade -replay for the ticks)
 // reproduces the generating run exactly. inspect prints a trace's metadata
 // and per-window/per-class breakdown; validate checks a spec JSON or .rtk
 // file and exits nonzero on the first problem. Every output is a pure
 // function of the flags.
+//
+// Flag errors exit 2: a missing or unknown subcommand, spec with an empty
+// -builtin, gen without -o, without exactly one of -spec and -builtin, or
+// with a negative -clients or -ticks or a non-positive -horizon, and
+// inspect or validate without exactly one file.
 package main
 
 import (
@@ -30,8 +35,83 @@ import (
 	"rtseed/internal/workload"
 )
 
+// options is the parsed command line: a subcommand and its flags.
+type options struct {
+	cmd      string
+	specFile string
+	builtin  string
+	clients  int
+	seed     uint64
+	horizon  time.Duration
+	ticks    int
+	out      string
+	// file is inspect's or validate's argument.
+	file string
+}
+
+// parseFlags parses the subcommand named by args[0] and its flags, and
+// validates the result. Flag-set usage goes to stderr, so tests can discard
+// it.
+func parseFlags(stderr io.Writer, args []string) (*options, error) {
+	if len(args) == 0 {
+		return nil, usage()
+	}
+	o := &options{cmd: args[0]}
+	fs := flag.NewFlagSet(o.cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	switch o.cmd {
+	case "spec":
+		fs.StringVar(&o.builtin, "builtin", "steady", "builtin spec to write")
+		fs.StringVar(&o.out, "o", "", "write the JSON spec to this file (default stdout)")
+	case "gen":
+		fs.StringVar(&o.specFile, "spec", "", "workload spec JSON file")
+		fs.StringVar(&o.builtin, "builtin", "", "builtin spec name instead of -spec")
+		fs.IntVar(&o.clients, "clients", 10000, "client population size")
+		fs.Uint64Var(&o.seed, "seed", 1, "generation seed")
+		fs.DurationVar(&o.horizon, "horizon", time.Second, "trace horizon")
+		fs.IntVar(&o.ticks, "ticks", 10000, "market ticks to synthesize")
+		fs.StringVar(&o.out, "o", "", "write the .rtk trace to this file (required)")
+	case "inspect", "validate":
+	default:
+		return nil, usage()
+	}
+	if err := fs.Parse(args[1:]); err != nil {
+		return nil, err
+	}
+	switch o.cmd {
+	case "spec":
+		if o.builtin == "" {
+			return nil, fmt.Errorf("spec needs -builtin NAME")
+		}
+	case "gen":
+		switch {
+		case (o.specFile == "") == (o.builtin == ""):
+			return nil, fmt.Errorf("gen needs exactly one of -spec FILE and -builtin NAME")
+		case o.out == "":
+			return nil, fmt.Errorf("gen needs -o FILE.rtk")
+		case o.clients < 0:
+			return nil, fmt.Errorf("-clients %d: want a non-negative client count", o.clients)
+		case o.ticks < 0:
+			return nil, fmt.Errorf("-ticks %d: want a non-negative tick count", o.ticks)
+		case o.horizon <= 0:
+			return nil, fmt.Errorf("-horizon %v: want a positive duration", o.horizon)
+		}
+	case "inspect", "validate":
+		if fs.NArg() != 1 {
+			return nil, fmt.Errorf("%s needs one FILE argument", o.cmd)
+		}
+		o.file = fs.Arg(0)
+	}
+	return o, nil
+}
+
 func main() {
-	if err := run(os.Stdout, os.Args[1:]); err != nil {
+	o, err := parseFlags(os.Stderr, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rtseed-workload:", err)
+		os.Exit(2)
+	}
+	if err := report.Emit("", func(w io.Writer) error { return run(w, o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-workload:", err)
 		os.Exit(1)
 	}
@@ -42,45 +122,36 @@ func usage() error {
 		strings.Join(workload.BuiltinSpecNames(), ", "))
 }
 
-// run dispatches the subcommand; w receives the deterministic output.
-func run(w io.Writer, args []string) error {
-	if len(args) == 0 {
-		return usage()
-	}
-	switch args[0] {
+// run runs the parsed subcommand; w receives the deterministic output.
+func run(w io.Writer, o *options) error {
+	switch o.cmd {
 	case "spec":
-		return runSpec(w, args[1:])
+		return runSpec(w, o)
 	case "gen":
-		return runGen(w, args[1:])
+		return runGen(w, o)
 	case "inspect":
-		return runInspect(w, args[1:])
-	case "validate":
-		return runValidate(w, args[1:])
+		return runInspect(w, o.file)
 	}
-	return usage()
+	return runValidate(w, o.file)
 }
 
-// resolveSpec loads -spec FILE or -builtin NAME (exactly one).
+// resolveSpec loads -builtin NAME, or -spec FILE when no builtin is named;
+// parseFlags has checked that exactly one is set.
 func resolveSpec(specFile, builtin string) (workload.Spec, error) {
-	switch {
-	case specFile != "" && builtin != "":
-		return workload.Spec{}, fmt.Errorf("-spec and -builtin are mutually exclusive")
-	case builtin != "":
+	if builtin != "" {
 		spec, ok := workload.BuiltinSpec(builtin)
 		if !ok {
 			return workload.Spec{}, fmt.Errorf("unknown builtin %q (want %s)",
 				builtin, strings.Join(workload.BuiltinSpecNames(), ", "))
 		}
 		return spec, nil
-	case specFile != "":
-		f, err := os.Open(specFile)
-		if err != nil {
-			return workload.Spec{}, err
-		}
-		defer f.Close()
-		return workload.ParseSpec(f)
 	}
-	return workload.Spec{}, fmt.Errorf("need -spec FILE or -builtin NAME")
+	f, err := os.Open(specFile)
+	if err != nil {
+		return workload.Spec{}, err
+	}
+	defer f.Close()
+	return workload.ParseSpec(f)
 }
 
 // outWriter opens -o, defaulting to w.
@@ -95,18 +166,12 @@ func outWriter(w io.Writer, path string) (io.Writer, func() error, error) {
 	return f, f.Close, nil
 }
 
-func runSpec(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("spec", flag.ContinueOnError)
-	builtin := fs.String("builtin", "steady", "builtin spec to write")
-	out := fs.String("o", "", "write the JSON spec to this file (default stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	spec, err := resolveSpec("", *builtin)
+func runSpec(w io.Writer, o *options) error {
+	spec, err := resolveSpec("", o.builtin)
 	if err != nil {
 		return err
 	}
-	dst, closeOut, err := outWriter(w, *out)
+	dst, closeOut, err := outWriter(w, o.out)
 	if err != nil {
 		return err
 	}
@@ -117,49 +182,28 @@ func runSpec(w io.Writer, args []string) error {
 	return closeOut()
 }
 
-func runGen(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
-	specFile := fs.String("spec", "", "workload spec JSON file")
-	builtin := fs.String("builtin", "", "builtin spec name instead of -spec")
-	clients := fs.Int("clients", 10000, "client population size")
-	seed := fs.Uint64("seed", 1, "generation seed")
-	horizon := fs.Duration("horizon", time.Second, "trace horizon")
-	ticks := fs.Int("ticks", 10000, "market ticks to synthesize")
-	out := fs.String("o", "", "write the .rtk trace to this file (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *out == "" {
-		return fmt.Errorf("gen needs -o FILE.rtk")
-	}
-	spec, err := resolveSpec(*specFile, *builtin)
+func runGen(w io.Writer, o *options) error {
+	spec, err := resolveSpec(o.specFile, o.builtin)
 	if err != nil {
 		return err
 	}
 	src, err := workload.Compile(spec, workload.CompileConfig{
-		Clients: *clients, Seed: *seed, Horizon: *horizon,
+		Clients: o.clients, Seed: o.seed, Horizon: o.horizon,
 	})
 	if err != nil {
 		return err
 	}
-	tr := src.Trace(*ticks)
-	if err := workload.WriteFile(*out, tr); err != nil {
+	tr := src.Trace(o.ticks)
+	if err := workload.WriteFile(o.out, tr); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "wrote %s: workload %s, %d clients, %d ticks, seed %d, horizon %v\n",
-		*out, tr.Meta.Name, tr.Meta.Clients, len(tr.Ticks), tr.Meta.Seed, tr.Meta.Horizon)
+		o.out, tr.Meta.Name, tr.Meta.Clients, len(tr.Ticks), tr.Meta.Seed, tr.Meta.Horizon)
 	return nil
 }
 
-func runInspect(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("inspect needs one FILE.rtk argument")
-	}
-	tr, err := workload.ReadFile(fs.Arg(0))
+func runInspect(w io.Writer, path string) error {
+	tr, err := workload.ReadFile(path)
 	if err != nil {
 		return err
 	}
@@ -225,15 +269,7 @@ func inWindow(at time.Duration, win workload.ResolvedWindow, last bool) bool {
 	return at < win.End
 }
 
-func runValidate(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("validate needs one FILE argument (.rtk trace or spec JSON)")
-	}
-	path := fs.Arg(0)
+func runValidate(w io.Writer, path string) error {
 	if strings.HasSuffix(path, ".rtk") {
 		tr, err := workload.ReadFile(path)
 		if err != nil {

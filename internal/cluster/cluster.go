@@ -195,7 +195,7 @@ type MachineResult struct {
 }
 
 // MachineSignal is the per-machine state exchanged at an epoch barrier —
-// the feed a future autoscaler would act on (ROADMAP item 1).
+// the feed a future autoscaler would act on (ROADMAP, Deferred).
 type MachineSignal struct {
 	Machine int
 	// Busy is the machine's RT-core busy fraction within the epoch. It can

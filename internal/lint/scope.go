@@ -14,7 +14,7 @@ package lint
 var SimScopePackages = []string{
 	"engine", "kernel", "overhead", "analysis", "sweep", "sched",
 	"task", "machine", "partition", "assign", "core", "trace",
-	"cluster", "workload", "report",
+	"cluster", "workload", "report", "trading",
 }
 
 // A ScopeExemption names an rtseed/internal package that is deliberately
@@ -34,7 +34,6 @@ var SimScopeExemptions = []ScopeExemption{
 	{"lint", "the analysis tooling itself; it inspects the tree rather than simulating anything"},
 	{"golden", "a test helper that reads and rewrites committed report digests; it simulates nothing"},
 	{"prof", "wires -cpuprofile/-memprofile flags to runtime/pprof for the cmd/ binaries; host-file I/O is its purpose"},
-	{"trading", "the demo trading substrate, including the live network feed; its deterministic replay path runs inside the scoped simulator packages"},
 }
 
 // InSimScope reports whether the determinism contract applies to importPath.

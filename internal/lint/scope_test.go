@@ -104,7 +104,7 @@ func TestInSimScope(t *testing.T) {
 		"rtseed/internal/workload":    true,
 		"rtseed/internal/report":      true,
 		"rtseed/internal/lint":        false,
-		"rtseed/internal/trading":     false,
+		"rtseed/internal/trading":     true,
 		"rtseed/internal/rt":          false, // host-clock runner: exempt by design, see SimScopeExemptions
 		"rtseed/cmd/rtseed-overhead":  false,
 		"rtseed/internal/engineering": false, // prefix of a scoped name must not match

@@ -29,9 +29,8 @@ type Pipeline struct {
 	sourceErrors int
 }
 
-// Source supplies ticks to a pipeline: the in-process Feed (via
-// NewPipeline), a NetFeed, or anything else that can produce the next
-// quote.
+// Source supplies ticks to a pipeline: the synthetic Feed (via
+// NewPipeline) or a recorded ReplayFeed.
 type Source interface {
 	// NextTick returns the next quote. An error marks the source as
 	// degraded: the pipeline reuses the last known tick for that job.
@@ -48,8 +47,8 @@ func NewPipeline(feed *Feed, indicators []Indicator, engine *Engine, broker *Bro
 	return NewPipelineFrom(feed, indicators, engine, broker, history)
 }
 
-// NewPipelineFrom is NewPipeline for an arbitrary tick source (e.g. a
-// NetFeed dialled to a remote quote server).
+// NewPipelineFrom is NewPipeline for an arbitrary tick source, such as a
+// ReplayFeed of a recorded market.
 func NewPipelineFrom(source Source, indicators []Indicator, engine *Engine, broker *Broker, history int) (*Pipeline, error) {
 	if source == nil || engine == nil || broker == nil {
 		return nil, fmt.Errorf("trading: pipeline needs a source, engine and broker")
@@ -79,7 +78,7 @@ func NewPipelineFrom(source Source, indicators []Indicator, engine *Engine, brok
 func (p *Pipeline) NumOptional() int { return len(p.indicators) }
 
 // OnMandatory is the mandatory part's application work: ingest the tick.
-// When the source errors (a dropped connection), the pipeline degrades by
+// When the source errors (an exhausted replay), the pipeline degrades by
 // reusing the last tick; SourceErrors counts the incidents.
 func (p *Pipeline) OnMandatory(job int) {
 	t, err := p.source.NextTick()

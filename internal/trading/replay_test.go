@@ -11,47 +11,8 @@ import (
 	"rtseed/internal/workload"
 )
 
-func TestCSVRoundTrip(t *testing.T) {
-	feed, _ := NewFeed(FeedConfig{Seed: 13})
-	orig := feed.Take(25)
-	var b strings.Builder
-	if err := WriteCSV(&b, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(orig) {
-		t.Fatalf("%d ticks, want %d", len(got), len(orig))
-	}
-	for i := range orig {
-		if got[i] != orig[i] {
-			t.Fatalf("tick %d: %+v vs %+v", i, got[i], orig[i])
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"seq,at_ns,bid,ask\n",                  // header only
-		"0,0,1.2,1.1\n",                        // crossed
-		"x,y\n",                                // wrong field count
-		"0,zz,1.0,1.1\n",                       // bad at_ns
-		"0,0,zz,1.1\n",                         // bad bid
-		"0,0,1.0,zz\n",                         // bad ask
-		"seq,at_ns,bid,ask\n1,notanum,1.0,1.1", // bad row after header
-	}
-	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("accepted %q", c)
-		}
-	}
-}
-
 func TestReplayFeed(t *testing.T) {
-	feed, _ := NewFeed(FeedConfig{Seed: 3})
+	feed, _ := NewFeed(FeedConfig{Seed: 3, Volatility: 0.0002})
 	ticks := feed.Take(5)
 	rf, err := NewReplayFeed(ticks)
 	if err != nil {

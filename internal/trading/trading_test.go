@@ -8,11 +8,11 @@ import (
 )
 
 func TestFeedDeterministicAndSane(t *testing.T) {
-	a, err := NewFeed(FeedConfig{Seed: 42})
+	a, err := NewFeed(FeedConfig{Seed: 42, Volatility: 0.0002})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := NewFeed(FeedConfig{Seed: 42})
+	b, _ := NewFeed(FeedConfig{Seed: 42, Volatility: 0.0002})
 	for i := 0; i < 500; i++ {
 		ta, tb := a.Next(), b.Next()
 		if ta != tb {
@@ -34,32 +34,38 @@ func TestFeedDeterministicAndSane(t *testing.T) {
 }
 
 func TestFeedValidation(t *testing.T) {
-	if _, err := NewFeed(FeedConfig{Start: -1}); err == nil {
-		t.Fatal("negative start accepted")
-	}
 	if _, err := NewFeed(FeedConfig{Volatility: -0.1}); err == nil {
 		t.Fatal("negative volatility accepted")
 	}
 }
 
-// TestFeedRejectsNonFinite: a NaN or infinite parameter would make every
-// quote NaN or infinite, which encoding/json refuses to serve.
+// TestFeedRejectsNonFinite: a NaN or infinite volatility would make every
+// quote NaN or infinite.
 func TestFeedRejectsNonFinite(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, cfg := range []FeedConfig{
-		{Start: nan}, {Start: inf},
-		{Volatility: nan}, {Volatility: inf},
-		{Drift: nan}, {Drift: inf}, {Drift: -inf},
-		{Spread: nan}, {Spread: inf},
-	} {
-		if _, err := NewFeed(cfg); err == nil {
-			t.Errorf("NewFeed(%+v) accepted", cfg)
+	for _, vol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewFeed(FeedConfig{Volatility: vol}); err == nil {
+			t.Errorf("NewFeed(Volatility: %v) accepted", vol)
+		}
+	}
+}
+
+// TestFeedZeroVolatilityIsFlat: a zero volatility is taken literally, not
+// read as a default, so the mid never moves.
+func TestFeedZeroVolatilityIsFlat(t *testing.T) {
+	f, err := NewFeed(FeedConfig{Seed: 1, Volatility: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := f.Next()
+	for i := 1; i < 1000; i++ {
+		if tk := f.Next(); tk.Mid() != first.Mid() {
+			t.Fatalf("tick %d: mid %v, want the first tick's %v", i, tk.Mid(), first.Mid())
 		}
 	}
 }
 
 func TestFeedTake(t *testing.T) {
-	f, _ := NewFeed(FeedConfig{Seed: 1})
+	f, _ := NewFeed(FeedConfig{Seed: 1, Volatility: 0.0002})
 	ticks := f.Take(10)
 	if len(ticks) != 10 || ticks[9].Seq != 9 {
 		t.Fatalf("Take(10) = %d ticks, last seq %d", len(ticks), ticks[len(ticks)-1].Seq)
@@ -120,7 +126,7 @@ func TestPropertyAnytimeContract(t *testing.T) {
 	f := func(seed uint64, progress16 uint16, n8 uint8) bool {
 		progress := float64(progress16) / math.MaxUint16
 		n := int(n8)%100 + 2
-		feed, err := NewFeed(FeedConfig{Seed: seed%1000 + 1})
+		feed, err := NewFeed(FeedConfig{Seed: seed%1000 + 1, Volatility: 0.0002})
 		if err != nil {
 			return false
 		}
@@ -275,7 +281,7 @@ func TestPipelineQoSImprovesWithProgress(t *testing.T) {
 }
 
 func TestPipelineValidation(t *testing.T) {
-	feed, _ := NewFeed(FeedConfig{})
+	feed, _ := NewFeed(FeedConfig{Seed: 0xfeed, Volatility: 0.0002})
 	if _, err := NewPipeline(nil, DefaultTechnical(), NewEngine(), NewBroker(), 0); err == nil {
 		t.Fatal("nil feed accepted")
 	}
@@ -375,7 +381,7 @@ func TestExtendedTechnicalContract(t *testing.T) {
 	if len(inds) != len(DefaultTechnical())+2 {
 		t.Fatalf("%d extended indicators", len(inds))
 	}
-	feed, _ := NewFeed(FeedConfig{Seed: 3})
+	feed, _ := NewFeed(FeedConfig{Seed: 3, Volatility: 0.0002})
 	prices := make([]float64, 60)
 	for i, tick := range feed.Take(60) {
 		prices[i] = tick.Mid()
