@@ -9,6 +9,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"rtseed/internal/golden"
 )
 
 // runArgs parses args as the command line and runs the simulation.
@@ -42,6 +44,20 @@ func TestRunPRMWPTraceNoFinishedJob(t *testing.T) {
 			t.Errorf("error %q does not name %s", err, want)
 		}
 	}
+}
+
+// TestGoldenReport pins the bytes of `rtseed-sim -trace -gantt`: the default
+// task set's statistics, its Fig. 3 curve and its Gantt chart.
+func TestGoldenReport(t *testing.T) {
+	o, err := parseFlags(flag.NewFlagSet("rtseed-sim", flag.ContinueOnError), []string{"-trace", "-gantt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, o); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "rtseed-sim -trace -gantt", buf.Bytes())
 }
 
 func TestRunGeneral(t *testing.T) {
