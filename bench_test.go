@@ -185,33 +185,6 @@ func BenchmarkTableITermination(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPartitionedVsGlobal quantifies the §IV-B design choice:
-// partitioned scheduling (P-RMWP) never migrates, while an idealized global
-// RMWP migrates constantly under multi-task interference.
-func BenchmarkAblationPartitionedVsGlobal(b *testing.B) {
-	set := task.MustNewSet(
-		task.Uniform("a", 10*time.Millisecond, 5*time.Millisecond, 0, 0, 40*time.Millisecond),
-		task.Uniform("b", 10*time.Millisecond, 5*time.Millisecond, 0, 0, 50*time.Millisecond),
-		task.Uniform("c", 10*time.Millisecond, 5*time.Millisecond, 0, 0, 60*time.Millisecond),
-	)
-	b.Run("global", func(b *testing.B) {
-		var migrations, jobs int
-		for i := 0; i < b.N; i++ {
-			res, err := sched.SimulateGRMWP(set, 2, 600*time.Millisecond, time.Millisecond, 100*time.Microsecond)
-			if err != nil {
-				b.Fatal(err)
-			}
-			migrations += res.Migrations
-			jobs += res.Jobs
-		}
-		b.ReportMetric(float64(migrations)/float64(jobs), "migrations/job")
-	})
-	// Partitioned tasks never migrate: 0 by construction.
-	b.Run("partitioned", func(b *testing.B) {
-		b.ReportMetric(0, "migrations/job")
-	})
-}
-
 // BenchmarkAblationMiddlewareGlobal measures the §IV-B argument on the real
 // middleware: the same task set under P-RMWP (no migration) and under
 // middleware-level G-RMWP (least-loaded migration at every release),
@@ -289,38 +262,6 @@ func BenchmarkAblationMiddlewareGlobal(b *testing.B) {
 		if jobs > 0 {
 			b.ReportMetric(float64(sys.Migrations())/float64(jobs), "migrations/job")
 		}
-	})
-}
-
-// BenchmarkAblationOnlineVsOfflineOD quantifies the §I motivation: the
-// dynamic-priority baseline computes each job's optional window online
-// (one O(active-jobs) scan per job), while semi-fixed-priority scheduling
-// computes optional deadlines once, offline.
-func BenchmarkAblationOnlineVsOfflineOD(b *testing.B) {
-	set := task.MustNewSet(
-		task.Uniform("a", 10*time.Millisecond, 10*time.Millisecond, 0, 0, 50*time.Millisecond),
-		task.Uniform("b", 10*time.Millisecond, 10*time.Millisecond, 0, 0, 80*time.Millisecond),
-		task.Uniform("c", 10*time.Millisecond, 10*time.Millisecond, 0, 0, 100*time.Millisecond),
-	)
-	b.Run("edf-online", func(b *testing.B) {
-		var calcs, jobs int
-		for i := 0; i < b.N; i++ {
-			res, err := sched.SimulateEDFWP(set, time.Second, time.Millisecond)
-			if err != nil {
-				b.Fatal(err)
-			}
-			calcs += res.OnlineCalcs
-			jobs += res.Jobs
-		}
-		b.ReportMetric(float64(calcs)/float64(jobs), "online-calcs/job")
-	})
-	b.Run("rmwp-offline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := analysis.RMWP(set); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(0, "online-calcs/job")
 	})
 }
 

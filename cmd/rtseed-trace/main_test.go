@@ -46,7 +46,8 @@ func TestParseFlags(t *testing.T) {
 // writes it to a file, returning the path.
 func writeTestTrace(t *testing.T) string {
 	t.Helper()
-	tr := trace.New(trace.Config{CPUs: 2, Capacity: 256})
+	var buf bytes.Buffer
+	tr := trace.New(trace.Config{CPUs: 2, Sink: &buf})
 	ms := func(d int) engine.Time { return engine.At(time.Duration(d) * time.Millisecond) }
 	tr.Emit(ms(0), 0, 1, trace.KindJobRelease, 0)
 	tr.Emit(ms(1), 0, 1, trace.KindMandStart, 0)
@@ -63,12 +64,11 @@ func writeTestTrace(t *testing.T) string {
 	tr.Emit(ms(42), 0, 1, trace.KindJobEnd, 1)
 	tr.Emit(ms(42), 0, 1, trace.KindDeadlineMiss, trace.PackMiss(1, 2*time.Millisecond))
 	tr.Emit(ms(42), 0, 1, trace.KindExit, 0)
-	var buf bytes.Buffer
 	threads := []trace.ThreadInfo{
 		{TID: 1, CPU: 0, Priority: 90, Name: "a.mand"},
 		{TID: 2, CPU: 1, Priority: 80, Name: "a.opt0"},
 	}
-	if err := tr.WriteTo(&buf, threads); err != nil {
+	if err := tr.Close(threads); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "t.rtt")
@@ -116,10 +116,10 @@ func TestRunSummaryAndSections(t *testing.T) {
 }
 
 func TestRunCheckFailsOnEmptyTrace(t *testing.T) {
-	tr := trace.New(trace.Config{CPUs: 1, Capacity: 8})
-	tr.Emit(engine.At(time.Millisecond), 0, 1, trace.KindReady, 0)
 	var buf bytes.Buffer
-	if err := tr.WriteTo(&buf, nil); err != nil {
+	tr := trace.New(trace.Config{CPUs: 1, Sink: &buf})
+	tr.Emit(engine.At(time.Millisecond), 0, 1, trace.KindReady, 0)
+	if err := tr.Close(nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "empty.rtt")

@@ -194,14 +194,18 @@ func TestPracticalTerminationMechanisms(t *testing.T) {
 // counts. Try-catch makes every counter nonzero.
 func TestPracticalTraceMatchesStats(t *testing.T) {
 	k := newSim(t, machine.NoLoad)
-	tr := trace.New(trace.Config{CPUs: k.Machine().Topology().NumHWThreads()})
-	k.SetTrace(tr)
+	var buf bytes.Buffer
+	k.SetTrace(trace.New(trace.Config{CPUs: k.Machine().Topology().NumHWThreads(), Sink: &buf}))
 	p := runPractical(t, k, practicalTask(time.Second), 4, TryCatchTermination{})
 	st := p.Stats()
-	a := trace.Analyze(&trace.Trace{Records: tr.Records(), Threads: k.ThreadInfos(), Lost: tr.Lost()})
-	if a.Lost != 0 {
-		t.Fatalf("flight recorder overwrote %d records", a.Lost)
+	if err := k.Trace().Close(k.ThreadInfos()); err != nil {
+		t.Fatal(err)
 	}
+	decoded, err := trace.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := trace.Analyze(decoded)
 	ts := a.TaskByName("prac")
 	if ts == nil {
 		t.Fatalf("no task prac in the trace analysis: %+v", a.Tasks)

@@ -1,9 +1,10 @@
 // Package sched drives scheduling algorithms over the simulated kernel and
 // records their behaviour: the General (Liu & Layland) baseline, the P-RMWP
-// semi-fixed-priority runner built on the RT-Seed middleware, execution
-// trace recording for the paper's Fig. 3 remaining-execution-time curves,
-// and an idealized global-scheduling (G-RMWP) simulator for the
-// partitioned-versus-global ablation of §IV-B.
+// semi-fixed-priority runner built on the RT-Seed middleware, the
+// middleware-level G-RMWP runner for the partitioned-versus-global ablation
+// of §IV-B, the many-task scaling workload, and execution trace recording for
+// the paper's Fig. 3 remaining-execution-time curves. Every schedule comes
+// from the kernel: each runner drives its tasks as kernel threads.
 package sched
 
 import (
@@ -31,9 +32,9 @@ type Recorder struct {
 }
 
 // NewRecorder attaches a recorder to the kernel's tracer, installing a
-// flight-recorder tracer if the kernel has none. The recorder observes every
-// record live (trace.Tap), so its history is not bounded by the tracer's
-// ring capacity.
+// tracer without a sink if the kernel has none. The recorder observes every
+// record live (trace.Tap), so it needs no stored trace: on a sinkless
+// tracer it is the only reader.
 func NewRecorder(k *kernel.Kernel) *Recorder {
 	tr := k.Trace()
 	if tr == nil {

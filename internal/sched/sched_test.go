@@ -249,58 +249,6 @@ func TestPRMWPValidation(t *testing.T) {
 	}
 }
 
-// Partitioned scheduling never migrates; the idealized global simulator
-// migrates under multi-task interference — the §IV-B design argument.
-func TestGlobalVsPartitionedMigrations(t *testing.T) {
-	set := task.MustNewSet(
-		task.Uniform("a", ms(10), ms(5), 0, 0, ms(40)),
-		task.Uniform("b", ms(10), ms(5), 0, 0, ms(50)),
-		task.Uniform("c", ms(10), ms(5), 0, 0, ms(60)),
-	)
-	g, err := SimulateGRMWP(set, 2, 600*time.Millisecond, ms(1), 100*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Jobs == 0 {
-		t.Fatal("no jobs simulated")
-	}
-	if g.Migrations == 0 {
-		t.Fatal("three tasks on two processors must migrate under global scheduling")
-	}
-}
-
-func TestGlobalSimValidation(t *testing.T) {
-	set := task.MustNewSet(task.Uniform("a", ms(10), ms(5), 0, 0, ms(40)))
-	if _, err := SimulateGRMWP(nil, 2, ms(100), ms(1), 0); err == nil {
-		t.Fatal("nil set accepted")
-	}
-	if _, err := SimulateGRMWP(set, 0, ms(100), ms(1), 0); err == nil {
-		t.Fatal("zero processors accepted")
-	}
-	if _, err := SimulateGRMWP(set, 1, 0, ms(1), 0); err == nil {
-		t.Fatal("zero horizon accepted")
-	}
-	if _, err := SimulateGRMWP(set, 1, ms(100), 0, 0); err == nil {
-		t.Fatal("zero quantum accepted")
-	}
-}
-
-// A single task on one processor meets all deadlines under the global
-// simulator too (sanity against the RMWP structure).
-func TestGlobalSingleTaskMeetsDeadlines(t *testing.T) {
-	set := task.MustNewSet(task.Uniform("a", ms(10), ms(10), 0, 0, ms(50)))
-	g, err := SimulateGRMWP(set, 1, 500*time.Millisecond, ms(1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.DeadlineMisses != 0 {
-		t.Fatalf("misses %d, want 0", g.DeadlineMisses)
-	}
-	if g.Migrations != 0 {
-		t.Fatalf("single processor cannot migrate, got %d", g.Migrations)
-	}
-}
-
 // RM-US (footnote 1): a task whose utilization exceeds M/(3M-2) takes the
 // reserved HPQ priority 99 and still runs correctly.
 func TestPRMWPWithRMUS(t *testing.T) {
@@ -595,60 +543,5 @@ func TestAnalysisBoundsHoldInExecution(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// Dynamic-priority baseline (§I): EDF with wind-up parts computes the
-// optional window online. For a single task it grants the same window as
-// RMWP's offline OD — but pays one O(active) computation per job, the cost
-// semi-fixed-priority scheduling eliminates.
-func TestEDFWPSingleTaskMatchesOfflineOD(t *testing.T) {
-	set := task.MustNewSet(task.Uniform("a", ms(20), ms(20), 0, 0, ms(100)))
-	res, err := SimulateEDFWP(set, 500*time.Millisecond, ms(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs != 5 || res.DeadlineMisses != 0 {
-		t.Fatalf("result %+v", res)
-	}
-	if res.OnlineCalcs != 5 {
-		t.Fatalf("online calcs %d, want one per job", res.OnlineCalcs)
-	}
-	// RMWP: OD = D - w = 80ms; mandatory done at 20ms; window = 60ms.
-	if res.MeanOptionalWindow != 60*time.Millisecond {
-		t.Fatalf("optional window %v, want 60ms (OD - mandatory completion)", res.MeanOptionalWindow)
-	}
-}
-
-// Multi-task: EDF meets deadlines at moderate utilization and the online
-// work grows with the number of concurrently active jobs.
-func TestEDFWPMultiTask(t *testing.T) {
-	set := task.MustNewSet(
-		task.Uniform("a", ms(10), ms(10), 0, 0, ms(50)),
-		task.Uniform("b", ms(10), ms(10), 0, 0, ms(80)),
-		task.Uniform("c", ms(10), ms(10), 0, 0, ms(100)),
-	)
-	res, err := SimulateEDFWP(set, time.Second, ms(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DeadlineMisses != 0 {
-		t.Fatalf("misses %d at U=%.2f", res.DeadlineMisses, set.Utilization())
-	}
-	if res.OnlineCalcs == 0 || res.OnlineWork <= res.OnlineCalcs {
-		t.Fatalf("expected multi-job online scans: calcs=%d work=%d", res.OnlineCalcs, res.OnlineWork)
-	}
-}
-
-func TestEDFWPValidation(t *testing.T) {
-	set := task.MustNewSet(task.Uniform("a", ms(10), ms(10), 0, 0, ms(50)))
-	if _, err := SimulateEDFWP(nil, time.Second, ms(1)); err == nil {
-		t.Fatal("nil set accepted")
-	}
-	if _, err := SimulateEDFWP(set, 0, ms(1)); err == nil {
-		t.Fatal("zero horizon accepted")
-	}
-	if _, err := SimulateEDFWP(set, time.Second, 0); err == nil {
-		t.Fatal("zero quantum accepted")
 	}
 }

@@ -103,14 +103,15 @@ func TestTraceCountsMatchStats(t *testing.T) {
 // segments as the live tap.
 func TestRecorderReplayFromFile(t *testing.T) {
 	k := newSim(t)
+	var buf bytes.Buffer
+	k.SetTrace(trace.New(trace.Config{CPUs: k.Machine().Topology().NumHWThreads(), Sink: &buf}))
 	live := NewRecorder(k)
 	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0},
 		actions(kernel.Compute(ms(10)), kernel.Sleep(ms(10)), kernel.Compute(ms(10))))
 	th.Start()
 	k.Run()
 
-	var buf bytes.Buffer
-	if err := k.Trace().WriteTo(&buf, k.ThreadInfos()); err != nil {
+	if err := k.Trace().Close(k.ThreadInfos()); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := trace.Decode(buf.Bytes())

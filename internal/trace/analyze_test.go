@@ -64,7 +64,8 @@ func TestTaskNameStripping(t *testing.T) {
 // misses by 2ms.
 func synthTrace(t *testing.T) *Trace {
 	t.Helper()
-	tr := New(Config{CPUs: 2, Capacity: 256})
+	var buf bytes.Buffer
+	tr := New(Config{CPUs: 2, Sink: &buf})
 	ms := func(d int) engine.Time { return engine.At(time.Duration(d) * time.Millisecond) }
 
 	// Job 0: release 0, mand 0→5, opt completes, windup 8→10, deadline 20.
@@ -99,13 +100,12 @@ func synthTrace(t *testing.T) *Trace {
 	tr.Emit(ms(42), 0, 1, KindDeadlineMiss, PackMiss(1, 2*time.Millisecond))
 	tr.Emit(ms(42), 0, 1, KindExit, 0)
 
-	var buf bytes.Buffer
 	threads := []ThreadInfo{
 		{TID: 1, CPU: 0, Priority: 90, Name: "a.mand"},
 		{TID: 2, CPU: 1, Priority: 80, Name: "a.opt0"},
 		{TID: 3, CPU: 0, Priority: 95, Name: "hog"},
 	}
-	if err := tr.WriteTo(&buf, threads); err != nil {
+	if err := tr.Close(threads); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := Decode(buf.Bytes())

@@ -7,16 +7,17 @@
 //
 // Sections:
 //
-//	'R' records: length/32 packed 32-byte records. A file-backed tracer
-//	             writes one section per full spill buffer, so its sections
-//	             arrive in sequence order; WriteTo writes one section. The
-//	             reader still merges any number of sections by sorting on
-//	             the records' sequence numbers, so files that interleave
-//	             per-CPU chunks out of order decode to the same trace.
+//	'R' records: length/32 packed 32-byte records. A tracer writes one
+//	             section per full spill buffer, so its sections arrive in
+//	             sequence order. The reader still merges any number of
+//	             sections by sorting on the records' sequence numbers, so
+//	             files that interleave per-CPU chunks out of order decode
+//	             to the same trace.
 //	'T' threads: u32 count, then per thread
 //	             u32 tid | u16 cpu | u16 priority | u16 namelen | name
-//	'L' lost:    u16 cpus, then cpus × u64 overwritten-record counts
-//	             (the overflow markers of flight-recorder rings).
+//	'L' lost:    u16 cpus, then cpus × u64 dropped-record counts. A tracer
+//	             drops no record and writes one zero per CPU; the reader
+//	             reports whatever counts a file carries.
 //
 // A record is
 //
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"rtseed/internal/engine"
 )
@@ -132,8 +134,8 @@ func (tr *Tracer) flush() {
 
 // Close finishes a file-backed tracer: the pending records are spilled,
 // followed by the thread and lost sections. It reports the first sink error
-// encountered anywhere on the write path. Close is not needed in
-// flight-recorder mode (use WriteTo instead).
+// encountered anywhere on the write path. A tracer without a sink has no
+// file to finish, and Close errors.
 func (tr *Tracer) Close(threads []ThreadInfo) error {
 	if tr.sink == nil {
 		return errors.New("trace: Close on a tracer without a sink")
@@ -145,38 +147,7 @@ func (tr *Tracer) Close(threads []ThreadInfo) error {
 	if err := writeThreads(tr.sink, threads); err != nil {
 		return err
 	}
-	return writeLost(tr.sink, tr.Lost())
-}
-
-// WriteTo serializes a flight-recorder tracer's retained records, thread
-// table, and lost counters as one complete trace file.
-func (tr *Tracer) WriteTo(w io.Writer, threads []ThreadInfo) error {
-	var hdr [12]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint16(hdr[8:], Version)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	recs := tr.Records()
-	if len(recs) > 0 {
-		var sec [sectionHeaderSize]byte
-		sec[0] = secRecords
-		binary.LittleEndian.PutUint64(sec[1:], uint64(len(recs)*recordSize))
-		if _, err := w.Write(sec[:]); err != nil {
-			return err
-		}
-		buf := make([]byte, len(recs)*recordSize)
-		for i, rec := range recs {
-			putRecord(buf[i*recordSize:], rec)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	if err := writeThreads(w, threads); err != nil {
-		return err
-	}
-	return writeLost(w, tr.Lost())
+	return writeLost(tr.sink, make([]uint64, tr.cpus))
 }
 
 // writeThreads writes the 'T' section.
@@ -225,7 +196,7 @@ type Trace struct {
 	Records []Record
 	// Threads is the thread metadata table.
 	Threads []ThreadInfo
-	// Lost holds the per-CPU overwritten-record counts.
+	// Lost holds the per-CPU dropped-record counts.
 	Lost []uint64
 }
 
@@ -299,7 +270,7 @@ func Decode(data []byte) (*Trace, error) {
 			return nil, err
 		}
 	}
-	sortRecords(tr.Records)
+	sort.Slice(tr.Records, func(i, j int) bool { return tr.Records[i].Seq < tr.Records[j].Seq })
 	for i := 1; i < len(tr.Records); i++ {
 		if tr.Records[i].Seq == tr.Records[i-1].Seq {
 			return nil, formatErr("duplicate record sequence number %d", tr.Records[i].Seq)

@@ -14,8 +14,9 @@ import (
 // files, bad versions, corrupted sections all error cleanly — and anything
 // it does accept must re-encode and decode to the same trace.
 func FuzzTraceCodec(f *testing.F) {
-	// Seed corpus: a flight-recorder file, a multi-section file-backed
-	// file, their truncations, and targeted corruptions.
+	// Seed corpus: a one-section file, a multi-section file, their
+	// truncations, targeted corruptions, and a file with nonzero lost
+	// counts.
 	threads := []ThreadInfo{{TID: 1, CPU: 0, Priority: 50, Name: "a.mand"}}
 	emit := func(tr *Tracer) {
 		for i := 0; i < 20; i++ {
@@ -23,10 +24,10 @@ func FuzzTraceCodec(f *testing.F) {
 				Kind(1+i%int(kindMax-1)), uint64(i))
 		}
 	}
-	ring := New(Config{CPUs: 2, Capacity: 8})
-	emit(ring)
 	var buf bytes.Buffer
-	if err := ring.WriteTo(&buf, threads); err != nil {
+	one := New(Config{CPUs: 2, Sink: &buf})
+	emit(one)
+	if err := one.Close(threads); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -52,6 +53,14 @@ func FuzzTraceCodec(f *testing.F) {
 	f.Add(hugeLen)
 	f.Add(spilled.Bytes())
 	f.Add(spilled.Bytes()[:12+sectionHeaderSize+6*recordSize]) // first section only
+	// No tracer drops a record, so only a hand-built 'L' section carries
+	// nonzero counts.
+	var lossy bytes.Buffer
+	lossy.Write(valid[:12])
+	if err := writeLost(&lossy, []uint64{2, 0, 5}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lossy.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := Decode(data)

@@ -6,13 +6,12 @@
 // (perfetto.go).
 //
 // The emit path is allocation-free (//rtseed:noalloc, enforced by
-// rtseed-vet) and never blocks the simulation. It has two modes. A flight
-// recorder (no sink) writes each record by value into a pre-sized per-CPU
-// ring; a full ring overwrites its oldest records and counts them as lost.
-// A file-backed tracer (sink attached) encodes each record into one shared,
-// cache-sized spill buffer and writes the buffer to the sink whenever it
-// fills — the only write path that touches I/O, once every Capacity
-// records in total.
+// rtseed-vet) and never blocks the simulation. Emit stamps each record and
+// hands it to the tracer's taps. A tracer with a sink also encodes the
+// record into one shared, cache-sized spill buffer and writes the buffer to
+// the sink whenever it fills — the only write path that touches I/O, once
+// every Capacity records in total. A tracer without a sink stores nothing:
+// its taps are its only readers.
 //
 // Records are stamped with a tracer-global sequence number, so the merged
 // stream of all CPUs has a total order that is a pure function of the
@@ -22,7 +21,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"rtseed/internal/engine"
@@ -182,11 +180,11 @@ func UnpackMiss(arg uint64) (job int, lateness time.Duration) {
 }
 
 // MissedDeadline is the single definition of a deadline miss shared by the
-// middleware (task.JobRecord.Met), the quantum-driven EDF and G-RMWP
-// simulators, and the trace analyzer: a job that finishes at finish with
-// absolute deadline deadline misses iff it finishes strictly after it. All
-// policies attribute misses through this predicate so their counts are
-// comparable.
+// middleware (core.Process, which emits KindDeadlineMiss for the trace
+// analyzer, and task.JobRecord.Met) and the cluster simulator: a job that
+// finishes at finish with absolute deadline deadline misses iff it finishes
+// strictly after it. All policies attribute misses through this predicate
+// so their counts are comparable.
 func MissedDeadline(finish, deadline time.Duration) bool { return finish > deadline }
 
 // ThreadInfo is the per-thread metadata written alongside the records so
@@ -198,40 +196,31 @@ type ThreadInfo struct {
 	Name     string
 }
 
-// DefaultCapacity is the record capacity used when Config leaves it zero:
-// 4096 records = 128 KiB, per CPU ring in a flight recorder and for the one
-// shared buffer of a file-backed tracer.
+// DefaultCapacity is the spill buffer's record capacity when Config leaves
+// it zero: 4096 records = 128 KiB.
 const DefaultCapacity = 4096
+
+// MaxCPUs is the largest CPU count a tracer accepts: the file stores a
+// record's CPU and the 'L' section's CPU count as u16.
+const MaxCPUs = 0xffff
 
 // Config configures a Tracer.
 type Config struct {
 	// CPUs is the number of hardware threads records may be emitted on,
-	// sized once from the machine topology. Emitting on a CPU at or beyond
-	// it is a construction bug and panics. A flight recorder allocates one
-	// ring per CPU at New, so Emit never allocates; a file-backed tracer
-	// keeps no per-CPU state and uses CPUs only to bound Emit and to size
-	// the lost table.
+	// sized once from the machine topology. New panics when it exceeds
+	// MaxCPUs, and emitting on a CPU at or beyond it is a construction bug
+	// and panics too. The tracer keeps no per-CPU state: CPUs bounds Emit
+	// and sizes the 'L' section Close writes.
 	CPUs int
-	// Capacity is the number of records held in memory (DefaultCapacity
-	// when zero): per CPU ring in a flight recorder, and in the one shared
-	// spill buffer of a file-backed tracer.
+	// Capacity is the number of records the spill buffer holds
+	// (DefaultCapacity when zero). A tracer without a sink has no buffer.
 	Capacity int
 	// Sink, when non-nil, makes the tracer file-backed: Emit encodes every
 	// record straight into the shared spill buffer, and a full buffer is
 	// written to the sink as one record section, so no record is ever lost
 	// and the file's records arrive in emission order. When nil the tracer
-	// is a flight recorder: a full ring overwrites its oldest records and
-	// counts them in Lost.
+	// only stamps records and calls its taps.
 	Sink io.Writer
-}
-
-// cpuRing is one CPU's flight-recorder ring. count is the number of records
-// ever stored; the ring holds the most recent min(count, len(buf)) of them,
-// ending at index w.
-type cpuRing struct {
-	buf   []Record
-	w     int // next write index
-	count uint64
 }
 
 // Tracer collects trace records. All methods must be called from the
@@ -243,13 +232,10 @@ type Tracer struct {
 	seq       uint64
 	observers []func(Record)
 
-	// Flight-recorder state: one ring per CPU, nil when a sink is attached.
-	rings []cpuRing
-
-	// File-backed state. spill is a section header followed by room for
-	// capacity encoded records, of which the first pending are filled;
-	// headerDone latches after the file header is written; err holds the
-	// first sink error and stops further writes.
+	// File-backed state, unused without a sink. spill is a section header
+	// followed by room for capacity encoded records, of which the first
+	// pending are filled; headerDone latches after the file header is
+	// written; err holds the first sink error and stops further writes.
 	sink       io.Writer
 	spill      []byte
 	pending    int
@@ -257,8 +243,11 @@ type Tracer struct {
 	err        error
 }
 
-// New builds a tracer.
+// New builds a tracer. It panics when cfg.CPUs exceeds MaxCPUs.
 func New(cfg Config) *Tracer {
+	if cfg.CPUs > MaxCPUs {
+		panic(fmt.Sprintf("trace: %d CPUs, but a trace file holds at most %d", cfg.CPUs, MaxCPUs))
+	}
 	capacity := cfg.Capacity
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -266,27 +255,19 @@ func New(cfg Config) *Tracer {
 	tr := &Tracer{cpus: cfg.CPUs, capacity: capacity, sink: cfg.Sink}
 	if cfg.Sink != nil {
 		tr.spill = make([]byte, sectionHeaderSize+capacity*recordSize)
-		return tr
-	}
-	// Rings are allocated eagerly so Emit is allocation-free from the first
-	// record: every construction site sizes CPUs from the machine topology,
-	// and a simulated CPU that never runs costs one idle ring.
-	tr.rings = make([]cpuRing, cfg.CPUs)
-	for i := range tr.rings {
-		tr.rings[i].buf = make([]Record, capacity)
 	}
 	return tr
 }
 
-// Tap registers a live observer called with every emitted record, including
-// records the rings later overwrite. The sched.Recorder uses this to build
-// run segments without bounding history to the ring capacity.
+// Tap registers a live observer called with every emitted record, in
+// emission order. The sched.Recorder uses this to build run segments; on a
+// tracer without a sink the taps are the only readers.
 func (tr *Tracer) Tap(fn func(Record)) { tr.observers = append(tr.observers, fn) }
 
 // Emit records one event on cpu. This is the hot path: it never blocks and
-// never allocates — every buffer is sized at New. A flight recorder stores
-// the record in cpu's ring; a file-backed tracer encodes it into the shared
-// spill buffer, writing the buffer to the sink first if it is full.
+// never allocates — the spill buffer is sized at New. It calls the taps,
+// then a file-backed tracer encodes the record into the shared spill
+// buffer, writing the buffer to the sink first if it is full.
 // Emitting on a CPU beyond the configured count is a construction bug, not
 // a growth event, and panics.
 //
@@ -302,13 +283,6 @@ func (tr *Tracer) Emit(at engine.Time, cpu uint16, tid uint32, kind Kind, arg ui
 		fn(rec)
 	}
 	if tr.sink == nil {
-		r := &tr.rings[cpu]
-		if r.w == len(r.buf) {
-			r.w = 0 // wrap, overwriting the oldest
-		}
-		r.buf[r.w] = rec
-		r.w++
-		r.count++
 		return
 	}
 	if tr.pending == tr.capacity {
@@ -319,70 +293,10 @@ func (tr *Tracer) Emit(at engine.Time, cpu uint16, tid uint32, kind Kind, arg ui
 	tr.pending++
 }
 
-// Lost returns the per-CPU counts of records overwritten by ring wraparound
-// (flight-recorder mode; always zero per CPU when a sink is attached).
-func (tr *Tracer) Lost() []uint64 {
-	lost := make([]uint64, tr.cpus)
-	for i := range tr.rings {
-		lost[i] = tr.rings[i].lost()
-	}
-	return lost
-}
+// TotalLost returns how many records the tracer dropped: always zero, since
+// a file-backed tracer spills every record and a tracer without a sink
+// keeps none. Close writes the matching all-zero 'L' section.
+func (tr *Tracer) TotalLost() uint64 { return 0 }
 
-// TotalLost sums Lost over all CPUs.
-func (tr *Tracer) TotalLost() uint64 {
-	var sum uint64
-	for i := range tr.rings {
-		sum += tr.rings[i].lost()
-	}
-	return sum
-}
-
-// Emitted returns how many records have been emitted in total, including
-// any the rings have overwritten.
+// Emitted returns how many records have been emitted in total.
 func (tr *Tracer) Emitted() uint64 { return tr.seq }
-
-// lost is how many of the ring's records have been overwritten.
-func (r *cpuRing) lost() uint64 {
-	if n := uint64(len(r.buf)); r.count > n {
-		return r.count - n
-	}
-	return 0
-}
-
-// retained returns the ring's surviving records in emission order.
-func (r *cpuRing) retained() []Record {
-	if r.count <= uint64(len(r.buf)) {
-		return r.buf[:r.w]
-	}
-	// Wrapped: oldest surviving record is at w.
-	out := make([]Record, 0, len(r.buf))
-	out = append(out, r.buf[r.w:]...)
-	out = append(out, r.buf[:r.w]...)
-	return out
-}
-
-// Records returns the tracer's in-memory records in emission (sequence)
-// order. In flight-recorder mode this is the merged surviving history of
-// every CPU; with a sink attached it is only what has not yet been spilled
-// — use the sink's file for the full stream.
-func (tr *Tracer) Records() []Record {
-	var out []Record
-	if tr.sink != nil {
-		for i := 0; i < tr.pending; i++ {
-			out = append(out, unpackRecord(tr.spill[sectionHeaderSize+i*recordSize:]))
-		}
-		return out
-	}
-	for i := range tr.rings {
-		out = append(out, tr.rings[i].retained()...)
-	}
-	sortRecords(out)
-	return out
-}
-
-// sortRecords orders records by sequence number. Used by Records and the
-// file reader to merge the per-CPU streams into the global emission order.
-func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-}

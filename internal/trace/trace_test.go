@@ -67,79 +67,16 @@ func TestMissedDeadline(t *testing.T) {
 	}
 }
 
-func TestEmitAndRecordsOrder(t *testing.T) {
-	tr := New(Config{CPUs: 2, Capacity: 16})
-	// Interleave two CPUs; Records must come back in emission order.
-	tr.Emit(at(1), 0, 1, KindReady, 0)
-	tr.Emit(at(2), 1, 2, KindReady, 0)
-	tr.Emit(at(3), 0, 1, KindDispatch, 0)
-	tr.Emit(at(4), 1, 2, KindDispatch, 0)
-	recs := tr.Records()
-	if len(recs) != 4 {
-		t.Fatalf("%d records, want 4", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.Seq != uint64(i+1) {
-			t.Fatalf("record %d has seq %d", i, rec.Seq)
-		}
-	}
-	if recs[1].CPU != 1 || recs[1].TID != 2 {
-		t.Fatalf("merge broke attribution: %+v", recs[1])
-	}
-	if tr.Emitted() != 4 {
-		t.Fatalf("Emitted() = %d", tr.Emitted())
-	}
-}
-
-func TestFlightRecorderOverflowCountsLost(t *testing.T) {
-	tr := New(Config{CPUs: 1, Capacity: 4})
-	for i := 0; i < 10; i++ {
-		tr.Emit(at(time.Duration(i)), 0, 1, KindReady, uint64(i))
-	}
-	if lost := tr.TotalLost(); lost != 6 {
-		t.Fatalf("lost %d, want 6", lost)
-	}
-	recs := tr.Records()
-	if len(recs) != 4 {
-		t.Fatalf("retained %d, want 4", len(recs))
-	}
-	// The survivors are the newest four, still in emission order.
-	for i, rec := range recs {
-		if want := uint64(7 + i); rec.Seq != want {
-			t.Fatalf("survivor %d has seq %d, want %d", i, rec.Seq, want)
-		}
-	}
-	perCPU := tr.Lost()
-	if len(perCPU) != 1 || perCPU[0] != 6 {
-		t.Fatalf("per-CPU lost %v", perCPU)
-	}
-}
-
 func TestEmitBeyondConfiguredCPUsPanics(t *testing.T) {
-	// Rings are sized once, from the machine topology, at New; an emit on a
-	// CPU beyond that is a construction bug, not a growth event.
-	tr := New(Config{CPUs: 1, Capacity: 4})
+	// The CPU count is sized once, from the machine topology, at New; an
+	// emit on a CPU beyond that is a construction bug, not a growth event.
+	tr := New(Config{CPUs: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Emit beyond the configured CPU count must panic")
 		}
 	}()
 	tr.Emit(at(1), 5, 1, KindReady, 0)
-}
-
-func TestTapSeesOverwrittenRecords(t *testing.T) {
-	tr := New(Config{CPUs: 1, Capacity: 2})
-	var seen []uint64
-	tr.Tap(func(rec Record) { seen = append(seen, rec.Seq) })
-	for i := 0; i < 5; i++ {
-		tr.Emit(at(time.Duration(i)), 0, 1, KindReady, 0)
-	}
-	if len(seen) != 5 {
-		t.Fatalf("tap saw %d records, want all 5", len(seen))
-	}
-	if len(tr.Records()) != 2 {
-		t.Fatalf("ring retained %d, want 2", len(tr.Records()))
-	}
 }
 
 func TestFileBackedSpillLosesNothing(t *testing.T) {
@@ -176,10 +113,45 @@ func TestFileBackedSpillLosesNothing(t *testing.T) {
 	}
 }
 
+// A trace file stores CPU numbers as u16: New refuses a topology it could
+// not record, and a tracer at the limit still writes a file that decodes
+// with one lost count per CPU.
+func TestNewBeyondMaxCPUsPanics(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("New with %d CPUs must panic", MaxCPUs+1)
+			}
+		}()
+		New(Config{CPUs: MaxCPUs + 1})
+	}()
+	var buf bytes.Buffer
+	tr := New(Config{CPUs: MaxCPUs, Sink: &buf})
+	tr.Emit(at(1), MaxCPUs-1, 1, KindReady, 0)
+	if err := tr.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded.Lost) != MaxCPUs || decoded.Records[0].CPU != MaxCPUs-1 {
+		t.Fatalf("%d lost counts, record on CPU %d", len(decoded.Lost), decoded.Records[0].CPU)
+	}
+}
+
+// A tracer without a sink keeps no per-CPU state: New allocates only the
+// tracer, whatever the CPU count.
+func TestNewWithoutSinkAllocatesOnlyTheTracer(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { New(Config{CPUs: 228}) }); allocs > 1 {
+		t.Fatalf("New allocates %.0f times for 228 CPUs, want at most 1", allocs)
+	}
+}
+
 func TestCloseWithoutSinkErrors(t *testing.T) {
 	tr := New(Config{})
 	if err := tr.Close(nil); err == nil {
-		t.Fatal("Close on a flight recorder must error")
+		t.Fatal("Close on a tracer without a sink must error")
 	}
 }
 
@@ -191,18 +163,18 @@ func (s *countingSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// The emit hot path must not allocate in either mode: the flight recorder's
-// rings and the file-backed tracer's spill buffer are sized at New, the
-// record is a value, the observer call boxes nothing, and a spill writes the
-// preallocated buffer. The file-backed case emits across all 228 CPUs of
-// the paper's topology and spills many times inside the measured run.
+// The emit hot path must not allocate, with or without a sink: the spill
+// buffer is sized at New, the record is a value, the observer call boxes
+// nothing, and a spill writes the preallocated buffer. The file-backed case
+// emits across all 228 CPUs of the paper's topology and spills many times
+// inside the measured run.
 func TestEmitZeroAlloc(t *testing.T) {
 	sink := &countingSink{}
 	modes := []struct {
 		name string
 		cfg  Config
 	}{
-		{"ring/cpus=1", Config{CPUs: 1, Capacity: 1024}},
+		{"tap/cpus=1", Config{CPUs: 1}},
 		{"file/cpus=228", Config{CPUs: 228, Capacity: 64, Sink: sink}},
 	}
 	for _, m := range modes {
@@ -230,25 +202,17 @@ func TestEmitZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkTraceEmit(b *testing.B) {
-	modes := []struct {
-		name string
-		cfg  Config
-	}{
-		{"ring/cpus=1", Config{CPUs: 1}},
-		{"file/cpus=228", Config{CPUs: 228, Sink: io.Discard}},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			tr := New(m.cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			cpu := 0
-			for i := 0; i < b.N; i++ {
-				tr.Emit(at(time.Duration(i)), uint16(cpu), 1, KindDispatch, uint64(i))
-				if cpu++; cpu == m.cfg.CPUs {
-					cpu = 0
-				}
+	b.Run("file/cpus=228", func(b *testing.B) {
+		const cpus = 228
+		tr := New(Config{CPUs: cpus, Sink: io.Discard})
+		b.ReportAllocs()
+		b.ResetTimer()
+		cpu := 0
+		for i := 0; i < b.N; i++ {
+			tr.Emit(at(time.Duration(i)), uint16(cpu), 1, KindDispatch, uint64(i))
+			if cpu++; cpu == cpus {
+				cpu = 0
 			}
-		})
-	}
+		}
+	})
 }

@@ -1,9 +1,8 @@
 package rtseed
 
 // Tracing-overhead benchmarks: the per-event cost the tracing subsystem
-// adds to the scheduling core, in three modes — tracing off (the nil-check
-// baseline), ring-only (flight recorder, per-CPU rings overwritten in
-// place), and file-backed (records encoded into one shared spill buffer
+// adds to the scheduling core, in two modes — tracing off (the nil-check
+// baseline) and file-backed (records encoded into one shared spill buffer
 // that is written to a sink whenever it fills). The workload is the
 // release-only many-task sweep of BenchmarkManyTaskKernel on the 228-thread
 // Xeon Phi topology, so every event is scheduling-core work and the emit
@@ -30,11 +29,6 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		attach func(k *kernel.Kernel)
 	}{
 		{"off", func(k *kernel.Kernel) {}},
-		{"ring", func(k *kernel.Kernel) {
-			k.SetTrace(trace.New(trace.Config{
-				CPUs: k.Machine().Topology().NumHWThreads(),
-			}))
-		}},
 		{"file", func(k *kernel.Kernel) {
 			k.SetTrace(trace.New(trace.Config{
 				CPUs: k.Machine().Topology().NumHWThreads(),
