@@ -124,6 +124,10 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if o.horizon <= 0 {
 		return nil, fmt.Errorf("-horizon %v: want a positive duration", o.horizon)
 	}
+	if o.traceDir != "" && o.smt > 0 && o.cores > trace.MaxCPUs/o.smt {
+		return nil, fmt.Errorf("-trace-dir with -cores %d -smt %d: a trace file holds at most %d hardware threads per machine",
+			o.cores, o.smt, trace.MaxCPUs)
+	}
 	return o, nil
 }
 

@@ -105,6 +105,8 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-machines", "0"},
 		{"-horizon", "0"},
 		{"-quick", "-horizon", "-1s"},
+		{"-cores", "70000", "-smt", "1", "-trace-dir", "d"},
+		{"-cores", "40000", "-trace-dir", "d"},
 	}
 	for _, args := range bad {
 		fs := flag.NewFlagSet("rtseed-cluster", flag.ContinueOnError)

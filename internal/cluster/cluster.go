@@ -33,6 +33,7 @@ import (
 	"rtseed/internal/machine"
 	"rtseed/internal/sweep"
 	"rtseed/internal/task"
+	"rtseed/internal/trace"
 	"rtseed/internal/workload"
 )
 
@@ -87,7 +88,9 @@ type Config struct {
 	Workers int
 	// TraceDir, when non-empty, writes one file-backed trace per machine to
 	// TraceDir/machine-NNN.rtt. The files are byte-identical for any
-	// Workers; trace.Merge folds their analyses into one fleet summary.
+	// Workers; trace.Merge folds their analyses into one fleet summary. A
+	// trace file holds at most trace.MaxCPUs hardware threads, so a larger
+	// Topology is rejected when TraceDir is set.
 	TraceDir string
 }
 
@@ -132,6 +135,11 @@ func (c *Config) validate() error {
 	}
 	if err := c.Topology.Validate(); err != nil {
 		return err
+	}
+	// Divide rather than multiply, so a huge topology cannot overflow.
+	if c.TraceDir != "" && c.Topology.Cores > trace.MaxCPUs/c.Topology.ThreadsPerCore {
+		return fmt.Errorf("cluster: TraceDir with %d cores × %d threads per machine; a trace file holds at most %d hardware threads",
+			c.Topology.Cores, c.Topology.ThreadsPerCore, trace.MaxCPUs)
 	}
 	if !c.Load.Valid() {
 		return fmt.Errorf("cluster: invalid load %d", c.Load)

@@ -263,6 +263,10 @@ func TestConfigValidation(t *testing.T) {
 		{Load: machine.Load(99)},
 		{Clients: -5},
 		{Horizon: -time.Second},
+		// A trace file stores CPU numbers as u16; the product of the
+		// second topology overflows int to 0, which must not pass.
+		{TraceDir: "d", Topology: machine.Topology{Cores: 70000, ThreadsPerCore: 1}},
+		{TraceDir: "d", Topology: machine.Topology{Cores: 1 << 40, ThreadsPerCore: 1 << 40}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewPlan(cfg); err == nil {
