@@ -128,3 +128,50 @@ func f(p *s) {
 		t.Error("KeyOf(x+1) should not be keyable")
 	}
 }
+
+// TestStateBelow: a key with no label of its own reads the label of a field
+// under it, the shortest path first, then the lexically first; a sibling
+// whose name merely extends the key's is not under it.
+func TestStateBelow(t *testing.T) {
+	_, info, fd := parseFunc(t, `package p
+type inner struct{ c int }
+type s struct {
+	a, b inner
+	ab   int
+}
+func f(v s) {
+	_ = v
+	_ = v.a
+}`, "f")
+	var v, va ast.Expr
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			va = n
+			return false
+		case *ast.Ident:
+			if n.Name == "v" && v == nil {
+				v = n
+			}
+		}
+		return true
+	})
+	k, _ := KeyOf(info, v)
+	s := State[string]{
+		{Obj: k.Obj, Path: ".b.c"}: "bc",
+		{Obj: k.Obj, Path: ".a.c"}: "ac",
+		{Obj: k.Obj, Path: ".ab"}:  "ab",
+	}
+	if l, ok := s.Below(info, v); !ok || l != "ab" {
+		t.Errorf("Below(v) = %q, %v; want the shortest path .ab", l, ok)
+	}
+	delete(s, Key{Obj: k.Obj, Path: ".ab"})
+	if l, ok := s.Below(info, v); !ok || l != "ac" {
+		t.Errorf("Below(v) = %q, %v; want the lexically first .a.c", l, ok)
+	}
+	delete(s, Key{Obj: k.Obj, Path: ".a.c"})
+	s[Key{Obj: k.Obj, Path: ".ab"}] = "ab"
+	if l, ok := s.Below(info, va); ok {
+		t.Errorf("Below(v.a) = %q with only .ab and .b.c labeled; want none", l)
+	}
+}

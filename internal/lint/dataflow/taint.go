@@ -13,6 +13,13 @@ type Key struct {
 	Path string
 }
 
+// under reports whether k names a field strictly below parent (x.f and
+// x.f.g are under x; x.fg is not under x.f).
+func (k Key) under(parent Key) bool {
+	return k.Obj == parent.Obj && len(k.Path) > len(parent.Path) &&
+		k.Path[:len(parent.Path)] == parent.Path && k.Path[len(parent.Path)] == '.'
+}
+
 // KeyOf resolves an expression to a storage key: an identifier, or a chain
 // of field selections rooted at one (x, x.f, x.f.g). Parens, &x and *x are
 // transparent. The second result is false for anything else (calls,
@@ -78,6 +85,27 @@ func (s State[L]) Get(info *types.Info, e ast.Expr) (L, bool) {
 	}
 }
 
+// Below returns the label of a key strictly under an expression's key: a
+// labeled x.f makes x's value carry the label. Of several such keys it
+// picks the shortest path, then the lexically first, so the witness is
+// deterministic. The second result is false when no key under it carries a
+// label.
+func (s State[L]) Below(info *types.Info, e ast.Expr) (L, bool) {
+	var found L
+	k, ok := KeyOf(info, e)
+	if !ok {
+		return found, false
+	}
+	best, ok := "", false
+	for other, l := range s {
+		if other.under(k) && (!ok || len(other.Path) < len(best) ||
+			len(other.Path) == len(best) && other.Path < best) {
+			best, found, ok = other.Path, l, true
+		}
+	}
+	return found, ok
+}
+
 // Set labels an expression's key, reporting whether the expression was
 // keyable at all.
 func (s State[L]) Set(info *types.Info, e ast.Expr, l L) bool {
@@ -98,8 +126,7 @@ func (s State[L]) Clear(info *types.Info, e ast.Expr) {
 	}
 	delete(s, k)
 	for other := range s {
-		if other.Obj == k.Obj && len(other.Path) > len(k.Path) &&
-			other.Path[:len(k.Path)] == k.Path && other.Path[len(k.Path)] == '.' {
+		if other.under(k) {
 			delete(s, other)
 		}
 	}
@@ -130,8 +157,7 @@ func (s State[L]) Assign(info *types.Info, lhs, rhs ast.Expr) bool {
 			moves = append(moves, kv{klhs, l})
 		}
 		for k, l := range s {
-			if k.Obj == krhs.Obj && len(k.Path) > len(krhs.Path) &&
-				k.Path[:len(krhs.Path)] == krhs.Path && k.Path[len(krhs.Path)] == '.' {
+			if k.under(krhs) {
 				moves = append(moves, kv{Key{Obj: klhs.Obj, Path: klhs.Path + k.Path[len(krhs.Path):]}, l})
 			}
 		}

@@ -17,7 +17,8 @@
 //   - propagation: assignments, arithmetic, composite literals, calls with
 //     tainted arguments or receivers — the CFG + worklist solver from
 //     internal/lint/dataflow carries taint through locals and struct
-//     fields, so laundering is visible; calls the call graph resolves use
+//     fields, and a struct with a tainted field is tainted as a whole, so
+//     laundering is visible; calls the call graph resolves use
 //     the callee's function summary (internal/lint/summary) instead of the
 //     conservative any-argument rule, so taint crossing function frames —
 //     a time.Now() laundered through a helper's return value, an argument
@@ -370,11 +371,13 @@ func (c *checker) eval(e ast.Expr, s dataflow.State[taint]) (taint, bool) {
 		return c.eval(e.X, s)
 
 	case *ast.Ident:
-		return s.Get(info, e)
+		return lookup(info, s, e)
 
 	case *ast.SelectorExpr:
-		if t, ok := s.Get(info, e); ok {
-			return t, true
+		if _, keyable := dataflow.KeyOf(info, e); keyable {
+			// lookup covers x.f, its prefixes and the keys under it; x's
+			// other fields do not taint x.f.
+			return lookup(info, s, e)
 		}
 		return c.eval(e.X, s)
 
@@ -433,6 +436,16 @@ func (c *checker) eval(e ast.Expr, s dataflow.State[taint]) (taint, bool) {
 		return taint{}, false // analyzed separately
 	}
 	return taint{}, false
+}
+
+// lookup returns the taint of a keyable expression: its own key's or a
+// prefix's label, else the label of a field under it, so a struct value
+// with one tainted field is tainted as a whole.
+func lookup(info *types.Info, s dataflow.State[taint], e ast.Expr) (taint, bool) {
+	if t, ok := s.Get(info, e); ok {
+		return t, true
+	}
+	return s.Below(info, e)
 }
 
 // call evaluates a call expression: source recognition, the trace-emission

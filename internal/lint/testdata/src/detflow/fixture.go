@@ -29,6 +29,22 @@ func stamp(r *report, deadline time.Time) {
 	r.Elapsed = time.Until(deadline) // want `wall-clock value from time\.Until \(line \d+\) is stored in r\.Elapsed`
 }
 
+// Flagged: wall clock stored into a field of a local struct that is then
+// returned whole.
+func stampedLocal() report {
+	var r report
+	r.Elapsed = time.Since(time.Time{})
+	return r // want `wall-clock value from time\.Since \(line \d+\) is returned to the caller`
+}
+
+// Clean: only r.Elapsed carries the clock, and the label is returned.
+func labelOnly() string {
+	var r report
+	r.Elapsed = time.Since(time.Time{})
+	r.Label = "done"
+	return r.Label
+}
+
 var mode string
 
 // Flagged: environment read into a package variable.
