@@ -10,9 +10,19 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: ci vet lint lint-stats vuln build test test-race perfbench-check bench-smoke bench bench-json bench-trajectory trace-smoke cluster-smoke workload-smoke fuzz-smoke tools clean
+.PHONY: ci fmt-check vet lint lint-stats vuln build test test-race perfbench-check bench-smoke bench bench-json bench-trajectory trace-smoke cluster-smoke workload-smoke fuzz-smoke tools clean
 
-ci: vet lint build test test-race perfbench-check bench-smoke trace-smoke cluster-smoke workload-smoke fuzz-smoke vuln
+ci: fmt-check vet lint build test test-race perfbench-check bench-smoke trace-smoke cluster-smoke workload-smoke fuzz-smoke vuln
+
+# fmt-check fails, listing the files, when any tracked Go file is not
+# gofmt-clean. Listing through git skips untracked build output such as
+# perfbench's .bench_build/.
+fmt-check:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$files" ]; then \
+		echo "gofmt needed on:"; echo "$$files"; \
+		exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
