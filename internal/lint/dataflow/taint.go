@@ -92,8 +92,8 @@ func (s State[L]) Get(info *types.Info, e ast.Expr) (L, bool) {
 // label.
 func (s State[L]) Below(info *types.Info, e ast.Expr) (L, bool) {
 	var found L
-	k, ok := KeyOf(info, e)
-	if !ok {
+	k, keyable := KeyOf(info, e)
+	if !keyable {
 		return found, false
 	}
 	best, ok := "", false

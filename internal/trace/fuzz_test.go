@@ -77,12 +77,12 @@ func FuzzTraceCodec(f *testing.F) {
 		// Accepted input must survive a rewrite through the file-backed
 		// writer, spilling every few records into a new section. The lost
 		// table need not cover every CPU a record names, so the rewrite is
-		// sized from both; its u16 count caps it at 0xffff CPUs.
+		// sized from both, up to the MaxCPUs a tracer accepts.
 		cpus := len(decoded.Lost)
 		for _, rec := range decoded.Records {
 			cpus = max(cpus, int(rec.CPU)+1)
 		}
-		if cpus > 0xffff {
+		if cpus > MaxCPUs {
 			return
 		}
 		var out bytes.Buffer
