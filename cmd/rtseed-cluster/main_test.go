@@ -153,10 +153,17 @@ func TestSpecAndReplayFlags(t *testing.T) {
 	}
 }
 
-// TestGoldenReport pins the bytes of `rtseed-cluster -quick`; the
-// wall-clock timing line goes to a separate writer and is left out.
+// TestGoldenReport pins the bytes of two reports; the wall-clock timing
+// line goes to a separate writer and is left out. `-quick` offers 2,000
+// clients to 4 machines. The flash-crash run saturates 32 machines, so
+// admission there rolls back thousands of partly placed clients.
 func TestGoldenReport(t *testing.T) {
-	golden.Check(t, "rtseed-cluster -quick", []byte(runWithArgs(t, []string{"-quick"})))
+	for _, args := range [][]string{
+		{"-quick"},
+		{"-spec", "flash-crash", "-clients", "20000", "-machines", "32", "-horizon", "100ms"},
+	} {
+		golden.Check(t, "rtseed-cluster "+strings.Join(args, " "), []byte(runWithArgs(t, args)))
+	}
 }
 
 // FuzzParseFlags parses arbitrary command lines: parseFlags must never

@@ -35,3 +35,45 @@ func TestCheckRecordsThenMatches(t *testing.T) {
 		t.Error("missing digest file accepted")
 	}
 }
+
+// TestCheckKeepsOneLinePerCommand checks that a digest file holds one line
+// per command line: each check finds its own line, and an update rewrites
+// only that line, in place, or appends a new one.
+func TestCheckKeepsOneLinePerCommand(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "golden.sha256")
+	for _, c := range []struct{ cmd, report string }{{"a -x", "alpha\n"}, {"b", "beta\n"}} {
+		if err := check(path, c.cmd, []byte(c.report), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := check(path, "a -x", []byte("alpha\n"), false); err != nil {
+		t.Errorf("first line: %v", err)
+	}
+	if err := check(path, "b", []byte("beta\n"), false); err != nil {
+		t.Errorf("second line: %v", err)
+	}
+	if err := check(path, "a", []byte("alpha\n"), false); err == nil || !strings.Contains(err.Error(), "no digest") {
+		t.Errorf("unrecorded command line: error %v, want a missing-digest error", err)
+	}
+
+	if err := check(path, "a -x", []byte("alpha!\n"), true); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// `printf 'alpha!\n' | sha256sum` and `printf 'beta\n' | sha256sum`.
+	want := "46ccd0d5d5fa1077bfe1ab4d62397115300c2e46444e50e9db9f8b5f94660292  a -x\n" +
+		"f2c82decdd7181cf98945929a62598db7e6b477e11f6e0eb0ae97020eff151ad  b\n"
+	if string(raw) != want {
+		t.Fatalf("digest file after updating the first line:\n%s\nwant\n%s", raw, want)
+	}
+
+	if err := os.WriteFile(path, []byte("not a digest line\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := check(path, "a -x", []byte("alpha\n"), false); err == nil {
+		t.Error("malformed digest file accepted")
+	}
+}
