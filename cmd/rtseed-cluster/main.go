@@ -124,7 +124,19 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if o.horizon <= 0 {
 		return nil, fmt.Errorf("-horizon %v: want a positive duration", o.horizon)
 	}
-	if o.traceDir != "" && o.smt > 0 && o.cores > trace.MaxCPUs/o.smt {
+	if o.cores < 1 {
+		return nil, fmt.Errorf("-cores %d: want at least 1 core per machine", o.cores)
+	}
+	if o.smt < 1 {
+		return nil, fmt.Errorf("-smt %d: want at least 1 thread per core", o.smt)
+	}
+	if o.epoch < 0 {
+		return nil, fmt.Errorf("-epoch %v: want 0 (horizon/8) or a positive duration", o.epoch)
+	}
+	if o.margin < 0 {
+		return nil, fmt.Errorf("-margin %v: want 0 (no inflation) or a positive duration", o.margin)
+	}
+	if o.traceDir != "" && o.cores > trace.MaxCPUs/o.smt {
 		return nil, fmt.Errorf("-trace-dir with -cores %d -smt %d: a trace file holds at most %d hardware threads per machine",
 			o.cores, o.smt, trace.MaxCPUs)
 	}

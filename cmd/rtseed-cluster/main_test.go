@@ -107,6 +107,11 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-quick", "-horizon", "-1s"},
 		{"-cores", "70000", "-smt", "1", "-trace-dir", "d"},
 		{"-cores", "40000", "-trace-dir", "d"},
+		{"-cores", "0"},
+		{"-smt", "-1"},
+		{"-smt", "0"},
+		{"-epoch", "-5ms"},
+		{"-margin", "-1ms"},
 	}
 	for _, args := range bad {
 		fs := flag.NewFlagSet("rtseed-cluster", flag.ContinueOnError)
@@ -170,7 +175,8 @@ func TestGoldenReport(t *testing.T) {
 // panic, and every command line it accepts must be runnable.
 func FuzzParseFlags(f *testing.F) {
 	for _, seed := range []string{"", "-quick", "-quick -machines 16", "-clients 0", "-horizon -1s -quick",
-		"-spec steady -replay a.rtk", "-policy affinity -load cpu -workers 3", "-h"} {
+		"-spec steady -replay a.rtk", "-policy affinity -load cpu -workers 3", "-h",
+		"-cores 0", "-smt -1", "-epoch -5ms", "-margin -1ms", "-margin 0 -epoch 0"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
@@ -183,6 +189,10 @@ func FuzzParseFlags(f *testing.F) {
 		if o.clients < 1 || o.machines < 1 || o.horizon <= 0 || o.workers < 1 {
 			t.Fatalf("%q accepted with clients %d, machines %d, horizon %v, workers %d",
 				line, o.clients, o.machines, o.horizon, o.workers)
+		}
+		if o.cores < 1 || o.smt < 1 || o.epoch < 0 || o.margin < 0 {
+			t.Fatalf("%q accepted with cores %d, smt %d, epoch %v, margin %v",
+				line, o.cores, o.smt, o.epoch, o.margin)
 		}
 		if o.spec != "" && o.replay != "" {
 			t.Fatalf("%q accepted with both -spec and -replay", line)
