@@ -147,7 +147,8 @@ workload-smoke:
 # fuzz-smoke runs each fuzz target for a short, bounded burst: long enough to
 # trip a regression in the engine-vs-oracle equivalence, the kernel's
 # random-program invariants, the trace and workload codec round trips, the
-# spec parsers, or the commands' flag validation, short enough for every CI
+# spec parsers, the incremental RMWP analysis against the full one, or the
+# commands' flag validation, short enough for every CI
 # run. `go test -fuzz` accepts a single target per invocation, so each gets
 # its own line.
 fuzz-smoke:
@@ -158,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadCodec -fuzztime=30s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=30s ./internal/task
+	$(GO) test -run=NONE -fuzz=FuzzIncrementalRMWP -fuzztime=30s ./internal/analysis
 	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-analyze
 	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-repro
 	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-overhead

@@ -17,6 +17,13 @@
 // wind-up part has higher priority than every (parallel) optional part
 // (Theorems 1-2 of the paper), so the analysis is identical in the extended
 // and parallel-extended models.
+//
+// RMWP analyzes a whole task set from scratch and is the reference.
+// IncrementalRMWP keeps one processor's analysis current as tasks come and
+// go, caching every task's response times so that an insert re-solves only
+// the fixed points the new task can change; admission control runs it once
+// per candidate core for every offered client, and it reaches RMWP's
+// verdicts and response times exactly.
 package analysis
 
 import (
@@ -161,40 +168,6 @@ func RMWP(s *task.Set) ([]Result, error) {
 		}
 	}
 	return results, firstErr
-}
-
-// RMWPFits is the incremental form of the RMWP test used by admission
-// control: ordered is a rate-monotonically ordered task list (shortest period
-// first) and the function reports whether every task at index >= lo satisfies
-// the RMWP conditions (R^w within the deadline, OD_i >= 0, R^m_i <= OD_i).
-//
-// Inserting a task at RM position lo leaves the response times of the tasks
-// before lo unchanged — interference flows only from higher-priority tasks —
-// so an admission controller that already holds a schedulable list only needs
-// to re-check from the insertion point down. Passing lo = 0 checks the whole
-// list and agrees exactly with RMWP's verdict. Unlike RMWP it allocates
-// nothing and builds no Result slice, so a cluster front-end can afford to
-// run it once per candidate core on every admission attempt.
-func RMWPFits(ordered []task.Task, lo int) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	for i := lo; i < len(ordered); i++ {
-		t := ordered[i]
-		rw, wOK := responseTime(t.Windup, ordered[:i], t.Deadline())
-		if !wOK {
-			return false
-		}
-		rm, mOK := responseTime(t.Mandatory, ordered[:i], t.Deadline())
-		if !mOK {
-			return false
-		}
-		od := t.Deadline() - rw
-		if od < 0 || rm > od {
-			return false
-		}
-	}
-	return true
 }
 
 // OptionalDeadlines is a convenience wrapper around RMWP returning only the

@@ -289,63 +289,3 @@ func TestHyperbolicBound(t *testing.T) {
 		t.Fatal("nil set accepted")
 	}
 }
-
-// TestRMWPFitsAgreesWithRMWP cross-checks the incremental admission test
-// against the full analysis on random sets: with lo = 0, RMWPFits must
-// reproduce RMWP's verdict exactly.
-func TestRMWPFitsAgreesWithRMWP(t *testing.T) {
-	for seed := uint64(0); seed < 200; seed++ {
-		n := 1 + int(seed%5)
-		u := 0.3 + 0.9*float64(seed%10)/10 // spans schedulable and not
-		if u > float64(n) {
-			u = 0.95 * float64(n)
-		}
-		set, err := task.Generate(task.GenConfig{
-			N:                n,
-			TotalUtilization: u,
-			MinPeriod:        2 * time.Millisecond,
-			MaxPeriod:        200 * time.Millisecond,
-			Seed:             seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rmwpErr := RMWP(set)
-		if got, want := RMWPFits(set.SortedByRM(), 0), rmwpErr == nil; got != want {
-			t.Fatalf("seed %d: RMWPFits=%v, RMWP err=%v", seed, got, rmwpErr)
-		}
-	}
-}
-
-// TestRMWPFitsIncremental checks the insertion-point shortcut: on a list
-// known schedulable, re-checking from any lo agrees with a full check after
-// inserting a task at that position.
-func TestRMWPFitsIncremental(t *testing.T) {
-	base, err := task.Generate(task.GenConfig{
-		N: 4, TotalUtilization: 0.5,
-		MinPeriod: 5 * time.Millisecond, MaxPeriod: 100 * time.Millisecond,
-		Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordered := base.SortedByRM()
-	if !RMWPFits(ordered, 0) {
-		t.Fatal("base set should be schedulable at U=0.5")
-	}
-	add := task.Uniform("x", time.Millisecond, time.Millisecond, 0, 0, 30*time.Millisecond)
-	for lo := 0; lo <= len(ordered); lo++ {
-		cand := append(append(append([]task.Task(nil), ordered[:lo]...), add), ordered[lo:]...)
-		if cand[len(cand)-1].Period < add.Period {
-			continue // not an RM position for add; skip malformed orders
-		}
-		full := RMWPFits(cand, 0)
-		incr := RMWPFits(cand, lo)
-		if lo > 0 && cand[lo-1].Period > add.Period {
-			continue
-		}
-		if full != incr {
-			t.Errorf("lo=%d: incremental=%v full=%v", lo, incr, full)
-		}
-	}
-}

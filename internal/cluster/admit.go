@@ -16,55 +16,26 @@ func inflate(t task.Task, margin time.Duration) task.Task {
 	return t
 }
 
-// coreState is one core's admitted task list — inflated copies in
-// rate-monotonic order, exactly the list analysis.RMWPFits analyzes.
+// coreState is one core's admission state: the incremental P-RMWP analysis
+// of its inflated tasks, plus their utilization for a cheap pre-check.
 type coreState struct {
-	tasks []task.Task
-	util  float64
+	rmwp analysis.IncrementalRMWP
+	util float64
 }
 
-// rmPos returns the RM insertion position for period p: after every
-// admitted task with period <= p, so earlier-admitted ties keep their
-// higher priority, matching RMBandPriorities' stable tie-break at
-// simulation build.
-func (c *coreState) rmPos(p time.Duration) int {
-	for i, t := range c.tasks {
-		if t.Period > p {
-			return i
-		}
+// tryInsert admits t, of utilization u, onto the core if the augmented
+// list passes the P-RMWP test, returning its RM position. Ties in period go
+// after the earlier-admitted tasks, which keep their higher priority,
+// matching RMBandPriorities' stable tie-break at simulation build.
+func (c *coreState) tryInsert(t task.Task, u float64) (int, bool) {
+	if c.util+u > 1 {
+		return 0, false
 	}
-	return len(c.tasks)
-}
-
-// tryInsert admits t onto the core if the augmented list passes the
-// incremental P-RMWP test, returning the insertion position. scratch is the
-// caller's reusable buffer; the (possibly grown) buffer is returned either
-// way.
-func (c *coreState) tryInsert(t task.Task, scratch []task.Task) (int, []task.Task, bool) {
-	if c.util+t.Utilization() > 1 {
-		return 0, scratch, false
+	pos, ok := c.rmwp.Insert(t)
+	if ok {
+		c.util += u
 	}
-	pos := c.rmPos(t.Period)
-	scratch = scratch[:0]
-	scratch = append(scratch, c.tasks[:pos]...)
-	scratch = append(scratch, t)
-	scratch = append(scratch, c.tasks[pos:]...)
-	// Tasks before pos keep their response times (interference only flows
-	// down the priority order), so the test restarts at the insertion point.
-	if !analysis.RMWPFits(scratch, pos) {
-		return 0, scratch, false
-	}
-	c.tasks = append(c.tasks, task.Task{})
-	copy(c.tasks[pos+1:], c.tasks[pos:])
-	c.tasks[pos] = t
-	c.util += t.Utilization()
-	return pos, scratch, true
-}
-
-// remove undoes an insert at pos (rollback of a partially placed client).
-func (c *coreState) remove(pos int) {
-	c.util -= c.tasks[pos].Utilization()
-	c.tasks = append(c.tasks[:pos], c.tasks[pos+1:]...)
+	return pos, ok
 }
 
 // machineState is one machine's admission-control state: per-core task
@@ -75,7 +46,6 @@ type machineState struct {
 	clients int
 	tasks   int
 
-	scratch  []task.Task // RMWPFits candidate buffer
 	placeBuf []placement // current client's placements, for rollback
 	coreBuf  []int       // current client's core per task
 }
@@ -85,7 +55,10 @@ func newMachineState(cores int) *machineState {
 }
 
 // placement records where one task landed, for rollback.
-type placement struct{ core, pos int }
+type placement struct {
+	core, pos int
+	util      float64
+}
 
 // admit places every task of set onto the machine's cores (first-fit over
 // cores, each core checked with the exact incremental P-RMWP test on
@@ -112,12 +85,11 @@ func (m *machineState) admit(set *task.Set, margin time.Duration) ([]int, bool) 
 	if ok {
 		for _, raw := range set.Tasks {
 			t := inflate(raw, margin)
+			u := t.Utilization()
 			placed := false
 			for ci := range m.cores {
-				pos, scratch, fit := m.cores[ci].tryInsert(t, m.scratch)
-				m.scratch = scratch
-				if fit {
-					m.placeBuf = append(m.placeBuf, placement{core: ci, pos: pos})
+				if pos, fit := m.cores[ci].tryInsert(t, u); fit {
+					m.placeBuf = append(m.placeBuf, placement{core: ci, pos: pos, util: u})
 					m.coreBuf = append(m.coreBuf, ci)
 					placed = true
 					break
@@ -131,10 +103,13 @@ func (m *machineState) admit(set *task.Set, margin time.Duration) ([]int, bool) 
 	}
 	if !ok {
 		// Roll back in reverse insertion order: each recorded position is
-		// valid once every later insert has been removed.
+		// valid once every later insert has been removed. The utilization
+		// comes off by subtraction, so it may keep a rounding residue.
 		for i := len(m.placeBuf) - 1; i >= 0; i-- {
 			p := m.placeBuf[i]
-			m.cores[p.core].remove(p.pos)
+			c := &m.cores[p.core]
+			c.util -= p.util
+			c.rmwp.Remove(p.pos)
 		}
 		return nil, false
 	}

@@ -48,29 +48,50 @@ func TestAnalyticalAdmissionImpliesEmpiricalMissFree(t *testing.T) {
 	}
 }
 
-// TestAdmitRollbackLeavesMachineUnchanged drives a machine to rejection and
-// checks the failed admission left no partial placement behind.
+// TestAdmitRollbackLeavesMachineUnchanged drives a machine to a rejection
+// that places part of a client first, and checks the failed admission left
+// nothing behind: the machine's totals, and on every core the task count
+// and each cached response time, equal those of a machine that never saw
+// the client.
 func TestAdmitRollbackLeavesMachineUnchanged(t *testing.T) {
-	m := newMachineState(1)
-	big := task.Uniform("a", 2*time.Millisecond, 2*time.Millisecond, 0, 0, 10*time.Millisecond)
-	set := task.MustNewSet(big)
-	if _, ok := m.admit(set, 0); !ok {
-		t.Fatal("first 40%-utilization task should fit an empty core")
-	}
-	utilBefore, tasksBefore := m.util, len(m.cores[0].tasks)
+	ms := time.Millisecond
+	first := task.MustNewSet(task.Uniform("a", 2*ms, 2*ms, 0, 0, 15*ms))
+	// b.0 fits above a, and so does b.1 on its own; with both, a's
+	// mandatory part ends past its optional deadline, so b.1 fails after
+	// b.0 was placed and a's response times were re-solved.
+	b0 := task.Uniform("b.0", ms, ms, 0, 0, 10*ms)
+	over := task.MustNewSet(b0, task.Uniform("b.1", 2*ms, 2*ms, 0, 0, 12*ms))
 
-	// Two tasks that fit individually but not together on the loaded core:
-	// the second must roll the first back out.
-	over := task.MustNewSet(
-		task.Uniform("b.0", 2*time.Millisecond, 2*time.Millisecond, 0, 0, 10*time.Millisecond),
-		task.Uniform("b.1", 3*time.Millisecond, 3*time.Millisecond, 0, 0, 10*time.Millisecond),
-	)
-	if _, ok := m.admit(over, 0); ok {
-		t.Fatal("140%-utilization client admitted onto one core")
+	m, ref := newMachineState(1), newMachineState(1)
+	for _, st := range []*machineState{m, ref} {
+		if _, ok := st.admit(first, 0); !ok {
+			t.Fatal("a 27%-utilization task should fit an empty core")
+		}
 	}
-	if m.util != utilBefore || len(m.cores[0].tasks) != tasksBefore || m.clients != 1 {
-		t.Fatalf("rollback left residue: util %v->%v, tasks %d->%d, clients %d",
-			utilBefore, m.util, tasksBefore, len(m.cores[0].tasks), m.clients)
+	probe := newMachineState(1)
+	probe.admit(first, 0)
+	if _, ok := probe.admit(task.MustNewSet(b0), 0); !ok {
+		t.Fatal("b.0 alone should fit next to a; the rollback would go untested")
+	}
+	if _, ok := m.admit(over, 0); ok {
+		t.Fatal("client admitted although a misses its optional deadline")
+	}
+	if m.util != ref.util || m.clients != ref.clients || m.tasks != ref.tasks {
+		t.Fatalf("rollback left residue: util %v (want %v), clients %d (want %d), tasks %d (want %d)",
+			m.util, ref.util, m.clients, ref.clients, m.tasks, ref.tasks)
+	}
+	for ci := range m.cores {
+		got, want := &m.cores[ci].rmwp, &ref.cores[ci].rmwp
+		if got.Len() != want.Len() {
+			t.Fatalf("core %d: %d tasks after rollback, want %d", ci, got.Len(), want.Len())
+		}
+		for i := 0; i < got.Len(); i++ {
+			gw, gm := got.Response(i)
+			ww, wm := want.Response(i)
+			if gw != ww || gm != wm {
+				t.Errorf("core %d task %d: R^w %v R^m %v after rollback, want %v %v", ci, i, gw, gm, ww, wm)
+			}
+		}
 	}
 }
 

@@ -319,7 +319,10 @@ func (p *Plan) Config() Config { return p.cfg }
 // NewPlan generates the client population and runs admission control: each
 // client is offered to machines in the Policy's order and placed on the
 // first machine whose cores accept its whole (inflated) task set under the
-// P-RMWP response-time test.
+// P-RMWP response-time test. Each core keeps an analysis.IncrementalRMWP,
+// so an attempt re-solves only the fixed points the new task can change,
+// warm-started from the cached response times, and a rejected client is
+// rolled back core by core.
 //
 // A utilization watermark makes the post-saturation regime cheap: once a
 // client with raw target utilization u has been rejected by every machine,
