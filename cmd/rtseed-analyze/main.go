@@ -65,16 +65,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-analyze:", err)
 		os.Exit(2)
 	}
-	err = report.Emit("", func(w io.Writer) error {
-		if o.accept {
-			return runAcceptance(w, o.acceptN, o.acceptSets, o.workers, o.acceptSpec)
-		}
-		return runWithSource(w, o.spec, o.taskFile, o.m)
-	})
-	if err != nil {
+	if err := report.Emit("", func(w io.Writer) error { return run(w, o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-analyze:", err)
 		os.Exit(1)
 	}
+}
+
+// run writes the report the options select to w: the acceptance sweep with
+// -accept, else the analysis of the task set.
+func run(w io.Writer, o *options) error {
+	if o.accept {
+		return runAcceptance(w, o.acceptN, o.acceptSets, o.workers, o.acceptSpec)
+	}
+	return runWithSource(w, o.spec, o.taskFile, o.m)
 }
 
 // runAcceptance sweeps random task sets over total utilization and compares

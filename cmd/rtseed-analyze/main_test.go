@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rtseed/internal/golden"
 	"rtseed/internal/task"
 )
 
@@ -45,6 +46,35 @@ func TestParseFlagsRejectsNonPositiveWorkers(t *testing.T) {
 		if !strings.Contains(err.Error(), "GOMAXPROCS") {
 			t.Errorf("-workers %s: error %q should point at the GOMAXPROCS default", bad, err)
 		}
+	}
+}
+
+// sixTasks has two tasks tied at a 10 ms period; first-fit decreasing on
+// three processors places b,f,e on processor 0 and a,c,d on processor 1.
+const sixTasks = "a:m=2ms,w=1ms,T=10ms;b:m=3ms,w=2ms,T=15ms;c:m=1ms,w=1ms,T=10ms;" +
+	"d:m=4ms,w=4ms,T=40ms;e:m=5ms,w=5ms,T=50ms;f:m=2ms,w=2ms,T=12ms"
+
+// TestGoldenReport pins the bytes of the default analysis, of a partition
+// with tied periods, and of a short acceptance sweep. The recorded command
+// lines quote the spec, so each one pasted into a shell prints its digest.
+func TestGoldenReport(t *testing.T) {
+	for _, c := range []struct {
+		cmdline string
+		args    []string
+	}{
+		{"rtseed-analyze", nil},
+		{`rtseed-analyze -m 3 -tasks "` + sixTasks + `"`, []string{"-m", "3", "-tasks", sixTasks}},
+		{"rtseed-analyze -accept -accept-sets 20", []string{"-accept", "-accept-sets", "20"}},
+	} {
+		o, err := parseFlags(testFlagSet(), c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(&buf, o); err != nil {
+			t.Fatal(err)
+		}
+		golden.Check(t, c.cmdline, buf.Bytes())
 	}
 }
 

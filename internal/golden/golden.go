@@ -9,7 +9,7 @@
 //
 // An intentional change to a report regenerates the digests with
 //
-//	go test ./cmd/rtseed-repro ./cmd/rtseed-overhead ./cmd/rtseed-cluster ./cmd/rtseed-trade ./cmd/rtseed-sim -run TestGolden -update-golden
+//	go test ./cmd/rtseed-repro ./cmd/rtseed-overhead ./cmd/rtseed-cluster ./cmd/rtseed-trade ./cmd/rtseed-sim ./cmd/rtseed-analyze -run TestGolden -update-golden
 //
 // in a commit that says why the bytes changed.
 package golden
