@@ -157,63 +157,6 @@ func TestSensitivitiesRejectsUnschedulable(t *testing.T) {
 	}
 }
 
-func TestOverheadBudgetInflate(t *testing.T) {
-	b := OverheadBudget{
-		Release:       100 * time.Microsecond,
-		SignalPerPart: 40 * time.Microsecond,
-		EndPerPart:    120 * time.Microsecond,
-	}
-	tk := task.Uniform("t", 250*time.Millisecond, 250*time.Millisecond, time.Second, 100, time.Second)
-	inflated, err := b.Inflate(tk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantM := 250*time.Millisecond + 100*time.Microsecond + 100*40*time.Microsecond
-	wantW := 250*time.Millisecond + 100*120*time.Microsecond
-	if inflated.Mandatory != wantM {
-		t.Fatalf("mandatory %v, want %v", inflated.Mandatory, wantM)
-	}
-	if inflated.Windup != wantW {
-		t.Fatalf("windup %v, want %v", inflated.Windup, wantW)
-	}
-	// Overheads beyond the period are rejected.
-	huge := OverheadBudget{EndPerPart: time.Second}
-	if _, err := huge.Inflate(tk); err == nil {
-		t.Fatal("impossible budget accepted")
-	}
-}
-
-// The overhead-aware OD is earlier than the naive one, by exactly the
-// wind-up inflation for a single task, and a process using it meets all
-// deadlines without ad-hoc margins.
-func TestRMWPWithOverheads(t *testing.T) {
-	tk := task.Uniform("t", 250*time.Millisecond, 250*time.Millisecond, time.Second, 57, time.Second)
-	s := task.MustNewSet(tk)
-	naive, err := RMWP(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := OverheadBudget{
-		Release:       100 * time.Microsecond,
-		SignalPerPart: 40 * time.Microsecond,
-		EndPerPart:    120 * time.Microsecond,
-	}
-	aware, err := RMWPWithOverheads(s, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shift := 57 * 120 * time.Microsecond // wind-up inflation only (n=1)
-	if got := naive[0].OptionalDeadline - aware[0].OptionalDeadline; got != shift {
-		t.Fatalf("OD shift %v, want %v", got, shift)
-	}
-	if !aware[0].Schedulable {
-		t.Fatal("inflated set should still be schedulable")
-	}
-	if _, err := RMWPWithOverheads(nil, b); err == nil {
-		t.Fatal("nil set accepted")
-	}
-}
-
 // TestAcceptanceRatioSpecMode checks the bursty-spec generator: the curve is
 // a pure function of (spec, seed) for any worker count, differs from the
 // legacy uniform generator, and preserves the RMWP <= general-RM ordering.

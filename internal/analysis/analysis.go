@@ -21,9 +21,11 @@
 // RMWP analyzes a whole task set from scratch and is the reference.
 // IncrementalRMWP keeps one processor's analysis current as tasks come and
 // go, caching every task's response times so that an insert re-solves only
-// the fixed points the new task can change; admission control runs it once
-// per candidate core for every offered client, and it reaches RMWP's
-// verdicts and response times exactly.
+// the fixed points the new task can change, and it reaches RMWP's verdicts
+// and response times exactly. It is the one admission test: the offline
+// partitioner (package partition) runs it once per candidate processor for
+// every task, and the fleet's admission control once per candidate core for
+// every offered client.
 package analysis
 
 import (
@@ -170,20 +172,6 @@ func RMWP(s *task.Set) ([]Result, error) {
 	return results, firstErr
 }
 
-// OptionalDeadlines is a convenience wrapper around RMWP returning only the
-// per-task relative optional deadlines, keyed by task name.
-func OptionalDeadlines(s *task.Set) (map[string]time.Duration, error) {
-	results, err := RMWP(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]time.Duration, len(results))
-	for _, r := range results {
-		out[r.Task.Name] = r.OptionalDeadline
-	}
-	return out, nil
-}
-
 // UtilizationSchedulable applies the Liu & Layland sufficient test to the
 // task set's real-time utilization (C_i = m_i + w_i) on a uniprocessor.
 func UtilizationSchedulable(s *task.Set) bool {
@@ -231,19 +219,4 @@ func schedulableAtScale(s *task.Set, scale float64) bool {
 	}
 	_, err = RMWP(set)
 	return err == nil
-}
-
-// HyperbolicBound applies Bini & Buttazzo's hyperbolic RM test to the
-// real-time utilizations: the set is schedulable under RM if
-// Π (U_i + 1) <= 2. It dominates the Liu & Layland bound (accepts every
-// set LL accepts, and more) while staying O(n).
-func HyperbolicBound(s *task.Set) bool {
-	if s == nil || s.Len() == 0 {
-		return false
-	}
-	prod := 1.0
-	for _, t := range s.Tasks {
-		prod *= t.Utilization() + 1
-	}
-	return prod <= 2
 }

@@ -62,11 +62,11 @@ func TestRMUSThreshold(t *testing.T) {
 func TestOptionalDeadlineSingleTask(t *testing.T) {
 	s := task.MustNewSet(task.Uniform("tau1",
 		250*time.Millisecond, 250*time.Millisecond, time.Second, 8, time.Second))
-	ods, err := OptionalDeadlines(s)
+	res, err := RMWP(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ods["tau1"]; got != 750*time.Millisecond {
+	if got := res[0].OptionalDeadline; got != 750*time.Millisecond {
 		t.Fatalf("OD = %v, want 750ms (D1 - w1)", got)
 	}
 }
@@ -256,36 +256,5 @@ func TestPropertyInterferenceShrinksOD(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHyperbolicBound(t *testing.T) {
-	// A set the LL bound rejects but the hyperbolic bound accepts:
-	// two tasks at U=0.41 each: sum 0.82 > 0.828? No - pick 0.42:
-	// sum 0.84 > 0.8284 (LL fails), product 1.42^2 = 2.0164 > 2 (fails
-	// too); use asymmetric 0.5 and 0.33: sum 0.83 > 0.8284, product
-	// 1.5*1.33 = 1.995 <= 2.
-	s := task.MustNewSet(
-		task.Uniform("a", 25*time.Millisecond, 25*time.Millisecond, 0, 0, 100*time.Millisecond), // U=0.5
-		task.Uniform("b", 17*time.Millisecond, 16*time.Millisecond, 0, 0, 100*time.Millisecond), // U=0.33
-	)
-	if UtilizationSchedulable(s) {
-		t.Fatalf("LL should reject ΣU=%v > %v", s.Utilization(), LiuLaylandBound(2))
-	}
-	if !HyperbolicBound(s) {
-		t.Fatal("hyperbolic bound should accept Π(U+1)=1.995")
-	}
-	// Domination property on random sets: HB accepts whenever LL does.
-	for seed := uint64(1); seed <= 30; seed++ {
-		rs, err := task.Generate(task.GenConfig{N: 4, TotalUtilization: 0.7, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if UtilizationSchedulable(rs) && !HyperbolicBound(rs) {
-			t.Fatalf("seed %d: hyperbolic bound must dominate LL", seed)
-		}
-	}
-	if HyperbolicBound(nil) {
-		t.Fatal("nil set accepted")
 	}
 }

@@ -1,12 +1,15 @@
 // Package partition assigns tasks to processors offline for P-RMWP
 // (paper §IV-B: "partitioned scheduling assigns tasks to processors offline
-// and they do not migrate among processors online"). Each processor's
-// assignment must independently pass the uniprocessor RMWP admission test.
+// and they do not migrate among processors online"). Each processor admits a
+// task by the uniprocessor RMWP test, run by one analysis.IncrementalRMWP per
+// processor: the test the fleet's admission runs on every core.
 package partition
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rtseed/internal/analysis"
@@ -20,11 +23,8 @@ const (
 	// FirstFit places each task on the lowest-indexed processor that admits
 	// it.
 	FirstFit Heuristic = iota + 1
-	// BestFit places each task on the admitting processor with the highest
-	// current utilization (tightest fit).
-	BestFit
 	// WorstFit places each task on the admitting processor with the lowest
-	// current utilization (load balancing).
+	// current utilization (load balancing), ties to the lower index.
 	WorstFit
 )
 
@@ -33,8 +33,6 @@ func (h Heuristic) String() string {
 	switch h {
 	case FirstFit:
 		return "first-fit"
-	case BestFit:
-		return "best-fit"
 	case WorstFit:
 		return "worst-fit"
 	default:
@@ -75,15 +73,19 @@ func (a *Assignment) UsedProcessors() int {
 
 // Partition assigns the tasks of s to m processors using heuristic h,
 // considering tasks in decreasing-utilization order (the "-decreasing"
-// variants, which dominate their plain counterparts). Admission on each
-// processor is the uniprocessor RMWP test, so a successful partition is
-// RMWP-schedulable by construction.
+// variants, which dominate their plain counterparts). Each task goes to the
+// first processor, in the order h tries them, whose IncrementalRMWP admits
+// it, so a successful partition is RMWP-schedulable by construction. The
+// tasks of s must be valid, as task.NewSet makes them.
 func Partition(s *task.Set, m int, h Heuristic) (*Assignment, error) {
 	if s == nil || s.Len() == 0 {
 		return nil, task.ErrEmptyTaskSet
 	}
 	if m <= 0 {
 		return nil, fmt.Errorf("partition: need at least one processor, got %d", m)
+	}
+	if h != FirstFit && h != WorstFit {
+		return nil, fmt.Errorf("partition: unknown heuristic %d", h)
 	}
 	ordered := make([]task.Task, s.Len())
 	copy(ordered, s.Tasks)
@@ -95,55 +97,35 @@ func Partition(s *task.Set, m int, h Heuristic) (*Assignment, error) {
 		PerProcessor: make([][]task.Task, m),
 		Processor:    make(map[string]int, s.Len()),
 	}
+	rmwp := make([]analysis.IncrementalRMWP, m)
+	// util[p] adds processor p's utilizations in assignment order, as
+	// Utilization does, so WorstFit's ties are exactly Utilization's.
+	util := make([]float64, m)
+	// order lists the processors in the order h tries them: by index for
+	// FirstFit, by ascending utilization and then index for WorstFit.
+	order := make([]int, m)
+	for p := range order {
+		order[p] = p
+	}
 	for _, t := range ordered {
-		p, err := place(a, t, m, h)
-		if err != nil {
-			return nil, fmt.Errorf("task %s (U=%.3f): %w", t.Name, t.Utilization(), err)
+		if h == WorstFit {
+			slices.SortFunc(order, func(p, q int) int {
+				return cmp.Or(cmp.Compare(util[p], util[q]), cmp.Compare(p, q))
+			})
+		}
+		p := -1
+		for _, q := range order {
+			if _, ok := rmwp[q].Insert(t); ok {
+				p = q
+				break
+			}
+		}
+		if p < 0 {
+			return nil, fmt.Errorf("task %s (U=%.3f): %w", t.Name, t.Utilization(), ErrNoFit)
 		}
 		a.PerProcessor[p] = append(a.PerProcessor[p], t)
 		a.Processor[t.Name] = p
+		util[p] += t.Utilization()
 	}
 	return a, nil
-}
-
-func place(a *Assignment, t task.Task, m int, h Heuristic) (int, error) {
-	best := -1
-	var bestU float64
-	for p := 0; p < m; p++ {
-		if !admits(a.PerProcessor[p], t) {
-			continue
-		}
-		u := a.Utilization(p)
-		switch h {
-		case FirstFit:
-			return p, nil
-		case BestFit:
-			if best < 0 || u > bestU {
-				best, bestU = p, u
-			}
-		case WorstFit:
-			if best < 0 || u < bestU {
-				best, bestU = p, u
-			}
-		default:
-			return 0, fmt.Errorf("partition: unknown heuristic %d", h)
-		}
-	}
-	if best < 0 {
-		return 0, ErrNoFit
-	}
-	return best, nil
-}
-
-// admits reports whether processor contents plus t pass the RMWP test.
-func admits(existing []task.Task, t task.Task) bool {
-	all := make([]task.Task, 0, len(existing)+1)
-	all = append(all, existing...)
-	all = append(all, t)
-	set, err := task.NewSet(all...)
-	if err != nil {
-		return false
-	}
-	_, err = analysis.RMWP(set)
-	return err == nil
 }

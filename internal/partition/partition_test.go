@@ -2,6 +2,11 @@ package partition
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -51,18 +56,6 @@ func TestWorstFitBalances(t *testing.T) {
 	}
 }
 
-func TestBestFitTightens(t *testing.T) {
-	a, err := Partition(set(0.5, 0.3, 0.1), 3, BestFit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Best-fit favours the fullest admitting processor, so it should not
-	// spread over all three processors.
-	if a.UsedProcessors() == 3 {
-		t.Fatal("best-fit spread tasks over all processors")
-	}
-}
-
 func TestEachProcessorRMWPSchedulable(t *testing.T) {
 	s := set(0.6, 0.5, 0.4, 0.3, 0.2, 0.2)
 	a, err := Partition(s, 4, FirstFit)
@@ -104,7 +97,7 @@ func TestArgumentValidation(t *testing.T) {
 }
 
 func TestHeuristicStrings(t *testing.T) {
-	for _, h := range []Heuristic{FirstFit, BestFit, WorstFit} {
+	for _, h := range []Heuristic{FirstFit, WorstFit} {
 		if h.String() == "unknown-heuristic" {
 			t.Fatalf("heuristic %d missing label", h)
 		}
@@ -122,7 +115,7 @@ func TestPropertyPartitionSound(t *testing.T) {
 			seed = seed[:12]
 		}
 		m := int(mRaw%8) + 1
-		h := []Heuristic{FirstFit, BestFit, WorstFit}[int(hIdx)%3]
+		h := []Heuristic{FirstFit, WorstFit}[int(hIdx)%2]
 		tasks := make([]task.Task, len(seed))
 		for i, b := range seed {
 			c := time.Duration(b%40+10) * time.Millisecond // U in [0.1, 0.5]
@@ -161,4 +154,114 @@ func TestPropertyPartitionSound(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// modelPartition is the placement rule Partition keeps: tasks in
+// decreasing-utilization order, and processor p admits t when analysis.RMWP
+// passes on p's tasks plus t, in assignment order. FirstFit takes the first
+// admitting processor; WorstFit the least-utilized one, ties to the lower
+// index.
+func modelPartition(s *task.Set, m int, h Heuristic) (*Assignment, error) {
+	ordered := slices.Clone(s.Tasks)
+	sort.SliceStable(ordered, func(i, j int) bool {
+		return ordered[i].Utilization() > ordered[j].Utilization()
+	})
+	a := &Assignment{PerProcessor: make([][]task.Task, m), Processor: make(map[string]int)}
+	for _, t := range ordered {
+		best := -1
+		for p := 0; p < m; p++ {
+			cand := append(slices.Clone(a.PerProcessor[p]), t)
+			if _, err := analysis.RMWP(task.MustNewSet(cand...)); err != nil {
+				continue
+			}
+			if h == FirstFit {
+				best = p
+				break
+			}
+			if best < 0 || a.Utilization(p) < a.Utilization(best) {
+				best = p
+			}
+		}
+		if best < 0 {
+			return nil, fmt.Errorf("task %s (U=%.3f): %w", t.Name, t.Utilization(), ErrNoFit)
+		}
+		a.PerProcessor[best] = append(a.PerProcessor[best], t)
+		a.Processor[t.Name] = best
+	}
+	return a, nil
+}
+
+// periods are the periods runPartition draws from: mixed, several of them
+// harmonic, and few enough that most sets tie some.
+var periods = []time.Duration{ms(10), ms(12), ms(15), ms(20), ms(30), ms(40)}
+
+// runPartition decodes data into a partition problem and checks Partition
+// against modelPartition: the whole Assignment, or the error text. The first
+// byte picks the processor count (1-6) and the heuristic; each further three
+// bytes are a task: its period, and its mandatory and wind-up lengths, each
+// 0 to half the period in 100 µs steps (a zero-length pair becomes one
+// step of wind-up). It returns whether the set was feasible.
+func runPartition(t *testing.T, data []byte) bool {
+	if len(data) == 0 {
+		return false
+	}
+	m := 1 + int(data[0]%6)
+	h := []Heuristic{FirstFit, WorstFit}[data[0]/6%2]
+	const step = 100 * time.Microsecond
+	var tasks []task.Task
+	for k := 1; k+3 <= len(data) && len(tasks) < 16; k += 3 {
+		p := periods[int(data[k])%len(periods)]
+		half := int(p / step / 2)
+		mand := time.Duration(int(data[k+1])%(half+1)) * step
+		wind := time.Duration(int(data[k+2])%(half+1)) * step
+		if mand+wind == 0 {
+			wind = step
+		}
+		tasks = append(tasks, task.Task{
+			Name: fmt.Sprintf("t%d", len(tasks)), Mandatory: mand, Windup: wind, Period: p,
+		})
+	}
+	if len(tasks) == 0 {
+		return false
+	}
+	s := task.MustNewSet(tasks...)
+	got, gotErr := Partition(s, m, h)
+	want, wantErr := modelPartition(s, m, h)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%v on %d processors, %v: error %v, want %v", tasks, m, h, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%v on %d processors, %v:\n got %v\nwant %v", tasks, m, h, got, want)
+	}
+	return wantErr == nil
+}
+
+// TestPartitionMatchesModel checks Partition against modelPartition on
+// random sets with mixed and tied periods and zero-length parts, on 1-6
+// processors under both heuristics.
+func TestPartitionMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(26, 7))
+	const cases = 10000
+	feasible := 0
+	for i := 0; i < cases; i++ {
+		data := make([]byte, 1+3*(1+rng.IntN(12)))
+		for k := range data {
+			data[k] = byte(rng.Uint32())
+		}
+		if runPartition(t, data) {
+			feasible++
+		}
+	}
+	t.Logf("%d of %d sets feasible", feasible, cases)
+	if feasible < cases/4 || feasible > cases*3/4 {
+		t.Fatalf("%d of %d sets feasible: the draw no longer covers both outcomes", feasible, cases)
+	}
+}
+
+// FuzzPartition fuzzes the problems of TestPartitionMatchesModel.
+func FuzzPartition(f *testing.F) {
+	f.Add([]byte{3, 0, 20, 10, 1, 30, 20, 0, 10, 10, 2, 20, 20})
+	f.Add([]byte{10, 0, 0, 40, 0, 40, 0, 0, 40, 0, 40, 0})
+	f.Add([]byte{1, 5, 0, 200, 2, 60, 0, 3, 255, 255, 4, 7, 9})
+	f.Fuzz(func(t *testing.T, data []byte) { runPartition(t, data) })
 }
