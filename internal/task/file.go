@@ -88,7 +88,7 @@ func ReadJSON(r io.Reader) (*Set, error) {
 		}
 		tasks = append(tasks, Uniform(tj.Name, m, w, opt, tj.NumOpt, period))
 	}
-	return NewSet(tasks...)
+	return newNamedSet(tasks)
 }
 
 func parseDur(task, field, v string) (time.Duration, error) {

@@ -59,6 +59,7 @@ func TestReadJSONErrors(t *testing.T) {
 		`{"tasks":[{"name":"a","mandatory":"1ms","windup":"1ms","period":"1s","numOptional":2}]}`, // np without o
 		`{"tasks":[],"bogus":1}`, // unknown field
 		`{"tasks":[]}`,           // empty set
+		`{"tasks":[{"name":"a","mandatory":"1ms","windup":"1ms","period":"10ms"},{"name":"a","mandatory":"2ms","windup":"1ms","period":"20ms"}]}`, // repeated name
 	}
 	for _, c := range cases {
 		if _, err := ReadJSON(strings.NewReader(c)); err == nil {

@@ -31,6 +31,22 @@ func ParseSpec(spec string) (*Set, error) {
 		}
 		tasks = append(tasks, t)
 	}
+	return newNamedSet(tasks)
+}
+
+// newNamedSet is NewSet for the decoders of user input, which must also
+// reject a repeated task name: a partition, its P-RMWP processes and their
+// applications are keyed by name, so two tasks sharing one would collapse
+// into one. NewSet itself leaves names alone for callers, like the fleet's
+// per-core simulation, that key nothing by name.
+func newNamedSet(tasks []Task) (*Set, error) {
+	seen := make(map[string]bool, len(tasks))
+	for _, t := range tasks {
+		if seen[t.Name] {
+			return nil, fmt.Errorf("task %s: duplicate task name", t.Name)
+		}
+		seen[t.Name] = true
+	}
 	return NewSet(tasks...)
 }
 

@@ -49,6 +49,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"a:m=1ms w=1ms",              // not key=value
 		"a:m=20ms,w=20ms,T=10ms",     // WCET > period
 		"a:np=banana,m=1ms,w=1ms,T=10ms",
+		"a:m=1ms,w=1ms,T=10ms;a:m=2ms,w=1ms,T=20ms", // repeated name
 	}
 	for _, spec := range cases {
 		if _, err := ParseSpec(spec); err == nil {
