@@ -56,6 +56,15 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if err := sweep.ValidateWorkers(o.workers); err != nil {
 		return nil, err
 	}
+	if o.m < 1 {
+		return nil, fmt.Errorf("-m %d: want at least 1 processor", o.m)
+	}
+	if o.acceptN < 1 {
+		return nil, fmt.Errorf("-accept-n %d: want at least 1 task per set", o.acceptN)
+	}
+	if o.acceptSets < 1 {
+		return nil, fmt.Errorf("-accept-sets %d: want at least 1 set per point", o.acceptSets)
+	}
 	return o, nil
 }
 

@@ -78,6 +78,22 @@ func TestGoldenReport(t *testing.T) {
 	}
 }
 
+// TestParseFlagsErrors: a processor count, set size or set count below 1
+// is rejected at the flag level, naming the flag.
+func TestParseFlagsErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-m", "0"},
+		{"-m", "-3"},
+		{"-accept", "-accept-n", "0"},
+		{"-accept", "-accept-sets", "0"},
+	} {
+		_, err := parseFlags(testFlagSet(), args)
+		if err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
+			t.Errorf("%v: error %v, want one naming %s", args, err, args[len(args)-2])
+		}
+	}
+}
+
 func TestRunPaperTask(t *testing.T) {
 	if err := runWithSource(io.Discard, "tau1:m=250ms,w=250ms,T=1s,o=1s,np=8", "", 57); err != nil {
 		t.Fatal(err)
@@ -135,7 +151,8 @@ func TestRunFromTaskFile(t *testing.T) {
 // FuzzParseFlags parses arbitrary command lines: parseFlags must never
 // panic, and every command line it accepts must be runnable.
 func FuzzParseFlags(f *testing.F) {
-	for _, seed := range []string{"", "-accept -accept-n 6 -accept-sets 20", "-accept -workers 0", "-m 4 -tasks a:m=1ms,w=1ms,T=10ms", "-taskfile set.json", "-h"} {
+	for _, seed := range []string{"", "-accept -accept-n 6 -accept-sets 20", "-accept -workers 0", "-m 4 -tasks a:m=1ms,w=1ms,T=10ms", "-taskfile set.json", "-h",
+		"-m 0", "-m -3", "-accept -accept-n 0", "-accept -accept-sets 0"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
@@ -143,8 +160,9 @@ func FuzzParseFlags(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if o.workers < 1 {
-			t.Fatalf("%q accepted with workers %d", line, o.workers)
+		if o.workers < 1 || o.m < 1 || o.acceptN < 1 || o.acceptSets < 1 {
+			t.Fatalf("%q accepted with workers %d, m %d, accept-n %d, accept-sets %d",
+				line, o.workers, o.m, o.acceptN, o.acceptSets)
 		}
 	})
 }
