@@ -147,10 +147,10 @@ workload-smoke:
 # fuzz-smoke runs each fuzz target for a short, bounded burst: long enough to
 # trip a regression in the engine-vs-oracle equivalence, the kernel's
 # random-program invariants, the trace and workload codec round trips, the
-# spec parsers, the incremental RMWP analysis against the full one, the
-# partitioner against its rule, or the commands' flag validation, short
-# enough for every CI run. `go test -fuzz` accepts a single target per
-# invocation, so each gets its own line.
+# spec parsers and the task-set decoder, the incremental RMWP analysis
+# against the full one, the partitioner against its rule, or the commands'
+# flag validation, short enough for every CI run. `go test -fuzz` accepts a
+# single target per invocation, so each gets its own line.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzEngineVsOracle -fuzztime=30s ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzTraceCodec -fuzztime=30s ./internal/trace
@@ -159,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadCodec -fuzztime=30s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=30s ./internal/task
+	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=30s ./internal/task
 	$(GO) test -run=NONE -fuzz=FuzzIncrementalRMWP -fuzztime=30s ./internal/analysis
 	$(GO) test -run=NONE -fuzz=FuzzPartition -fuzztime=30s ./internal/partition
 	$(GO) test -run=NONE -fuzz=FuzzParseFlags -fuzztime=10s ./cmd/rtseed-analyze

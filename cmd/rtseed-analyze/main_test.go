@@ -11,10 +11,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"rtseed/internal/golden"
-	"rtseed/internal/task"
 )
 
 func testFlagSet() *flag.FlagSet {
@@ -135,9 +133,8 @@ func TestRunAcceptanceSpec(t *testing.T) {
 }
 
 func TestRunFromTaskFile(t *testing.T) {
-	set := task.MustNewSet(task.Uniform("f", 2*time.Millisecond, 2*time.Millisecond, 0, 0, 20*time.Millisecond))
 	path := filepath.Join(t.TempDir(), "set.json")
-	if err := set.SaveFile(path); err != nil {
+	if err := os.WriteFile(path, []byte(`{"tasks": [{"name": "f", "mandatory": "2ms", "windup": "2ms", "period": "20ms"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := runWithSource(io.Discard, "ignored", path, 4); err != nil {

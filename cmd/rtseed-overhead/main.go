@@ -64,6 +64,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if o.jobs < 1 {
 		return nil, fmt.Errorf("-jobs %d: want at least 1 job per measurement", o.jobs)
 	}
+	if o.fig != 0 && (o.fig < 10 || o.fig > 13) {
+		return nil, fmt.Errorf("-fig %d: want 10-13, or 0 for every figure", o.fig)
+	}
 	return o, nil
 }
 
@@ -129,9 +132,6 @@ func run(w io.Writer, fig, jobs int, quick bool, seed uint64, csvPath string, wo
 		if fig == 0 || k.Figure() == fig {
 			kinds = append(kinds, k)
 		}
-	}
-	if len(kinds) == 0 {
-		return fmt.Errorf("unknown figure %d (want 10-13 or 0)", fig)
 	}
 
 	allFigs, err := overhead.SweepAll(cfg)

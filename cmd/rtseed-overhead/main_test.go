@@ -77,9 +77,20 @@ func TestRunQuickSingleFigure(t *testing.T) {
 	}
 }
 
-func TestRunUnknownFigure(t *testing.T) {
-	if err := run(io.Discard, 99, 3, true, 0, "", 2); err == nil {
-		t.Fatal("unknown figure accepted")
+// -fig outside {0, 10-13} is rejected at the flag level (exit 2), alone and
+// with -dist, which prints no figure.
+func TestParseFlagsRejectsUnknownFigure(t *testing.T) {
+	for _, bad := range []string{"5", "9", "14", "-1"} {
+		for _, args := range [][]string{{"-fig", bad}, {"-dist", "-fig", bad}} {
+			if _, err := parseFlags(testFlagSet(), args); err == nil || !strings.Contains(err.Error(), "-fig") {
+				t.Errorf("%v: error %v, want a -fig error", args, err)
+			}
+		}
+	}
+	for _, fig := range []string{"0", "10", "13"} {
+		if _, err := parseFlags(testFlagSet(), []string{"-fig", fig}); err != nil {
+			t.Errorf("-fig %s: %v, want accepted", fig, err)
+		}
 	}
 }
 
@@ -133,8 +144,8 @@ func FuzzParseFlags(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if o.jobs < 1 || o.workers < 1 {
-			t.Fatalf("%q accepted with jobs %d, workers %d", line, o.jobs, o.workers)
+		if o.jobs < 1 || o.workers < 1 || (o.fig != 0 && (o.fig < 10 || o.fig > 13)) {
+			t.Fatalf("%q accepted with jobs %d, workers %d, fig %d", line, o.jobs, o.workers, o.fig)
 		}
 	})
 }

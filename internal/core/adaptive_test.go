@@ -141,125 +141,3 @@ func TestAdaptiveGenerousBudgetKeepsAllParts(t *testing.T) {
 		t.Fatalf("generous budget discarded parts: %+v", st)
 	}
 }
-
-// Sporadic releases: with jitter, releases stay at least a period apart in
-// expectation and every job's deadline shifts with its release, so a
-// well-budgeted task still never misses.
-func TestReleaseJitter(t *testing.T) {
-	k := newSim(t, machine.NoLoad)
-	tk := task.Uniform("j", ms(20), ms(20), time.Second, 2, ms(100))
-	cpus, _ := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, 2)
-	p, err := NewProcess(k, Config{
-		Task:              tk,
-		MandatoryPriority: 90,
-		MandatoryCPU:      0,
-		OptionalCPUs:      cpus,
-		OptionalDeadline:  ms(70),
-		Jobs:              10,
-		ReleaseJitter:     ms(20),
-		JitterSeed:        7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	k.Run()
-	recs := p.Records()
-	if len(recs) != 10 {
-		t.Fatalf("%d jobs", len(recs))
-	}
-	jittered := false
-	for _, rec := range recs {
-		base := time.Duration(rec.Job) * tk.Period
-		off := rec.Release - base
-		if off < 0 || off >= ms(20) {
-			t.Fatalf("job %d jitter %v outside [0,20ms)", rec.Job, off)
-		}
-		if off > 0 {
-			jittered = true
-		}
-		// Deadline shifted with the release.
-		if rec.Deadline != rec.Release+tk.Period {
-			t.Fatalf("job %d deadline %v not release+T", rec.Job, rec.Deadline)
-		}
-		if !rec.Met() {
-			t.Fatalf("job %d missed under jitter", rec.Job)
-		}
-	}
-	if !jittered {
-		t.Fatal("no job was actually jittered")
-	}
-	// Determinism: same seed, same releases.
-	k2 := newSim(t, machine.NoLoad)
-	cpus2, _ := assign.HWThreads(k2.Machine().Topology(), assign.OneByOne, 2)
-	p2, err := NewProcess(k2, Config{
-		Task: tk, MandatoryPriority: 90, MandatoryCPU: 0,
-		OptionalCPUs: cpus2, OptionalDeadline: ms(70), Jobs: 10,
-		ReleaseJitter: ms(20), JitterSeed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2.Start()
-	k2.Run()
-	for i, rec := range p2.Records() {
-		if rec.Release != recs[i].Release {
-			t.Fatal("jitter must be deterministic per seed")
-		}
-	}
-}
-
-// Skip-over: when the try-catch pathology makes jobs overrun whole periods,
-// the skip policy drops the dead windows and re-synchronizes each executed
-// job with the period grid, while the default policy drains the backlog
-// late.
-func TestOverrunSkipPolicy(t *testing.T) {
-	runPolicy := func(policy OverrunPolicy) *Process {
-		k := newSim(t, machine.NoLoad)
-		tk := task.Uniform("o", ms(20), ms(20), time.Second, 2, ms(100))
-		cpus, _ := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, 2)
-		p, err := NewProcess(k, Config{
-			Task:              tk,
-			MandatoryPriority: 90,
-			MandatoryCPU:      0,
-			OptionalCPUs:      cpus,
-			OptionalDeadline:  ms(70),
-			Jobs:              12,
-			Termination:       TryCatchTermination{}, // loses the timer after job 0
-			Overrun:           policy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Start()
-		k.RunUntil(engine.At(20 * time.Second))
-		return p
-	}
-	skip := runPolicy(OverrunSkip)
-	if skip.SkippedJobs() == 0 {
-		t.Fatal("the try-catch pathology should force skipped windows")
-	}
-	// Every executed job started within its own period window.
-	for _, rec := range skip.Records() {
-		if rec.MandatoryStart >= rec.Release+ms(100) {
-			t.Fatalf("job %d started at %v, outside its window from %v", rec.Job, rec.MandatoryStart, rec.Release)
-		}
-	}
-	cont := runPolicy(OverrunContinue)
-	if cont.SkippedJobs() != 0 {
-		t.Fatal("continue policy must not skip")
-	}
-	// The backlog drains: some job starts after its whole window passed.
-	late := false
-	for _, rec := range cont.Records() {
-		if rec.MandatoryStart >= rec.Release+ms(100) {
-			late = true
-		}
-	}
-	if !late {
-		t.Fatal("continue policy should run windows late under overrun")
-	}
-	if OverrunSkip.String() != "skip" || OverrunContinue.String() != "continue" {
-		t.Fatal("policy labels")
-	}
-}

@@ -275,6 +275,12 @@ func TestTableITryCatchLosesTimerAfterFirstJob(t *testing.T) {
 	if recs[1].Met() {
 		t.Fatal("job 1 should miss its deadline")
 	}
+	// No release is dropped: job 2's whole window passes while job 1 runs
+	// away, and job 2 starts late instead (a past absolute sleep returns
+	// at once).
+	if len(recs) != 3 || recs[2].Job != 2 || recs[2].MandatoryStart < recs[2].Release+ms(100) {
+		t.Fatalf("want job 2 released late after the runaway job 1, got %d records, last %+v", len(recs), recs[len(recs)-1])
+	}
 }
 
 // Table I, row 2: periodic check cannot terminate at any time — parts

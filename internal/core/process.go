@@ -76,21 +76,6 @@ type Config struct {
 	// many parallel optional parts are signalled per job (unsignalled
 	// parts are discarded). See Adaptive.
 	Adaptive *Adaptive
-	// Overrun selects what happens when a job's entire period has already
-	// passed by the time the mandatory thread could release it (a previous
-	// job overran): OverrunContinue (default) releases it late,
-	// OverrunSkip drops it (skip-over semantics) and counts it in
-	// SkippedJobs.
-	Overrun OverrunPolicy
-	// ReleaseJitter delays each job's release by a deterministic
-	// pseudo-random offset in [0, ReleaseJitter): the sporadic-arrival
-	// extension for feeds that do not tick exactly once per period. Each
-	// job's deadline and optional deadline shift with its release; the
-	// minimum inter-arrival time stays the period.
-	ReleaseJitter time.Duration
-	// JitterSeed seeds the release jitter (0 = derived from the task
-	// name length — set it explicitly for experiments).
-	JitterSeed uint64
 	// Migrate, when set, is consulted at every job release with the
 	// mandatory thread's current hardware thread; returning a different
 	// one migrates the mandatory thread there before the mandatory part
@@ -157,7 +142,6 @@ type Process struct {
 	// at a time, so plain fields are safe.
 	running     bool
 	activeParts int
-	skipped     int
 	partPending []bool
 	remaining   int
 	curJob      int
@@ -225,19 +209,11 @@ func newSectionedProcess(k *kernel.Kernel, cfg Config, sections []section) (*Pro
 		// empty, non-nil slice.
 		partSlab: []task.PartRecord{},
 	}
-	mb := &mandBody{p: p}
-	if cfg.ReleaseJitter > 0 {
-		seed := cfg.JitterSeed
-		if seed == 0 {
-			seed = uint64(len(cfg.Task.Name)) + 1
-		}
-		mb.jitterRng = engine.NewRand(seed)
-	}
 	p.mandatory, err = k.NewBodyThread(kernel.ThreadConfig{
 		Name:     cfg.Task.Name + ".mand",
 		Priority: cfg.MandatoryPriority,
 		CPU:      cfg.MandatoryCPU,
-	}, mb)
+	}, &mandBody{p: p})
 	if err != nil {
 		return nil, err
 	}
@@ -263,9 +239,6 @@ func (p *Process) Start() {
 	p.mandatory.Start()
 }
 
-// SkippedJobs returns how many releases the OverrunSkip policy dropped.
-func (p *Process) SkippedJobs() int { return p.skipped }
-
 // Records returns the per-job records accumulated so far.
 func (p *Process) Records() []task.JobRecord {
 	out := make([]task.JobRecord, len(p.records))
@@ -275,9 +248,6 @@ func (p *Process) Records() []task.JobRecord {
 
 // Stats summarizes the accumulated job records.
 func (p *Process) Stats() task.Stats { return task.Summarize(p.records) }
-
-// Termination returns the configured termination mechanism.
-func (p *Process) Termination() Termination { return p.term }
 
 // MandatoryThread returns the mandatory thread (for trace filtering).
 func (p *Process) MandatoryThread() *kernel.Thread { return p.mandatory }
@@ -348,8 +318,7 @@ const (
 // Each kernel action is one returned Next; everything between two actions
 // is host code and runs inside one Step.
 type mandBody struct {
-	p         *Process
-	jitterRng *engine.Rand
+	p *Process
 
 	pc        mandPC
 	job       int
@@ -365,7 +334,7 @@ type mandBody struct {
 func (b *mandBody) Step(c *kernel.TCB, r kernel.Resume) kernel.Next {
 	switch b.pc {
 	case pmRelease:
-		return b.startJob(c)
+		return b.startJob()
 	case pmAwake:
 		if fn := b.p.cfg.Migrate; fn != nil {
 			if target := fn(b.job, c.HWThread()); target != c.HWThread() {
@@ -411,36 +380,25 @@ func (b *mandBody) Step(c *kernel.TCB, r kernel.Resume) kernel.Next {
 	panic("core: corrupt mandatory body state")
 }
 
-// startJob picks the next job — applying release jitter and the
-// OverrunSkip policy in host code — and sleeps to its release, or begins
-// the deactivation drain when all jobs are done.
-func (b *mandBody) startJob(c *kernel.TCB) kernel.Next {
-	p, t := b.p, b.p.cfg.Task
-	for {
-		if b.job >= p.cfg.Jobs {
-			// Deactivate and wake the optional threads so they can exit.
-			p.running = false
-			if len(p.optConds) == 0 {
-				return kernel.Done()
-			}
-			b.sigIdx = 0
-			b.pc = pmDrain
-			return kernel.CondSignal(p.optConds[0])
+// startJob sleeps to the next job's release, or begins the deactivation
+// drain when all jobs are done. A release already in the past returns at
+// once (clock_nanosleep on a past absolute time), so a job delayed by an
+// overrunning predecessor starts late and the backlog drains in order.
+func (b *mandBody) startJob() kernel.Next {
+	p := b.p
+	if b.job >= p.cfg.Jobs {
+		// Deactivate and wake the optional threads so they can exit.
+		p.running = false
+		if len(p.optConds) == 0 {
+			return kernel.Done()
 		}
-		release := engine.At(time.Duration(b.job) * t.Period)
-		if b.jitterRng != nil {
-			release = release.Add(time.Duration(b.jitterRng.Uint64() % uint64(p.cfg.ReleaseJitter)))
-		}
-		if p.cfg.Overrun == OverrunSkip && c.Now() >= release.Add(t.Period) {
-			// The whole window has passed: skip-over.
-			p.skipped++
-			b.job++
-			continue
-		}
-		b.release = release
-		b.pc = pmAwake
-		return kernel.SleepUntil(release)
+		b.sigIdx = 0
+		b.pc = pmDrain
+		return kernel.CondSignal(p.optConds[0])
 	}
+	b.release = engine.At(time.Duration(b.job) * p.cfg.Task.Period)
+	b.pc = pmAwake
+	return kernel.SleepUntil(b.release)
 }
 
 // startMandatory begins a released job: its part records, then the first
@@ -578,7 +536,7 @@ func (b *mandBody) finishJob(c *kernel.TCB) kernel.Next {
 		Parts:          p.curParts,
 	})
 	b.job++
-	return b.startJob(c)
+	return b.startJob()
 }
 
 // optPC is a parallel optional body's program counter.

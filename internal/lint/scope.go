@@ -30,7 +30,7 @@ type ScopeExemption struct {
 // TestSimScopeExemptRTNotImported keeps the rt exemption from leaking back
 // into scope through an import.
 var SimScopeExemptions = []ScopeExemption{
-	{"rt", "executes on the host clock by design (wall-clock runner and wake-latency probes); the reproducible counterpart is the simulated kernel, and no in-scope package may import rt"},
+	{"rt", "executes on the host clock by design (the wall-clock runner); the reproducible counterpart is the simulated kernel, and no in-scope package may import rt"},
 	{"lint", "the analysis tooling itself; it inspects the tree rather than simulating anything"},
 	{"golden", "a test helper that reads and rewrites committed report digests; it simulates nothing"},
 	{"prof", "wires -cpuprofile/-memprofile flags to runtime/pprof for the cmd/ binaries; host-file I/O is its purpose"},

@@ -171,41 +171,3 @@ func TestParallelOptionalsRunConcurrently(t *testing.T) {
 		}
 	}
 }
-
-func TestMeasureWakeLatency(t *testing.T) {
-	lat, err := MeasureWakeLatency(context.Background(), 20, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat.N != 20 {
-		t.Fatalf("n %d", lat.N)
-	}
-	// Ordering of the summary statistics; absolute values depend on the
-	// host, so keep the bound very generous (a loaded CI box can be late
-	// by many milliseconds, but not by a second).
-	if !(lat.P50 <= lat.P99 && lat.P99 <= lat.Max) {
-		t.Fatalf("percentiles out of order: %+v", lat)
-	}
-	if lat.Max > time.Second {
-		t.Fatalf("wake latency %v implausible", lat.Max)
-	}
-}
-
-func TestMeasureWakeLatencyCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	lat, err := MeasureWakeLatency(ctx, 5, time.Hour)
-	if err == nil {
-		t.Fatal("cancelled measurement should error")
-	}
-	if lat.N != 0 {
-		t.Fatalf("no wakes should have run, got %d", lat.N)
-	}
-}
-
-func TestMeasureWakeLatencyDegenerate(t *testing.T) {
-	lat, err := MeasureWakeLatency(context.Background(), 0, time.Millisecond)
-	if err != nil || lat.N != 0 {
-		t.Fatalf("degenerate call: %+v, %v", lat, err)
-	}
-}

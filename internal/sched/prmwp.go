@@ -44,7 +44,6 @@ type PRMWPConfig struct {
 type PRMWPSystem struct {
 	Processes  map[string]*core.Process
 	Assignment *partition.Assignment
-	Analysis   []analysis.Result
 
 	// ordered preserves creation order so Start is deterministic.
 	ordered []*core.Process
@@ -87,7 +86,6 @@ func NewPRMWP(k *kernel.Kernel, cfg PRMWPConfig) (*PRMWPSystem, error) {
 		if err != nil {
 			return nil, fmt.Errorf("processor %d: %w", proc, err)
 		}
-		sys.Analysis = append(sys.Analysis, results...)
 		prios, err := core.RTQPriorities(len(results))
 		if err != nil {
 			return nil, err

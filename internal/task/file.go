@@ -15,8 +15,8 @@ type taskJSON struct {
 	Mandatory string `json:"mandatory"`
 	Windup    string `json:"windup"`
 	Period    string `json:"period"`
-	Optional  string `json:"optional,omitempty"`
-	NumOpt    int    `json:"numOptional,omitempty"`
+	Optional  string `json:"optional"`
+	NumOpt    int    `json:"numOptional"`
 }
 
 // setJSON is the on-disk form of a Set.
@@ -24,37 +24,9 @@ type setJSON struct {
 	Tasks []taskJSON `json:"tasks"`
 }
 
-// WriteJSON serializes the set as indented JSON with human-readable
-// durations. Tasks with non-uniform optional parts are rejected — the file
-// format stores one length plus a count, matching Uniform.
-func (s *Set) WriteJSON(w io.Writer) error {
-	out := setJSON{Tasks: make([]taskJSON, 0, s.Len())}
-	for _, t := range s.Tasks {
-		tj := taskJSON{
-			Name:      t.Name,
-			Mandatory: t.Mandatory.String(),
-			Windup:    t.Windup.String(),
-			Period:    t.Period.String(),
-			NumOpt:    t.NumOptional(),
-		}
-		if len(t.Optional) > 0 {
-			first := t.Optional[0]
-			for k, o := range t.Optional {
-				if o != first {
-					return fmt.Errorf("task %s: optional part %d differs; the JSON format stores uniform parts", t.Name, k)
-				}
-			}
-			tj.Optional = first.String()
-		}
-		out.Tasks = append(out.Tasks, tj)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// ReadJSON parses a set written by WriteJSON (or hand-authored in the same
-// shape) and validates it.
+// ReadJSON parses a task-set JSON file and validates it. The file stores a
+// task's parallel optional parts as one length and a count, as Uniform
+// takes them.
 func ReadJSON(r io.Reader) (*Set, error) {
 	var in setJSON
 	dec := json.NewDecoder(r)
@@ -83,10 +55,11 @@ func ReadJSON(r io.Reader) (*Set, error) {
 				return nil, err
 			}
 		}
-		if tj.NumOpt > 0 && opt <= 0 {
-			return nil, fmt.Errorf("task %s: numOptional=%d requires optional duration", tj.Name, tj.NumOpt)
+		t, err := uniformTask(tj.Name, m, w, opt, tj.NumOpt, period)
+		if err != nil {
+			return nil, err
 		}
-		tasks = append(tasks, Uniform(tj.Name, m, w, opt, tj.NumOpt, period))
+		tasks = append(tasks, t)
 	}
 	return newNamedSet(tasks)
 }
@@ -110,14 +83,4 @@ func LoadFile(path string) (*Set, error) {
 	}
 	defer f.Close()
 	return ReadJSON(f)
-}
-
-// SaveFile writes the set as a task-set JSON file.
-func (s *Set) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.WriteJSON(f)
 }

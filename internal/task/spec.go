@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"rtseed/internal/trace"
 )
 
 // ParseSpec parses a compact task-set description used by the command-line
@@ -17,7 +19,7 @@ import (
 //	tau1:m=250ms,w=250ms,T=1s,o=1s,np=8; tau2:m=10ms,w=5ms,T=100ms
 //
 // Durations use Go syntax (ms, s, ...). np defaults to 0 (no optional
-// parts); o is required when np > 0.
+// parts) and is at most trace.MaxCPUs; o is required when np > 0.
 func ParseSpec(spec string) (*Set, error) {
 	var tasks []Task
 	for _, chunk := range strings.Split(spec, ";") {
@@ -50,6 +52,20 @@ func newNamedSet(tasks []Task) (*Set, error) {
 	return NewSet(tasks...)
 }
 
+// uniformTask is Uniform for the decoders of user input. It rejects np > 0
+// without a positive length o, and np outside [0, trace.MaxCPUs]: each
+// optional part needs its own hardware thread (assign.HWThreads), and a
+// trace numbers at most trace.MaxCPUs of them.
+func uniformTask(name string, m, w, o time.Duration, np int, period time.Duration) (Task, error) {
+	if np < 0 || np > trace.MaxCPUs {
+		return Task{}, fmt.Errorf("task %s: np=%d outside [0, %d]", name, np, trace.MaxCPUs)
+	}
+	if np > 0 && o <= 0 {
+		return Task{}, fmt.Errorf("task %s: np=%d requires a positive optional length", name, np)
+	}
+	return Uniform(name, m, w, o, np, period), nil
+}
+
 func parseTask(chunk string) (Task, error) {
 	name, rest, ok := strings.Cut(chunk, ":")
 	if !ok {
@@ -59,8 +75,7 @@ func parseTask(chunk string) (Task, error) {
 	if name == "" {
 		return Task{}, fmt.Errorf("task: spec %q has an empty name", chunk)
 	}
-	t := Task{Name: name}
-	var optLen time.Duration
+	var m, w, period, optLen time.Duration
 	np := 0
 	for _, field := range strings.Split(rest, ",") {
 		field = strings.TrimSpace(field)
@@ -87,11 +102,11 @@ func parseTask(chunk string) (Task, error) {
 			}
 			switch key {
 			case "m":
-				t.Mandatory = d
+				m = d
 			case "w":
-				t.Windup = d
+				w = d
 			case "T":
-				t.Period = d
+				period = d
 			case "o":
 				optLen = d
 			}
@@ -99,18 +114,5 @@ func parseTask(chunk string) (Task, error) {
 			return Task{}, fmt.Errorf("task %s: unknown field %q", name, key)
 		}
 	}
-	if np < 0 {
-		return Task{}, fmt.Errorf("task %s: np must be non-negative, got %d", name, np)
-	}
-	if np > 0 && optLen <= 0 {
-		return Task{}, fmt.Errorf("task %s: np=%d requires o=<duration>", name, np)
-	}
-	t.Optional = make([]time.Duration, np)
-	for i := range t.Optional {
-		t.Optional[i] = optLen
-	}
-	if err := t.Validate(); err != nil {
-		return Task{}, err
-	}
-	return t, nil
+	return uniformTask(name, m, w, optLen, np, period)
 }

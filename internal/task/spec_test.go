@@ -38,16 +38,17 @@ func TestParseSpecMultiTask(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	cases := []string{
-		"",                           // empty
-		"noname",                     // no colon
-		":m=1ms,w=1ms,T=10ms",        // empty name
-		"a:m=1ms",                    // missing period
-		"a:m=1ms,w=1ms,T=10ms,np=2",  // np without o
-		"a:m=1ms,w=1ms,T=10ms,np=-1", // negative np
-		"a:m=bogus,w=1ms,T=10ms",     // bad duration
-		"a:m=1ms,w=1ms,T=10ms,x=1",   // unknown field
-		"a:m=1ms w=1ms",              // not key=value
-		"a:m=20ms,w=20ms,T=10ms",     // WCET > period
+		"",                                    // empty
+		"noname",                              // no colon
+		":m=1ms,w=1ms,T=10ms",                 // empty name
+		"a:m=1ms",                             // missing period
+		"a:m=1ms,w=1ms,T=10ms,np=2",           // np without o
+		"a:m=1ms,w=1ms,T=10ms,np=-1",          // negative np
+		"a:m=1ms,w=1ms,T=10ms,o=1ms,np=65536", // np above trace.MaxCPUs
+		"a:m=bogus,w=1ms,T=10ms",              // bad duration
+		"a:m=1ms,w=1ms,T=10ms,x=1",            // unknown field
+		"a:m=1ms w=1ms",                       // not key=value
+		"a:m=20ms,w=20ms,T=10ms",              // WCET > period
 		"a:np=banana,m=1ms,w=1ms,T=10ms",
 		"a:m=1ms,w=1ms,T=10ms;a:m=2ms,w=1ms,T=20ms", // repeated name
 	}
@@ -55,5 +56,9 @@ func TestParseSpecErrors(t *testing.T) {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
+	}
+	// The bound itself is accepted.
+	if s, err := ParseSpec("a:m=1ms,w=1ms,T=10ms,o=1ms,np=65535"); err != nil || s.Tasks[0].NumOptional() != 65535 {
+		t.Errorf("np=65535 rejected: %v", err)
 	}
 }

@@ -12,41 +12,6 @@ import (
 	"time"
 )
 
-// Model identifies which computation model a task set is interpreted under.
-type Model int
-
-const (
-	// ModelLiuLayland is the classic periodic model: each job runs its full
-	// WCET (here m+w) with no optional component.
-	ModelLiuLayland Model = iota + 1
-	// ModelImprecise is the original imprecise computation model: mandatory
-	// then optional, no wind-up part — so terminating the optional part
-	// cannot be followed by guaranteed output assembly.
-	ModelImprecise
-	// ModelExtendedImprecise adds the wind-up part (mandatory/optional/
-	// wind-up) with a single optional part.
-	ModelExtendedImprecise
-	// ModelParallelExtended is the paper's contribution: the optional part
-	// is a set of parallel optional parts executed concurrently.
-	ModelParallelExtended
-)
-
-// String implements fmt.Stringer.
-func (m Model) String() string {
-	switch m {
-	case ModelLiuLayland:
-		return "liu-layland"
-	case ModelImprecise:
-		return "imprecise"
-	case ModelExtendedImprecise:
-		return "extended-imprecise"
-	case ModelParallelExtended:
-		return "parallel-extended-imprecise"
-	default:
-		return "unknown-model"
-	}
-}
-
 // Task is one periodic parallel-extended imprecise task τ_i. The relative
 // deadline D_i equals the period T_i (implicit-deadline model, paper §II-A).
 type Task struct {

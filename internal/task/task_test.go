@@ -198,14 +198,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestModelStrings(t *testing.T) {
-	for _, m := range []Model{ModelLiuLayland, ModelImprecise, ModelExtendedImprecise, ModelParallelExtended} {
-		if m.String() == "unknown-model" {
-			t.Fatalf("model %d missing label", m)
-		}
-	}
-}
-
 func TestOutcomeStrings(t *testing.T) {
 	for _, o := range []PartOutcome{PartCompleted, PartTerminated, PartDiscarded} {
 		if o.String() == "unknown" {

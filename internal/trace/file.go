@@ -232,6 +232,9 @@ func Decode(data []byte) (*Trace, error) {
 	if v := binary.LittleEndian.Uint16(data[8:]); v != Version {
 		return nil, formatErr("unsupported version %d (have %d)", v, Version)
 	}
+	if r := binary.LittleEndian.Uint16(data[10:]); r != 0 {
+		return nil, formatErr("nonzero reserved header field %d", r)
+	}
 	tr := &Trace{}
 	sawThreads, sawLost := false, false
 	rest := data[12:]

@@ -228,6 +228,7 @@ func TestDecodeRejectsMalformedInput(t *testing.T) {
 		"short header":    valid[:8],
 		"bad magic":       mutate(func(b []byte) []byte { b[0] = 'X'; return b }),
 		"bad version":     mutate(func(b []byte) []byte { b[8] = 99; return b }),
+		"reserved header": mutate(func(b []byte) []byte { binary.LittleEndian.PutUint16(b[10:], 0xffff); return b }),
 		"truncated body":  valid[:len(valid)-3],
 		"unknown tag":     mutate(func(b []byte) []byte { b[12] = 'Z'; return b }),
 		"overrun length":  mutate(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[13:], 1<<40); return b }),

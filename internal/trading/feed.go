@@ -28,9 +28,6 @@ type Tick struct {
 // Mid returns the mid price.
 func (t Tick) Mid() float64 { return (t.Bid + t.Ask) / 2 }
 
-// Spread returns the quoted spread.
-func (t Tick) Spread() float64 { return t.Ask - t.Bid }
-
 // The generator's fixed quote shape.
 const (
 	// feedStart is the initial mid price, a EUR/USD level.

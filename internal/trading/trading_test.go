@@ -339,62 +339,3 @@ func TestBrokerDrawdownStop(t *testing.T) {
 		t.Fatal("halted orders must count as rejections")
 	}
 }
-
-func TestStochasticDirection(t *testing.T) {
-	s := Stochastic{Window: 14}
-	prices := make([]float64, 20)
-	for i := range prices {
-		prices[i] = 100 + float64(i%10)
-	}
-	prices[len(prices)-1] = 95 // bottom of the range -> oversold -> buy
-	if adv := s.Evaluate(prices, 1); adv.Signal <= 0 {
-		t.Fatalf("bottom of range should be a buy, got %+v", adv)
-	}
-	prices[len(prices)-1] = 115 // top of the range -> overbought -> sell
-	if adv := s.Evaluate(prices, 1); adv.Signal >= 0 {
-		t.Fatalf("top of range should be a sell, got %+v", adv)
-	}
-	flat := []float64{100, 100, 100}
-	if adv := s.Evaluate(flat, 1); adv.Confidence != 0 {
-		t.Fatalf("flat range has no information, got %+v", adv)
-	}
-}
-
-func TestMomentumDirection(t *testing.T) {
-	m := Momentum{Window: 10}
-	up := make([]float64, 20)
-	down := make([]float64, 20)
-	for i := range up {
-		up[i] = 100 + float64(i)
-		down[i] = 100 - float64(i)*2
-	}
-	if adv := m.Evaluate(up, 1); adv.Signal <= 0 {
-		t.Fatalf("rising momentum should be a buy, got %+v", adv)
-	}
-	if adv := m.Evaluate(down, 1); adv.Signal >= 0 {
-		t.Fatalf("falling momentum should be a sell, got %+v", adv)
-	}
-}
-
-func TestExtendedTechnicalContract(t *testing.T) {
-	inds := ExtendedTechnical()
-	if len(inds) != len(DefaultTechnical())+2 {
-		t.Fatalf("%d extended indicators", len(inds))
-	}
-	feed, _ := NewFeed(FeedConfig{Seed: 3, Volatility: 0.0002})
-	prices := make([]float64, 60)
-	for i, tick := range feed.Take(60) {
-		prices[i] = tick.Mid()
-	}
-	for _, ind := range inds {
-		for _, progress := range []float64{0, 0.3, 1} {
-			adv := ind.Evaluate(prices, progress)
-			if adv.Signal < -1 || adv.Signal > 1 {
-				t.Errorf("%s: signal %v out of range", ind.Name(), adv.Signal)
-			}
-			if adv.Confidence < 0 || adv.Confidence > progress+1e-9 {
-				t.Errorf("%s: confidence %v exceeds progress %v", ind.Name(), adv.Confidence, progress)
-			}
-		}
-	}
-}
