@@ -81,12 +81,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-overhead:", err)
 		os.Exit(1)
 	}
-	err = report.Emit("", func(w io.Writer) error {
-		if o.dist {
-			return runDistributions(w, o.jobs, o.seed)
-		}
-		return run(w, o.fig, o.jobs, o.quick, o.seed, o.csvPath, o.workers)
-	})
+	err = report.Emit("", func(w io.Writer) error { return run(w, o) })
 	if perr := stop(); err == nil {
 		err = perr
 	}
@@ -94,6 +89,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-overhead:", err)
 		os.Exit(1)
 	}
+}
+
+// run writes the report o selects to w: the distributions with -dist, the
+// figure sweep otherwise.
+func run(w io.Writer, o *options) error {
+	if o.dist {
+		return runDistributions(w, o.jobs, o.seed)
+	}
+	return runFigures(w, o.fig, o.jobs, o.quick, o.seed, o.csvPath, o.workers)
 }
 
 // runDistributions writes per-overhead latency distributions at the
@@ -121,8 +125,8 @@ func runDistributions(w io.Writer, jobs int, seed uint64) error {
 	return nil
 }
 
-// run writes the selected figures of the sweep to w.
-func run(w io.Writer, fig, jobs int, quick bool, seed uint64, csvPath string, workers int) error {
+// runFigures writes the selected figures of the sweep to w.
+func runFigures(w io.Writer, fig, jobs int, quick bool, seed uint64, csvPath string, workers int) error {
 	cfg := overhead.SweepConfig{Jobs: jobs, Seed: seed, Workers: workers}
 	if quick {
 		cfg = cfg.Quick()

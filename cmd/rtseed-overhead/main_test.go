@@ -72,7 +72,7 @@ func TestParseFlagsRejectsNonPositiveJobs(t *testing.T) {
 }
 
 func TestRunQuickSingleFigure(t *testing.T) {
-	if err := run(io.Discard, 13, 3, true, 0, "", 2); err != nil {
+	if err := runFigures(io.Discard, 13, 3, true, 0, "", 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,7 +96,7 @@ func TestParseFlagsRejectsUnknownFigure(t *testing.T) {
 
 func TestRunWithCSV(t *testing.T) {
 	path := t.TempDir() + "/figs.csv"
-	if err := run(io.Discard, 10, 2, true, 0, path, 2); err != nil {
+	if err := runFigures(io.Discard, 10, 2, true, 0, path, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -120,17 +120,20 @@ func TestParseFlagsProfilePaths(t *testing.T) {
 	}
 }
 
-// TestGoldenReport pins the bytes of `rtseed-overhead -quick`.
+// TestGoldenReport pins the bytes of `rtseed-overhead -quick` and of the
+// distributions, `rtseed-overhead -dist -jobs 5`.
 func TestGoldenReport(t *testing.T) {
-	o, err := parseFlags(testFlagSet(), []string{"-quick"})
-	if err != nil {
-		t.Fatal(err)
+	for _, args := range []string{"-quick", "-dist -jobs 5"} {
+		o, err := parseFlags(testFlagSet(), strings.Fields(args))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(&buf, o); err != nil {
+			t.Fatal(err)
+		}
+		golden.Check(t, "rtseed-overhead "+args, buf.Bytes())
 	}
-	var buf bytes.Buffer
-	if err := run(&buf, o.fig, o.jobs, o.quick, o.seed, o.csvPath, o.workers); err != nil {
-		t.Fatal(err)
-	}
-	golden.Check(t, "rtseed-overhead -quick", buf.Bytes())
 }
 
 // FuzzParseFlags parses arbitrary command lines: parseFlags must never

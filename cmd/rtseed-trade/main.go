@@ -103,13 +103,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtseed-trade:", err)
 		os.Exit(2)
 	}
-	err = report.Emit("", func(w io.Writer) error {
-		if o.sweep {
-			return runSweep(w, o.policy, o.load)
-		}
-		return run(w, o)
-	})
-	if err != nil {
+	if err := report.Emit("", func(w io.Writer) error { return run(w, o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "rtseed-trade:", err)
 		os.Exit(1)
 	}
@@ -131,8 +125,17 @@ func runSweep(w io.Writer, pol assign.Policy, load machine.Load) error {
 	return nil
 }
 
-// run trades o.ticks ticks and writes the run's report to w.
+// run writes the report o selects to w: the np sweep with -sweep, the
+// trading run otherwise.
 func run(w io.Writer, o *options) error {
+	if o.sweep {
+		return runSweep(w, o.policy, o.load)
+	}
+	return runTrade(w, o)
+}
+
+// runTrade trades o.ticks ticks and writes the run's report to w.
+func runTrade(w io.Writer, o *options) error {
 	// The paper's task: T = 1s (one OANDA tick per second), m = w = 250ms.
 	const (
 		period   = time.Second

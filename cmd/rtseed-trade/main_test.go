@@ -51,13 +51,16 @@ func TestRunPreciseMode(t *testing.T) {
 	}
 }
 
-// TestGoldenReport pins the bytes of `rtseed-trade -ticks 30`.
+// TestGoldenReport pins the bytes of `rtseed-trade -ticks 30` and of the
+// QoS/latency sweep, `rtseed-trade -sweep`.
 func TestGoldenReport(t *testing.T) {
-	out, err := runArgs("-ticks", "30")
-	if err != nil {
-		t.Fatal(err)
+	for _, args := range []string{"-ticks 30", "-sweep"} {
+		out, err := runArgs(strings.Fields(args)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden.Check(t, "rtseed-trade "+args, []byte(out))
 	}
-	golden.Check(t, "rtseed-trade -ticks 30", []byte(out))
 }
 
 // -trace captures the trading run: the decoded file's per-task job count
