@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: ci fmt-check vet lint lint-stats vuln build test test-race perfbench-check bench-smoke bench bench-json bench-trajectory trace-smoke cluster-smoke workload-smoke fuzz-smoke tools clean
+.PHONY: ci fmt-check vet lint lint-stats loc vuln build test test-race perfbench-check bench-smoke bench bench-json bench-trajectory trace-smoke cluster-smoke workload-smoke fuzz-smoke tools clean
 
 ci: fmt-check vet lint build test test-race perfbench-check bench-smoke trace-smoke cluster-smoke workload-smoke fuzz-smoke vuln
 
@@ -60,6 +60,11 @@ lint-stats:
 	@mkdir -p results
 	$(GO) run ./cmd/rtseed-vet -stats ./... > results/VET_STATS.json
 	@cat results/VET_STATS.json
+
+# loc prints the count that every ROADMAP "Recent" entry quotes: lines of
+# tracked non-test Go outside testdata/ and perfbench/.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v /testdata/ | grep -v '^perfbench/' | xargs cat | wc -l
 
 # vuln scans dependencies for known vulnerabilities. Advisory only: the scan
 # needs the network and the database moves independently of this repository,

@@ -415,8 +415,7 @@ func BenchmarkTradingPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pipe, err := trading.NewPipeline(feed, trading.DefaultTechnical(),
-		trading.NewEngine(), trading.NewBroker(), 0)
+	pipe, err := trading.NewPipeline(feed, trading.DefaultTechnical())
 	if err != nil {
 		b.Fatal(err)
 	}

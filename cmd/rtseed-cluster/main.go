@@ -261,9 +261,8 @@ func report1(w io.Writer, o *options, cfg cluster.Config, res *cluster.Result) e
 
 	fmt.Fprintf(w, "## admission\n\n```\n")
 	adm := report.NewTable("class", "offered", "admitted", "ratio", "tasks")
-	for _, class := range cluster.Classes() {
-		s := res.PerClass[class]
-		adm.AddRow(class.String(), s.Offered, s.Admitted, s.AdmissionRatio(), s.Tasks)
+	for class, s := range res.PerClass {
+		adm.AddRow(workload.Class(class).String(), s.Offered, s.Admitted, s.AdmissionRatio(), s.Tasks)
 	}
 	adm.AddRow("total", res.Offered, res.Admitted, res.AdmissionRatio(), res.AdmittedTasks)
 	fmt.Fprintf(w, "%s```\n\n", adm)
@@ -277,9 +276,8 @@ func report1(w io.Writer, o *options, cfg cluster.Config, res *cluster.Result) e
 
 	fmt.Fprintf(w, "## service by class\n\n```\n")
 	svc := report.NewTable("class", "jobs", "misses", "miss-rate")
-	for _, class := range cluster.Classes() {
-		s := res.PerClass[class]
-		svc.AddRow(class.String(), s.Jobs, s.Misses, s.MissRate())
+	for class, s := range res.PerClass {
+		svc.AddRow(workload.Class(class).String(), s.Jobs, s.Misses, s.MissRate())
 	}
 	svc.AddRow("total", res.Jobs, res.Misses, missRate(res.Misses, res.Jobs))
 	fmt.Fprintf(w, "%s```\n\n", svc)

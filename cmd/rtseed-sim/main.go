@@ -8,7 +8,10 @@
 //
 //	rtseed-sim -tasks "tau1:m=250ms,w=250ms,T=1s,o=1s,np=8" \
 //	           -sched prmwp|general -horizon 10s [-trace] \
-//	           [-policy one|two|all] [-load none|cpu|cpumem]
+//	           [-policy one|two|all] [-load none|cpu|cpumem] [-margin D]
+//
+// Flag errors exit 2: an unknown -sched, -policy or -load, -horizon <= 0,
+// and a negative -margin.
 package main
 
 import (
@@ -64,8 +67,14 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if o.load, err = machine.ParseLoad(loadName); err != nil {
 		return nil, err
 	}
+	if o.sched != "prmwp" && o.sched != "general" {
+		return nil, fmt.Errorf("-sched %q: want prmwp or general", o.sched)
+	}
 	if o.horizon <= 0 {
 		return nil, fmt.Errorf("-horizon %v: want a positive duration", o.horizon)
+	}
+	if o.margin < 0 {
+		return nil, fmt.Errorf("-margin %v: want a non-negative overhead margin", o.margin)
 	}
 	return o, nil
 }
@@ -95,14 +104,10 @@ func run(w io.Writer, o *options) error {
 	k := kernel.New(engine.New(), mach)
 	rec := sched.NewRecorder(k)
 
-	switch o.sched {
-	case "prmwp":
-		return runPRMWP(w, k, rec, set, o.policy, o.horizon, o.margin, o.trace, o.gantt)
-	case "general":
+	if o.sched == "general" {
 		return runGeneral(w, k, rec, set, o.horizon, o.trace)
-	default:
-		return fmt.Errorf("unknown scheduler %q (want prmwp or general)", o.sched)
 	}
+	return runPRMWP(w, k, rec, set, o.policy, o.horizon, o.margin, o.trace, o.gantt)
 }
 
 func runPRMWP(w io.Writer, k *kernel.Kernel, rec *sched.Recorder, set *task.Set,

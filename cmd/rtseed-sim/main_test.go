@@ -71,20 +71,22 @@ func TestRunBadArgs(t *testing.T) {
 	if err := runArgs(t, "-tasks", "x"); err == nil {
 		t.Fatal("bad spec accepted")
 	}
-	if err := runArgs(t, "-tasks", "a:m=1ms,w=1ms,T=10ms", "-sched", "bogus", "-horizon", "1s"); err == nil {
-		t.Fatal("bad scheduler accepted")
-	}
 }
 
-// TestParseFlagsErrors covers the rejection paths: unknown names and a
-// horizon with nothing to simulate, under either scheduler.
+// TestParseFlagsErrors covers the rejection paths: unknown names, a horizon
+// with nothing to simulate under either scheduler, and a negative margin,
+// which would move optional deadlines past the analysed ones.
 func TestParseFlagsErrors(t *testing.T) {
 	bad := [][]string{
+		{"-sched", "bogus"},
+		{"-tasks", "a:m=1ms,w=1ms,T=10ms", "-sched", "bogus", "-horizon", "1s"},
 		{"-policy", "bogus"},
 		{"-load", "bogus"},
 		{"-horizon", "0"},
 		{"-horizon", "-1s"},
 		{"-sched", "general", "-horizon", "0"},
+		{"-margin", "-1ns"},
+		{"-margin", "-249ms"},
 	}
 	for _, args := range bad {
 		fs := flag.NewFlagSet("rtseed-sim", flag.ContinueOnError)
@@ -109,8 +111,8 @@ func FuzzParseFlags(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if o.horizon <= 0 {
-			t.Fatalf("%q accepted with horizon %v", line, o.horizon)
+		if o.horizon <= 0 || o.margin < 0 || (o.sched != "prmwp" && o.sched != "general") {
+			t.Fatalf("%q accepted with horizon %v, margin %v, scheduler %q", line, o.horizon, o.margin, o.sched)
 		}
 	})
 }
@@ -126,21 +128,33 @@ func TestMain(m *testing.M) {
 }
 
 // TestUnwritableReportFails: a report that cannot be written to stdout
-// must exit 1 with an error naming the output.
+// must exit 1 with an error naming the output, and a flag error (an unknown
+// scheduler, a negative margin) exits 2 naming the flag before it simulates
+// anything.
 func TestUnwritableReportFails(t *testing.T) {
 	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
 	if err != nil {
 		t.Skip("no /dev/full on this system")
 	}
 	defer full.Close()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "RTSEED_RUN_MAIN=1")
-	cmd.Stdout = full
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err = cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "/dev/stdout") {
-		t.Errorf("%v: %v, stderr %q; want exit status 1 naming /dev/stdout", cmd.Args[1:], err, stderr.String())
+	for _, c := range []struct {
+		args []string
+		code int
+		name string
+	}{
+		{nil, 1, "/dev/stdout"},
+		{[]string{"-sched", "foo"}, 2, "-sched"},
+		{[]string{"-margin", "-249ms"}, 2, "-margin"},
+	} {
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), "RTSEED_RUN_MAIN=1")
+		cmd.Stdout = full
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != c.code || !strings.Contains(stderr.String(), c.name) {
+			t.Errorf("%v: %v, stderr %q; want exit status %d naming %s", c.args, err, stderr.String(), c.code, c.name)
+		}
 	}
 }

@@ -166,7 +166,7 @@ func runTrade(w io.Writer, o *options) error {
 	}
 	indicators := append(trading.DefaultTechnical(),
 		trading.Fundamental{Series: trading.SyntheticMacro(o.ticks/10+2, 10, o.seed+1), Trend: 5})
-	pipe, err := trading.NewPipelineFrom(source, indicators, trading.NewEngine(), trading.NewBroker(), 0)
+	pipe, err := trading.NewPipeline(source, indicators)
 	if err != nil {
 		return err
 	}

@@ -18,9 +18,9 @@
 // function of the flags.
 //
 // Flag errors exit 2: a missing or unknown subcommand, spec with an empty
-// -builtin, gen without -o, without exactly one of -spec and -builtin, or
-// with a negative -clients or -ticks or a non-positive -horizon, and
-// inspect or validate without exactly one file.
+// -builtin, an unknown -builtin name, gen without -o, without exactly one
+// of -spec and -builtin, or with a negative -clients or -ticks or a
+// non-positive -horizon, and inspect or validate without exactly one file.
 package main
 
 import (
@@ -102,6 +102,9 @@ func parseFlags(stderr io.Writer, args []string) (*options, error) {
 		}
 		o.file = fs.Arg(0)
 	}
+	if _, ok := workload.BuiltinSpec(o.builtin); o.builtin != "" && !ok {
+		return nil, fmt.Errorf("-builtin %q: want one of %s", o.builtin, strings.Join(workload.BuiltinSpecNames(), ", "))
+	}
 	return o, nil
 }
 
@@ -136,14 +139,10 @@ func run(w io.Writer, o *options) error {
 }
 
 // resolveSpec loads -builtin NAME, or -spec FILE when no builtin is named;
-// parseFlags has checked that exactly one is set.
+// parseFlags has checked that exactly one is set and that NAME is a builtin.
 func resolveSpec(specFile, builtin string) (workload.Spec, error) {
 	if builtin != "" {
-		spec, ok := workload.BuiltinSpec(builtin)
-		if !ok {
-			return workload.Spec{}, fmt.Errorf("unknown builtin %q (want %s)",
-				builtin, strings.Join(workload.BuiltinSpecNames(), ", "))
-		}
+		spec, _ := workload.BuiltinSpec(builtin)
 		return spec, nil
 	}
 	f, err := os.Open(specFile)

@@ -149,6 +149,8 @@ func TestParseFlagsErrors(t *testing.T) {
 		{[]string{"gen", "-o", "x.rtk"}, "-builtin"},
 		{[]string{"gen", "-spec", "s.json", "-builtin", "steady", "-o", "x.rtk"}, "-spec"},
 		{[]string{"spec", "-builtin", ""}, "-builtin"},
+		{[]string{"spec", "-builtin", "nope"}, "nope"},
+		{[]string{"gen", "-builtin", "nope", "-o", "x.rtk"}, "nope"},
 		{[]string{"gen", "-builtin", "steady", "-ticks", "-1", "-o", "x.rtk"}, "-ticks"},
 		{[]string{"gen", "-builtin", "steady", "-clients", "-5", "-o", "x.rtk"}, "-clients"},
 		{[]string{"gen", "-builtin", "steady", "-horizon", "0", "-o", "x.rtk"}, "-horizon"},
@@ -179,6 +181,9 @@ func FuzzParseFlags(f *testing.F) {
 		o, err := parseFlags(io.Discard, strings.Fields(line))
 		if err != nil {
 			return
+		}
+		if _, ok := workload.BuiltinSpec(o.builtin); o.builtin != "" && !ok {
+			t.Fatalf("%q accepted with unknown builtin %q", line, o.builtin)
 		}
 		switch o.cmd {
 		case "spec":
@@ -230,6 +235,7 @@ func TestUnwritableReportFails(t *testing.T) {
 	}{
 		{[]string{"inspect", trPath}, 1, "/dev/stdout"},
 		{[]string{"gen", "-builtin", "steady", "-ticks", "-1", "-o", filepath.Join(dir, "x.rtk")}, 2, "-ticks"},
+		{[]string{"spec", "-builtin", "nope"}, 2, "nope"},
 	} {
 		cmd := exec.Command(os.Args[0], c.args...)
 		cmd.Env = append(os.Environ(), "RTSEED_RUN_MAIN=1")

@@ -62,8 +62,7 @@ func run() error {
 		// parts fill exactly one core, so neighbouring tasks never share a
 		// hardware thread (see the cross-task starvation finding in
 		// EXPERIMENTS.md for what sharing would do).
-		pipe, err := trading.NewPipeline(feed, trading.DefaultTechnical()[:4],
-			trading.NewEngine(), trading.NewBroker(), 0)
+		pipe, err := trading.NewPipeline(feed, trading.DefaultTechnical()[:4])
 		if err != nil {
 			return err
 		}

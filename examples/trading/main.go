@@ -64,8 +64,7 @@ func simulated(label string, odScale float64) error {
 	if err != nil {
 		return err
 	}
-	pipe, err := trading.NewPipeline(feed, trading.DefaultTechnical(),
-		trading.NewEngine(), trading.NewBroker(), 0)
+	pipe, err := trading.NewPipeline(feed, trading.DefaultTechnical())
 	if err != nil {
 		return err
 	}
@@ -111,8 +110,7 @@ func wallclock() error {
 	if err != nil {
 		return err
 	}
-	pipe, err := trading.NewPipeline(feed, trading.DefaultTechnical(),
-		trading.NewEngine(), trading.NewBroker(), 0)
+	pipe, err := trading.NewPipeline(feed, trading.DefaultTechnical())
 	if err != nil {
 		return err
 	}

@@ -32,8 +32,6 @@ type AcceptanceConfig struct {
 	SetsPerPoint int
 	// Utilizations lists the ΣU targets to sweep.
 	Utilizations []float64
-	// WindupFraction is w/C for the generated tasks (default 0.5).
-	WindupFraction float64
 	// Seed seeds the generator.
 	Seed uint64
 	// Workers bounds the number of utilization points evaluated
@@ -76,12 +74,11 @@ func AcceptanceRatio(cfg AcceptanceConfig) ([]AcceptancePoint, error) {
 			var set *task.Set
 			var err error
 			if cfg.Spec != nil {
-				set, err = specSet(cfg.Spec, cfg.N, u, cfg.WindupFraction, seedBase+uint64(j)+1)
+				set, err = specSet(cfg.Spec, cfg.N, u, seedBase+uint64(j)+1)
 			} else {
 				set, err = task.Generate(task.GenConfig{
 					N:                cfg.N,
 					TotalUtilization: u,
-					WindupFraction:   cfg.WindupFraction,
 					MinPeriod:        10 * time.Millisecond,
 					MaxPeriod:        time.Second,
 					Seed:             seedBase + uint64(j) + 1,
@@ -114,15 +111,13 @@ func AcceptanceRatio(cfg AcceptanceConfig) ([]AcceptancePoint, error) {
 // task rolls its cohort by population weight and takes its period
 // log-uniformly from that cohort's range and its parallel-part count from
 // the cohort's parallelism range; the N utilizations are UUniFast over the
-// target ΣU, exactly as the legacy generator distributes them. The draw is a
-// pure function of (spec, n, total, windup, seed) on a stream disjoint from
-// the legacy generator's.
-func specSet(spec *workload.Spec, n int, total, windup float64, seed uint64) (*task.Set, error) {
+// target ΣU, exactly as the legacy generator distributes them, and each
+// task's wind-up part is task.GenWindupFraction of its WCET. The draw is a
+// pure function of (spec, n, total, seed) on a stream disjoint from the
+// legacy generator's.
+func specSet(spec *workload.Spec, n int, total float64, seed uint64) (*task.Set, error) {
 	if total <= 0 || total > float64(n) {
 		return nil, fmt.Errorf("analysis: total utilization %.3f outside (0, %d]", total, n)
-	}
-	if windup == 0 {
-		windup = 0.5
 	}
 	s := workload.NewStream(seed, 0)
 	// UUniFast (Bini & Buttazzo 2005) over the spec stream.
@@ -158,7 +153,7 @@ func specSet(spec *workload.Spec, n int, total, windup float64, seed uint64) (*t
 		if wcet > period {
 			wcet = period
 		}
-		w := time.Duration(float64(wcet) * windup)
+		w := time.Duration(float64(wcet) * task.GenWindupFraction)
 		if w < 1 {
 			w = 1
 		}

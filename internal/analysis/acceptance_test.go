@@ -49,7 +49,6 @@ func TestGenerateValidation(t *testing.T) {
 		{N: 0, TotalUtilization: 0.5},
 		{N: 2, TotalUtilization: 0},
 		{N: 2, TotalUtilization: 3},
-		{N: 2, TotalUtilization: 0.5, WindupFraction: 1.5},
 	}
 	for i, cfg := range bad {
 		if _, err := task.Generate(cfg); err == nil {

@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
 	"rtseed/internal/machine"
 	"rtseed/internal/task"
-	"rtseed/internal/workload"
 )
 
 // TestAnalyticalAdmissionImpliesEmpiricalMissFree is the soundness property
@@ -130,38 +128,6 @@ func TestMillionClientAdmission(t *testing.T) {
 	for _, m := range p.res.Machines {
 		if m.Utilization > 1 {
 			t.Errorf("machine %d admitted %.3f utilization per core", m.Machine, m.Utilization)
-		}
-	}
-}
-
-// TestGenerateClientDeterministic checks the population is a pure function
-// of (seed, id) and classes stay within their declared ranges.
-func TestGenerateClientDeterministic(t *testing.T) {
-	for id := 0; id < 50; id++ {
-		a, err := GenerateClient(7, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := GenerateClient(7, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Class != b.Class || a.Symbol != b.Symbol || a.Set.Len() != b.Set.Len() {
-			t.Fatalf("client %d differs between identical draws", id)
-		}
-		for i := range a.Set.Tasks {
-			if !reflect.DeepEqual(a.Set.Tasks[i], b.Set.Tasks[i]) {
-				t.Fatalf("client %d task %d differs", id, i)
-			}
-		}
-		lo, hi := workload.ClassPeriodRange(workload.Class(a.Class))
-		for _, tk := range a.Set.Tasks {
-			if tk.Period < lo || tk.Period > hi {
-				t.Fatalf("client %d (%v): period %v outside [%v, %v]", id, a.Class, tk.Period, lo, hi)
-			}
-		}
-		if n := a.Set.Len(); n < 1 || n > 3 {
-			t.Fatalf("client %d: %d tasks, want 1-3", id, n)
 		}
 	}
 }

@@ -267,8 +267,8 @@ type Result struct {
 	AdmittedTasks int
 	// MachinesUsed counts machines with at least one admitted client.
 	MachinesUsed int
-	// PerClass indexes ClassStats by Class.
-	PerClass [NumClasses]ClassStats
+	// PerClass indexes ClassStats by workload.Class.
+	PerClass [workload.NumClasses]ClassStats
 	// Windows has one entry per workload rate window, in time order; empty
 	// for unwindowed populations.
 	Windows []WindowStats
@@ -305,7 +305,7 @@ type Plan struct {
 // placedTask is one admitted task bound to a core of its machine.
 type placedTask struct {
 	t     task.Task
-	class Class
+	class workload.Class
 	core  int
 	// arrival and lifetime carry the owning client's activity interval into
 	// the simulation (zero lifetime: active until the horizon).
@@ -358,7 +358,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 	minRejectU := math.Inf(1)
 	for id := 0; id < cfg.Clients; id++ {
 		params := p.src.Params(id)
-		cs := &p.res.PerClass[Class(params.Class)]
+		cs := &p.res.PerClass[params.Class]
 		cs.Offered++
 		wi := windowIndex(wins, params.Arrival)
 		if wi >= 0 {
@@ -367,7 +367,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 		if params.Util >= minRejectU {
 			continue
 		}
-		client, err := p.src.Materialize(params)
+		client, err := workload.Materialize(params)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: client %d: %w", id, err)
 		}
@@ -380,7 +380,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 			}
 			for k, t := range client.Set.Tasks {
 				p.placed[mi] = append(p.placed[mi], placedTask{
-					t: t, class: Class(params.Class), core: cores[k],
+					t: t, class: params.Class, core: cores[k],
 					arrival: params.Arrival, lifetime: params.Lifetime,
 				})
 			}
@@ -398,7 +398,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 	}
 
 	p.res.Offered = cfg.Clients
-	for class := 0; class < NumClasses; class++ {
+	for class := 0; class < workload.NumClasses; class++ {
 		p.res.Admitted += p.res.PerClass[class].Admitted
 		p.res.AdmittedTasks += p.res.PerClass[class].Tasks
 	}

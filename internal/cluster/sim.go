@@ -40,7 +40,7 @@ type sim struct {
 	topo     machine.Topology
 	tracer   *trace.Tracer
 	file     *os.File
-	counters [NumClasses]classCount
+	counters [workload.NumClasses]classCount
 	// winCounts has one tally per workload window (empty when unwindowed);
 	// bodies attribute each job by its release instant.
 	winCounts []windowCount

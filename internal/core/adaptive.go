@@ -9,30 +9,13 @@ import "time"
 // wind-up start's lag behind the optional deadline) by adjusting how many
 // parallel optional parts are signalled each job, AIMD-style: multiplicative
 // decrease when the lag exceeds the budget, additive increase while there is
-// headroom. Unsignalled parts are discarded, exactly as the protocol
-// discards parts it has no time for.
+// headroom, one part at a time down to a floor of one part. Unsignalled
+// parts are discarded, exactly as the protocol discards parts it has no
+// time for.
 type Adaptive struct {
 	// EndingBudget is the largest acceptable wind-up lag behind the
 	// optional deadline.
 	EndingBudget time.Duration
-	// MinParts floors the controller (default 1).
-	MinParts int
-	// Increase is the additive step when under budget (default 1).
-	Increase int
-}
-
-func (a *Adaptive) min() int {
-	if a.MinParts < 1 {
-		return 1
-	}
-	return a.MinParts
-}
-
-func (a *Adaptive) step() int {
-	if a.Increase < 1 {
-		return 1
-	}
-	return a.Increase
 }
 
 // next returns the part count for the next job given the lag just observed.
@@ -41,10 +24,10 @@ func (a *Adaptive) next(current, max int, lag time.Duration) int {
 	case lag > a.EndingBudget:
 		current = current * 3 / 4
 	case lag < a.EndingBudget/2:
-		current += a.step()
+		current++
 	}
-	if current < a.min() {
-		current = a.min()
+	if current < 1 {
+		current = 1
 	}
 	if current > max {
 		current = max

@@ -32,13 +32,6 @@ func TestAdaptiveNextAIMD(t *testing.T) {
 	if got := a.next(32, 32, 0); got != 32 {
 		t.Fatalf("cap: %d, want 32", got)
 	}
-	b := &Adaptive{EndingBudget: time.Millisecond, MinParts: 4, Increase: 3}
-	if got := b.next(4, 32, time.Hour); got != 4 {
-		t.Fatalf("custom floor: %d, want 4", got)
-	}
-	if got := b.next(10, 32, 0); got != 13 {
-		t.Fatalf("custom step: %d, want 13", got)
-	}
 }
 
 // Under heavy load with many parts, the controller backs off until the

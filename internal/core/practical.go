@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"rtseed/internal/kernel"
@@ -23,13 +22,9 @@ type PracticalConfig struct {
 	// first entry must equal MandatoryCPU, as in Config.
 	OptionalCPUs []machine.HWThread
 	// OptionalDeadline is the task-level relative OD (from the RMWP
-	// analysis of Task.Flatten()); per-section deadlines are derived with
-	// Task.SectionDeadlines unless SectionDeadlines is set explicitly.
+	// analysis of Task.Flatten()); the per-section deadlines are derived
+	// from it with Task.SectionDeadlines.
 	OptionalDeadline time.Duration
-	// SectionDeadlines optionally overrides the per-section relative
-	// optional deadlines (positive, strictly increasing, last <=
-	// OptionalDeadline).
-	SectionDeadlines []time.Duration
 	// Jobs is how many jobs to execute.
 	Jobs int
 	// Termination selects the termination mechanism (default sigjmp).
@@ -47,30 +42,9 @@ type PracticalConfig struct {
 // Process protocol, one fork-join per section; part indexes in its records
 // and trace are section-major.
 func NewPracticalProcess(k *kernel.Kernel, cfg PracticalConfig) (*Process, error) {
-	if err := cfg.Task.Validate(); err != nil {
+	ods, err := cfg.Task.SectionDeadlines(cfg.OptionalDeadline)
+	if err != nil {
 		return nil, err
-	}
-	ods := cfg.SectionDeadlines
-	if ods == nil {
-		var err error
-		ods, err = cfg.Task.SectionDeadlines(cfg.OptionalDeadline)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(ods) != len(cfg.Task.Sections) {
-		return nil, fmt.Errorf("core: %d section deadlines for %d sections", len(ods), len(cfg.Task.Sections))
-	}
-	if ods[0] <= 0 {
-		return nil, fmt.Errorf("core: section deadlines must be positive, got %v", ods)
-	}
-	for i := 1; i < len(ods); i++ {
-		if ods[i] <= ods[i-1] {
-			return nil, fmt.Errorf("core: section deadlines must increase, got %v", ods)
-		}
-	}
-	if last := ods[len(ods)-1]; last > cfg.OptionalDeadline {
-		return nil, fmt.Errorf("core: section deadlines %v exceed optional deadline %v", ods, cfg.OptionalDeadline)
 	}
 	sections := make([]section, len(ods))
 	lo := 0

@@ -282,14 +282,6 @@ func TestPracticalConfigValidation(t *testing.T) {
 		func(c *PracticalConfig) { c.Jobs = 0 },
 		func(c *PracticalConfig) { c.OptionalCPUs = cpus[:1] },
 		func(c *PracticalConfig) { c.OptionalDeadline = ms(5) },
-		func(c *PracticalConfig) { c.SectionDeadlines = []time.Duration{ms(40)} },
-		func(c *PracticalConfig) { c.SectionDeadlines = []time.Duration{ms(50), ms(40)} },
-		func(c *PracticalConfig) { c.SectionDeadlines = []time.Duration{ms(40), ms(90)} },
-		func(c *PracticalConfig) {
-			c.OptionalDeadline = -ms(1)
-			c.SectionDeadlines = []time.Duration{-ms(10), -ms(5)}
-		},
-		func(c *PracticalConfig) { c.SectionDeadlines = []time.Duration{0, ms(40)} },
 		func(c *PracticalConfig) { c.MandatoryCPU = 1 }, // first part must share it (§IV)
 	}
 	for i, mutate := range bad {

@@ -77,10 +77,23 @@ func (k Kind) Figure() int {
 // Xeon Phi.
 func NumPartsSweep() []int { return []int{4, 8, 16, 32, 57, 114, 171, 228} }
 
+// The evaluation task τ1 of §V-A on the Xeon Phi 3120A: T1 = D1 = 1 s (the
+// OANDA tick interval) and m1 = w1 = 250 ms, with the optional deadline
+// OD = T1 − w1 per the paper's Theorem 2 citation. The wind-up part
+// computes 150 ms of its 250 ms budget; the difference is the overhead
+// allowance the paper folds into the WCET (§II-A), leaving 100 ms for Δe
+// and Δm. Each o1,k = 1 s always overruns the optional deadline, so every
+// part is terminated: the paper's worst-case overhead condition.
+const (
+	period       = time.Second
+	mandatory    = 250 * time.Millisecond
+	windupBudget = 250 * time.Millisecond
+	windupExec   = 150 * time.Millisecond
+	optionalExec = time.Second
+)
+
 // Config configures one measurement run.
 type Config struct {
-	// Topology is the machine (defaults to the Xeon Phi 3120A).
-	Topology machine.Topology
 	// Load is the background load condition.
 	Load machine.Load
 	// Policy assigns the parallel optional parts to hardware threads.
@@ -89,46 +102,13 @@ type Config struct {
 	NumParts int
 	// Jobs is the number of jobs measured (the paper uses 100).
 	Jobs int
-	// Period is T1 = D1 (default 1s, the OANDA tick interval).
-	Period time.Duration
-	// Mandatory is the actual mandatory compute (default 250ms).
-	Mandatory time.Duration
-	// WindupBudget is w1 (default 250ms). The optional deadline is
-	// OD = T − WindupBudget per the paper's Theorem 2 citation.
-	WindupBudget time.Duration
-	// WindupExec is the actual wind-up compute; the difference
-	// WindupBudget − WindupExec is the overhead allowance the paper folds
-	// into the WCET (§II-A). Default 150ms, leaving 100ms for Δe and Δm.
-	WindupExec time.Duration
-	// OptionalExec is each o_{1,k}; the default 1s always overruns the
-	// optional deadline so every part is terminated — the paper's
-	// worst-case overhead condition.
-	OptionalExec time.Duration
 	// Seed seeds the machine jitter.
 	Seed uint64
 }
 
 func (c *Config) fillDefaults() {
-	if c.Topology.Cores == 0 {
-		c.Topology = machine.XeonPhi3120A()
-	}
 	if c.Jobs == 0 {
 		c.Jobs = 100
-	}
-	if c.Period == 0 {
-		c.Period = time.Second
-	}
-	if c.Mandatory == 0 {
-		c.Mandatory = 250 * time.Millisecond
-	}
-	if c.WindupBudget == 0 {
-		c.WindupBudget = 250 * time.Millisecond
-	}
-	if c.WindupExec == 0 {
-		c.WindupExec = 150 * time.Millisecond
-	}
-	if c.OptionalExec == 0 {
-		c.OptionalExec = time.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x5eed
@@ -142,11 +122,8 @@ func (c *Config) validate() error {
 	if !c.Policy.Valid() {
 		return fmt.Errorf("overhead: invalid policy %d", c.Policy)
 	}
-	if c.NumParts <= 0 || c.NumParts > c.Topology.NumHWThreads() {
-		return fmt.Errorf("overhead: np=%d outside [1,%d]", c.NumParts, c.Topology.NumHWThreads())
-	}
-	if c.WindupExec > c.WindupBudget {
-		return fmt.Errorf("overhead: wind-up exec %v exceeds budget %v", c.WindupExec, c.WindupBudget)
+	if n := machine.XeonPhi3120A().NumHWThreads(); c.NumParts <= 0 || c.NumParts > n {
+		return fmt.Errorf("overhead: np=%d outside [1,%d]", c.NumParts, n)
 	}
 	return nil
 }
@@ -186,22 +163,6 @@ func (m *Measurement) Max(kind Kind) time.Duration {
 // under Load. It returns the per-job samples of all four overheads.
 func Run(cfg Config) (*Measurement, error) {
 	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	mach, err := machine.New(cfg.Topology, cfg.Load, machine.DefaultCostModel(), cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	k := kernel.New(engine.New(), mach)
-
-	tk := task.Uniform("tau1", cfg.Mandatory, cfg.WindupExec, cfg.OptionalExec, cfg.NumParts, cfg.Period)
-	cpus, err := assign.HWThreads(cfg.Topology, cfg.Policy, cfg.NumParts)
-	if err != nil {
-		return nil, err
-	}
-	od := cfg.Period - cfg.WindupBudget
-
 	meas := &Measurement{
 		Config:  cfg,
 		Samples: map[Kind][]time.Duration{},
@@ -229,13 +190,40 @@ func Run(cfg Config) (*Measurement, error) {
 			meas.Samples[DeltaE] = append(meas.Samples[DeltaE], start.Sub(odAbs))
 		},
 	}
+	if _, err := simulate(cfg, probes); err != nil {
+		return nil, err
+	}
+	for _, kind := range Kinds() {
+		if got := len(meas.Samples[kind]); got != cfg.Jobs {
+			return nil, fmt.Errorf("overhead: %v has %d samples, want %d", kind, got, cfg.Jobs)
+		}
+	}
+	return meas, nil
+}
 
+// simulate runs cfg's jobs of τ1 to completion with probes attached and
+// returns the finished process.
+func simulate(cfg Config, probes core.Probes) (*core.Process, error) {
+	cfg.fillDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	topo := machine.XeonPhi3120A()
+	mach, err := machine.New(topo, cfg.Load, machine.DefaultCostModel(), cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	k := kernel.New(engine.New(), mach)
+	cpus, err := assign.HWThreads(topo, cfg.Policy, cfg.NumParts)
+	if err != nil {
+		return nil, err
+	}
 	p, err := core.NewProcess(k, core.Config{
-		Task:              tk,
+		Task:              task.Uniform("tau1", mandatory, windupExec, optionalExec, cfg.NumParts, period),
 		MandatoryPriority: 90, // the paper's running example priority
 		MandatoryCPU:      0,  // hardware thread 0 of core 0 (§V-A)
 		OptionalCPUs:      cpus,
-		OptionalDeadline:  od,
+		OptionalDeadline:  period - windupBudget,
 		Jobs:              cfg.Jobs,
 		Probes:            probes,
 	})
@@ -244,11 +232,5 @@ func Run(cfg Config) (*Measurement, error) {
 	}
 	p.Start()
 	k.Run()
-
-	for _, kind := range Kinds() {
-		if got := len(meas.Samples[kind]); got != cfg.Jobs {
-			return nil, fmt.Errorf("overhead: %v has %d samples, want %d", kind, got, cfg.Jobs)
-		}
-	}
-	return meas, nil
+	return p, nil
 }

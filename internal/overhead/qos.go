@@ -5,11 +5,8 @@ import (
 
 	"rtseed/internal/assign"
 	"rtseed/internal/core"
-	"rtseed/internal/engine"
-	"rtseed/internal/kernel"
 	"rtseed/internal/machine"
 	"rtseed/internal/sweep"
-	"rtseed/internal/task"
 )
 
 // QoSPoint quantifies the trade-off the paper's conclusion describes:
@@ -50,40 +47,10 @@ func QoSSweep(load machine.Load, policy assign.Policy, nps []int, jobs int, seed
 
 // qosCell measures one np operating point.
 func qosCell(load machine.Load, policy assign.Policy, np, jobs int, seed uint64) (QoSPoint, error) {
-	cfg := Config{
-		Load:     load,
-		Policy:   policy,
-		NumParts: np,
-		Jobs:     jobs,
-		Seed:     seed,
-	}
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
-		return QoSPoint{}, err
-	}
-	mach, err := machine.New(cfg.Topology, cfg.Load, machine.DefaultCostModel(), cfg.Seed)
+	p, err := simulate(Config{Load: load, Policy: policy, NumParts: np, Jobs: jobs, Seed: seed}, core.Probes{})
 	if err != nil {
 		return QoSPoint{}, err
 	}
-	k := kernel.New(engine.New(), mach)
-	tk := task.Uniform("tau1", cfg.Mandatory, cfg.WindupExec, cfg.OptionalExec, np, cfg.Period)
-	cpus, err := assign.HWThreads(cfg.Topology, cfg.Policy, np)
-	if err != nil {
-		return QoSPoint{}, err
-	}
-	p, err := core.NewProcess(k, core.Config{
-		Task:              tk,
-		MandatoryPriority: 90,
-		MandatoryCPU:      0,
-		OptionalCPUs:      cpus,
-		OptionalDeadline:  cfg.Period - cfg.WindupBudget,
-		Jobs:              jobs,
-	})
-	if err != nil {
-		return QoSPoint{}, err
-	}
-	p.Start()
-	k.Run()
 
 	var useful, latency time.Duration
 	misses := 0

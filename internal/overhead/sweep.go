@@ -29,14 +29,11 @@ type FigureData struct {
 	Series []Series
 }
 
-// SweepConfig parameterizes a full figure regeneration.
+// SweepConfig parameterizes a full figure regeneration. Every figure has one
+// series per assignment policy (assign.Policies).
 type SweepConfig struct {
-	// Topology defaults to the Xeon Phi 3120A.
-	Topology machine.Topology
 	// NumParts defaults to the paper's sweep {4,...,228}.
 	NumParts []int
-	// Policies defaults to all three.
-	Policies []assign.Policy
 	// Jobs per measurement (default 100; reduce for quick runs).
 	Jobs int
 	// Seed for machine jitter.
@@ -48,14 +45,8 @@ type SweepConfig struct {
 }
 
 func (c *SweepConfig) fillDefaults() {
-	if c.Topology.Cores == 0 {
-		c.Topology = machine.XeonPhi3120A()
-	}
 	if len(c.NumParts) == 0 {
 		c.NumParts = NumPartsSweep()
-	}
-	if len(c.Policies) == 0 {
-		c.Policies = assign.Policies()
 	}
 	if c.Jobs == 0 {
 		c.Jobs = 100
@@ -92,14 +83,15 @@ func SweepAll(cfg SweepConfig) ([]FigureData, error) {
 // four kinds, one series per policy, one point per np.
 func sweepLoads(cfg SweepConfig, loads []machine.Load) ([]FigureData, error) {
 	cfg.fillDefaults()
+	policies := assign.Policies()
 	type cell struct {
 		load machine.Load
 		pol  assign.Policy
 		np   int
 	}
-	cells := make([]cell, 0, len(loads)*len(cfg.Policies)*len(cfg.NumParts))
+	cells := make([]cell, 0, len(loads)*len(policies)*len(cfg.NumParts))
 	for _, load := range loads {
-		for _, pol := range cfg.Policies {
+		for _, pol := range policies {
 			for _, np := range cfg.NumParts {
 				cells = append(cells, cell{load: load, pol: pol, np: np})
 			}
@@ -108,7 +100,6 @@ func sweepLoads(cfg SweepConfig, loads []machine.Load) ([]FigureData, error) {
 	meas, err := sweep.Map(cfg.Workers, len(cells), func(i int) (*Measurement, error) {
 		c := cells[i]
 		return Run(Config{
-			Topology: cfg.Topology,
 			Load:     c.load,
 			Policy:   c.pol,
 			NumParts: c.np,
@@ -127,7 +118,7 @@ func sweepLoads(cfg SweepConfig, loads []machine.Load) ([]FigureData, error) {
 		for _, kind := range Kinds() {
 			out = append(out, FigureData{Kind: kind, Load: load})
 		}
-		for _, pol := range cfg.Policies {
+		for _, pol := range policies {
 			points := make(map[Kind][]Point, len(Kinds()))
 			for _, np := range cfg.NumParts {
 				m := meas[idx]

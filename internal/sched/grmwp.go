@@ -48,14 +48,8 @@ type GRMWPSystem struct {
 // whole set — an optimistic bound for global scheduling, which is exactly
 // why migration overheads show up as deadline pressure.
 func NewGRMWP(k *kernel.Kernel, cfg GRMWPConfig) (*GRMWPSystem, error) {
-	if cfg.Set == nil || cfg.Set.Len() == 0 {
-		return nil, task.ErrEmptyTaskSet
-	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("sched: horizon must be positive, got %v", cfg.Horizon)
-	}
-	if !cfg.Policy.Valid() {
-		return nil, fmt.Errorf("sched: invalid assignment policy %d", cfg.Policy)
+	if err := checkRun(cfg.Set, cfg.Horizon, cfg.Policy, cfg.OverheadMargin); err != nil {
+		return nil, err
 	}
 	topo := k.Machine().Topology()
 	m := cfg.Processors

@@ -23,9 +23,6 @@ type PRMWPConfig struct {
 	Policy assign.Policy
 	// Heuristic partitions tasks over processors (default FirstFit).
 	Heuristic partition.Heuristic
-	// Termination selects the optional-part termination mechanism
-	// (default sigsetjmp/siglongjmp).
-	Termination core.Termination
 	// OverheadMargin shortens each optional deadline to budget the
 	// scheduling overheads the paper folds into the WCETs (§II-A).
 	// Zero uses the analytical optional deadline unchanged.
@@ -54,14 +51,8 @@ type PRMWPSystem struct {
 // lays out optional parts under the policy, and builds the processes.
 // Mandatory threads are pinned to SMT slot 0 of their processor's core.
 func NewPRMWP(k *kernel.Kernel, cfg PRMWPConfig) (*PRMWPSystem, error) {
-	if cfg.Set == nil || cfg.Set.Len() == 0 {
-		return nil, task.ErrEmptyTaskSet
-	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("sched: horizon must be positive, got %v", cfg.Horizon)
-	}
-	if !cfg.Policy.Valid() {
-		return nil, fmt.Errorf("sched: invalid assignment policy %d", cfg.Policy)
+	if err := checkRun(cfg.Set, cfg.Horizon, cfg.Policy, cfg.OverheadMargin); err != nil {
+		return nil, err
 	}
 	heur := cfg.Heuristic
 	if heur == 0 {
@@ -117,7 +108,6 @@ func NewPRMWP(k *kernel.Kernel, cfg PRMWPConfig) (*PRMWPSystem, error) {
 				OptionalCPUs:      optCPUs,
 				OptionalDeadline:  od,
 				Jobs:              jobs,
-				Termination:       cfg.Termination,
 				App:               cfg.Apps[tk.Name],
 			})
 			if err != nil {
@@ -128,6 +118,22 @@ func NewPRMWP(k *kernel.Kernel, cfg PRMWPConfig) (*PRMWPSystem, error) {
 		}
 	}
 	return sys, nil
+}
+
+// checkRun validates the settings PRMWPConfig and GRMWPConfig share. A
+// negative margin would move optional deadlines past the analysed ones.
+func checkRun(set *task.Set, horizon time.Duration, pol assign.Policy, margin time.Duration) error {
+	switch {
+	case set == nil || set.Len() == 0:
+		return task.ErrEmptyTaskSet
+	case horizon <= 0:
+		return fmt.Errorf("sched: horizon must be positive, got %v", horizon)
+	case !pol.Valid():
+		return fmt.Errorf("sched: invalid assignment policy %d", pol)
+	case margin < 0:
+		return fmt.Errorf("sched: overhead margin must not be negative, got %v", margin)
+	}
+	return nil
 }
 
 // applyRMUS promotes the task(s) exceeding the RM-US threshold to the HPQ

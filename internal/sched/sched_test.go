@@ -388,6 +388,21 @@ func TestGRMWPValidation(t *testing.T) {
 	}
 }
 
+// A negative overhead margin would push each optional deadline past the one
+// the analysis admitted, so both runners reject it, down to one nanosecond.
+func TestNegativeOverheadMarginRejected(t *testing.T) {
+	set := task.MustNewSet(task.Uniform("a", ms(5), ms(5), 0, 0, ms(50)))
+	if _, err := NewPRMWP(newSim(t), PRMWPConfig{Set: set, Horizon: ms(100), Policy: assign.OneByOne, OverheadMargin: -1}); err == nil {
+		t.Error("P-RMWP accepted a -1ns overhead margin")
+	}
+	if _, err := NewGRMWP(newSim(t), GRMWPConfig{Set: set, Horizon: ms(100), Policy: assign.OneByOne, OverheadMargin: -1}); err == nil {
+		t.Error("G-RMWP accepted a -1ns overhead margin")
+	}
+	if _, err := NewPRMWP(newSim(t), PRMWPConfig{Set: set, Horizon: ms(100), Policy: assign.OneByOne}); err != nil {
+		t.Errorf("P-RMWP rejected a zero margin: %v", err)
+	}
+}
+
 // The migration overhead shows up in Δm: the same task set under G-RMWP has
 // a larger mean release-to-mandatory-start latency than under P-RMWP.
 func TestGRMWPReleaseLatencyExceedsPRMWP(t *testing.T) {

@@ -8,6 +8,10 @@ import (
 	"rtseed/internal/engine"
 )
 
+// GenWindupFraction is w_i / C_i of every generated task: half of each
+// task's WCET is its wind-up part.
+const GenWindupFraction = 0.5
+
 // GenConfig parameterizes random task-set generation for schedulability
 // experiments (acceptance-ratio curves and the breakdown comparisons).
 type GenConfig struct {
@@ -17,8 +21,6 @@ type GenConfig struct {
 	TotalUtilization float64
 	// MinPeriod and MaxPeriod bound the log-uniform period distribution.
 	MinPeriod, MaxPeriod time.Duration
-	// WindupFraction is w_i / C_i (default 0.5 when zero).
-	WindupFraction float64
 	// NumOptional and OptionalLength configure each task's parallel
 	// optional parts (np defaults to 0).
 	NumOptional    int
@@ -39,9 +41,6 @@ func (c *GenConfig) fillDefaults() {
 	if c.MaxPeriod == 0 {
 		c.MaxPeriod = time.Second
 	}
-	if c.WindupFraction == 0 {
-		c.WindupFraction = 0.5
-	}
 	if c.NamePrefix == "" {
 		c.NamePrefix = "g"
 	}
@@ -59,9 +58,6 @@ func Generate(cfg GenConfig) (*Set, error) {
 		return nil, fmt.Errorf("task: total utilization %.3f outside (0, %d]",
 			cfg.TotalUtilization, cfg.N)
 	}
-	if cfg.WindupFraction <= 0 || cfg.WindupFraction >= 1 {
-		return nil, fmt.Errorf("task: wind-up fraction %.3f outside (0, 1)", cfg.WindupFraction)
-	}
 	if cfg.MinPeriod <= 0 || cfg.MaxPeriod < cfg.MinPeriod {
 		return nil, fmt.Errorf("task: bad period range [%v, %v]", cfg.MinPeriod, cfg.MaxPeriod)
 	}
@@ -77,7 +73,7 @@ func Generate(cfg GenConfig) (*Set, error) {
 		if wcet > period {
 			wcet = period
 		}
-		w := time.Duration(float64(wcet) * cfg.WindupFraction)
+		w := time.Duration(float64(wcet) * GenWindupFraction)
 		if w < 1 {
 			w = 1
 		}

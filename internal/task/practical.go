@@ -108,8 +108,8 @@ func (t PracticalTask) Flatten() Task {
 // task optional deadline od into per-section optional deadlines: each
 // section's window covers its mandatory part plus a share of the remaining
 // slack proportional to its optional workload (even split when no section
-// has optional work). The returned deadlines are relative to the release,
-// strictly increasing, and the last equals od.
+// has optional work). The returned deadlines are positive, relative to the
+// release, strictly increasing, and the last equals od.
 func (t PracticalTask) SectionDeadlines(od time.Duration) ([]time.Duration, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err

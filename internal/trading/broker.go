@@ -3,79 +3,35 @@ package trading
 import "fmt"
 
 // Broker simulates the stock company's order endpoint: it fills bid orders
-// at the ask and ask orders at the bid (paying the spread), tracks the
-// position, marks profit and loss to the mid price, and enforces optional
-// risk limits.
+// for one unit at the ask and ask orders at the bid (paying the spread),
+// tracks the position, and marks profit and loss to the mid price. The zero
+// value is a flat broker.
 type Broker struct {
-	// Unit is the quantity traded per order (default 1).
-	Unit float64
-	// MaxPosition caps |position|; orders that would breach it are
-	// rejected (0 disables the cap).
-	MaxPosition float64
-	// MaxDrawdown halts all trading once equity falls below
-	// -MaxDrawdown (0 disables the stop).
-	MaxDrawdown float64
-
 	cash     float64
 	position float64
 	lastMid  float64
 	trades   int
 	waits    int
-	rejected int
-	halted   bool
 }
 
-// NewBroker returns a flat broker with no risk limits.
-func NewBroker() *Broker { return &Broker{Unit: 1} }
-
-// Execute applies a decision at the quoted tick, subject to the risk
-// limits. Rejected or halted orders count as rejections, not waits.
+// Execute applies a decision at the quoted tick. Any action other than a
+// bid or an ask counts as a wait.
 func (b *Broker) Execute(d Decision, t Tick) {
 	b.lastMid = t.Mid()
-	if b.MaxDrawdown > 0 && b.Equity() < -b.MaxDrawdown {
-		b.halted = true
-	}
-	if d.Action != Bid && d.Action != Ask {
+	//rtseed:partial-ok every action other than Bid and Ask is counted as a wait
+	switch d.Action {
+	case Bid:
+		b.cash -= t.Ask
+		b.position++
+	case Ask:
+		b.cash += t.Bid
+		b.position--
+	default:
 		b.waits++
 		return
 	}
-	if b.halted {
-		b.rejected++
-		return
-	}
-	next := b.position
-	if d.Action == Bid {
-		next += b.Unit
-	} else {
-		next -= b.Unit
-	}
-	if b.MaxPosition > 0 && abs(next) > b.MaxPosition {
-		b.rejected++
-		return
-	}
-	//rtseed:partial-ok non-Bid/Ask actions counted as waits and returned above
-	switch d.Action {
-	case Bid:
-		b.cash -= t.Ask * b.Unit
-	case Ask:
-		b.cash += t.Bid * b.Unit
-	}
-	b.position = next
 	b.trades++
 }
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// Rejected returns how many orders the risk limits blocked.
-func (b *Broker) Rejected() int { return b.rejected }
-
-// Halted reports whether the drawdown stop has tripped.
-func (b *Broker) Halted() bool { return b.halted }
 
 // Position returns the current signed position.
 func (b *Broker) Position() float64 { return b.position }

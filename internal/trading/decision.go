@@ -40,27 +40,21 @@ type Decision struct {
 	QoS float64
 }
 
-// Engine aggregates indicator advice into a trading decision. The wind-up
+// The decision rule's thresholds.
+const (
+	// threshold is the minimum |score| to trade instead of waiting.
+	threshold = 0.15
+	// minQoS is the minimum mean confidence to trade at all; below it the
+	// rule always waits: low-QoS jobs produce deliberately conservative
+	// decisions.
+	minQoS = 0.05
+)
+
+// Decide aggregates indicator advice into a trading decision. The wind-up
 // part "collects the results from parallel optional parts to make a trading
 // decision" (§II-A); advice from terminated parts arrives with reduced
 // confidence and discarded parts contribute nothing.
-type Engine struct {
-	// Threshold is the minimum |score| to trade instead of waiting
-	// (default 0.15).
-	Threshold float64
-	// MinQoS is the minimum mean confidence to trade at all; below it the
-	// engine always waits — low-QoS jobs produce deliberately conservative
-	// decisions (default 0.05).
-	MinQoS float64
-}
-
-// NewEngine returns an engine with default thresholds.
-func NewEngine() *Engine {
-	return &Engine{Threshold: 0.15, MinQoS: 0.05}
-}
-
-// Decide aggregates the advice vector into a decision.
-func (e *Engine) Decide(advice []Advice) Decision {
+func Decide(advice []Advice) Decision {
 	if len(advice) == 0 {
 		return Decision{Action: Wait}
 	}
@@ -76,13 +70,13 @@ func (e *Engine) Decide(advice []Advice) Decision {
 		score = weighted / weight
 	}
 	d := Decision{Score: score, QoS: qos, Action: Wait}
-	if qos < e.MinQoS {
+	if qos < minQoS {
 		return d
 	}
 	switch {
-	case score >= e.Threshold:
+	case score >= threshold:
 		d.Action = Bid
-	case score <= -e.Threshold:
+	case score <= -threshold:
 		d.Action = Ask
 	}
 	return d

@@ -1,7 +1,7 @@
 // Package trading implements the real-time trading substrate the paper
 // motivates RT-Seed with (§I, §II-A): a market-data feed (the mandatory
 // part's input), anytime technical and fundamental analyses (the parallel
-// optional parts), and a decision engine plus broker (the wind-up part).
+// optional parts), and a decision rule plus broker (the wind-up part).
 // The feed is a deterministic synthetic substitute for the OANDA Japan
 // stream the paper uses — same 1 tick/second rate, same pipeline shape;
 // see DESIGN.md §2.

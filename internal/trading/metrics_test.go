@@ -49,7 +49,7 @@ func TestComputeMetricsDegenerate(t *testing.T) {
 
 func TestPipelineEquityCurveAndMetrics(t *testing.T) {
 	feed, _ := NewFeed(FeedConfig{Seed: 5, Volatility: 0.002})
-	p, err := NewPipeline(feed, DefaultTechnical(), NewEngine(), NewBroker(), 0)
+	p, err := NewPipeline(feed, DefaultTechnical())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,7 @@ import "fmt"
 type Pipeline struct {
 	source     Source
 	indicators []Indicator
-	engine     *Engine
-	broker     *Broker
+	broker     Broker
 
 	prices    []float64
 	advice    []Advice
@@ -29,45 +28,33 @@ type Pipeline struct {
 	sourceErrors int
 }
 
-// Source supplies ticks to a pipeline: the synthetic Feed (via
-// NewPipeline) or a recorded ReplayFeed.
+// Source supplies ticks to a pipeline: the synthetic Feed or a recorded
+// ReplayFeed.
 type Source interface {
 	// NextTick returns the next quote. An error marks the source as
 	// degraded: the pipeline reuses the last known tick for that job.
 	NextTick() (Tick, error)
 }
 
-// NewPipeline wires a feed, an indicator battery, a decision engine and a
-// broker together. history bounds the retained price window (0 means the
-// largest indicator MinHistory, doubled).
-func NewPipeline(feed *Feed, indicators []Indicator, engine *Engine, broker *Broker, history int) (*Pipeline, error) {
-	if feed == nil {
-		return nil, fmt.Errorf("trading: pipeline needs a feed")
-	}
-	return NewPipelineFrom(feed, indicators, engine, broker, history)
-}
-
-// NewPipelineFrom is NewPipeline for an arbitrary tick source, such as a
-// ReplayFeed of a recorded market.
-func NewPipelineFrom(source Source, indicators []Indicator, engine *Engine, broker *Broker, history int) (*Pipeline, error) {
-	if source == nil || engine == nil || broker == nil {
-		return nil, fmt.Errorf("trading: pipeline needs a source, engine and broker")
+// NewPipeline wires a tick source and an indicator battery to the decision
+// rule and a flat broker of its own. The retained price window is the
+// largest indicator MinHistory, doubled.
+func NewPipeline(source Source, indicators []Indicator) (*Pipeline, error) {
+	if source == nil {
+		return nil, fmt.Errorf("trading: pipeline needs a tick source")
 	}
 	if len(indicators) == 0 {
 		return nil, fmt.Errorf("trading: pipeline needs at least one indicator")
 	}
-	if history == 0 {
-		for _, ind := range indicators {
-			if h := ind.MinHistory() * 2; h > history {
-				history = h
-			}
+	history := 0
+	for _, ind := range indicators {
+		if h := ind.MinHistory() * 2; h > history {
+			history = h
 		}
 	}
 	return &Pipeline{
 		source:     source,
 		indicators: indicators,
-		engine:     engine,
-		broker:     broker,
 		advice:     make([]Advice, len(indicators)),
 		history:    history,
 	}, nil
@@ -112,7 +99,7 @@ func (p *Pipeline) OnOptional(job, k int, progress float64) {
 
 // OnWindup is the wind-up part's application work: decide and execute.
 func (p *Pipeline) OnWindup(job int, progress []float64) {
-	d := p.engine.Decide(p.advice)
+	d := Decide(p.advice)
 	p.decisions = append(p.decisions, d)
 	if len(p.ticks) > 0 {
 		p.broker.Execute(d, p.ticks[len(p.ticks)-1])
@@ -140,7 +127,7 @@ func (p *Pipeline) MeanQoS() float64 {
 }
 
 // Broker returns the pipeline's broker.
-func (p *Pipeline) Broker() *Broker { return p.broker }
+func (p *Pipeline) Broker() *Broker { return &p.broker }
 
 // EquityCurve returns the mark-to-mid equity after each job.
 func (p *Pipeline) EquityCurve() []float64 {

@@ -50,7 +50,7 @@ func TestReplayFeedDrivesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipelineFrom(rf, DefaultTechnical(), NewEngine(), NewBroker(), 0)
+	p, err := NewPipeline(rf, DefaultTechnical())
 	if err != nil {
 		t.Fatal(err)
 	}

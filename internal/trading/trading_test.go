@@ -179,32 +179,31 @@ func TestMacroSeriesAt(t *testing.T) {
 }
 
 func TestDecisionEngine(t *testing.T) {
-	e := NewEngine()
-	buy := e.Decide([]Advice{{Signal: 1, Confidence: 1}, {Signal: 0.8, Confidence: 0.5}})
+	buy := Decide([]Advice{{Signal: 1, Confidence: 1}, {Signal: 0.8, Confidence: 0.5}})
 	if buy.Action != Bid {
 		t.Fatalf("strong positive advice should bid, got %v", buy)
 	}
-	sell := e.Decide([]Advice{{Signal: -1, Confidence: 1}})
+	sell := Decide([]Advice{{Signal: -1, Confidence: 1}})
 	if sell.Action != Ask {
 		t.Fatalf("strong negative advice should ask, got %v", sell)
 	}
-	wait := e.Decide([]Advice{{Signal: 0.05, Confidence: 1}})
+	wait := Decide([]Advice{{Signal: 0.05, Confidence: 1}})
 	if wait.Action != Wait {
 		t.Fatalf("weak advice should wait, got %v", wait)
 	}
 	// Low-QoS jobs (all parts discarded) always wait: the wind-up part
 	// still produces a correct, conservative decision.
-	lowQoS := e.Decide([]Advice{{Signal: 1, Confidence: 0.01}})
+	lowQoS := Decide([]Advice{{Signal: 1, Confidence: 0.01}})
 	if lowQoS.Action != Wait {
 		t.Fatalf("low-QoS advice should wait, got %v", lowQoS)
 	}
-	if none := e.Decide(nil); none.Action != Wait {
+	if none := Decide(nil); none.Action != Wait {
 		t.Fatalf("no advice should wait, got %v", none)
 	}
 }
 
 func TestBrokerAccounting(t *testing.T) {
-	b := NewBroker()
+	b := &Broker{}
 	tick := Tick{Bid: 1.0999, Ask: 1.1001}
 	b.Execute(Decision{Action: Bid}, tick)
 	if b.Position() != 1 || b.Trades() != 1 {
@@ -230,7 +229,7 @@ func TestBrokerAccounting(t *testing.T) {
 func TestPipelineEndToEnd(t *testing.T) {
 	feed, _ := NewFeed(FeedConfig{Seed: 9, Volatility: 0.002})
 	inds := DefaultTechnical()
-	p, err := NewPipeline(feed, inds, NewEngine(), NewBroker(), 0)
+	p, err := NewPipeline(feed, inds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +260,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestPipelineQoSImprovesWithProgress(t *testing.T) {
 	runWith := func(progress float64) float64 {
 		feed, _ := NewFeed(FeedConfig{Seed: 11, Volatility: 0.002})
-		p, err := NewPipeline(feed, DefaultTechnical(), NewEngine(), NewBroker(), 0)
+		p, err := NewPipeline(feed, DefaultTechnical())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,10 +281,10 @@ func TestPipelineQoSImprovesWithProgress(t *testing.T) {
 
 func TestPipelineValidation(t *testing.T) {
 	feed, _ := NewFeed(FeedConfig{Seed: 0xfeed, Volatility: 0.0002})
-	if _, err := NewPipeline(nil, DefaultTechnical(), NewEngine(), NewBroker(), 0); err == nil {
+	if _, err := NewPipeline(nil, DefaultTechnical()); err == nil {
 		t.Fatal("nil feed accepted")
 	}
-	if _, err := NewPipeline(feed, nil, NewEngine(), NewBroker(), 0); err == nil {
+	if _, err := NewPipeline(feed, nil); err == nil {
 		t.Fatal("no indicators accepted")
 	}
 }
@@ -295,47 +294,5 @@ func TestActionStrings(t *testing.T) {
 		if a.String() == "unknown-action" {
 			t.Fatalf("action %d missing label", a)
 		}
-	}
-}
-
-func TestBrokerPositionLimit(t *testing.T) {
-	b := NewBroker()
-	b.MaxPosition = 2
-	tick := Tick{Bid: 1.0, Ask: 1.0002}
-	for i := 0; i < 5; i++ {
-		b.Execute(Decision{Action: Bid}, tick)
-	}
-	if b.Position() != 2 {
-		t.Fatalf("position %v, want capped at 2", b.Position())
-	}
-	if b.Rejected() != 3 {
-		t.Fatalf("rejected %d, want 3", b.Rejected())
-	}
-	// Reducing the position is always allowed.
-	b.Execute(Decision{Action: Ask}, tick)
-	if b.Position() != 1 {
-		t.Fatalf("position %v after reduce, want 1", b.Position())
-	}
-}
-
-func TestBrokerDrawdownStop(t *testing.T) {
-	b := NewBroker()
-	b.MaxDrawdown = 0.0001
-	// Pay the spread repeatedly until equity < -0.0001.
-	wide := Tick{Bid: 1.0, Ask: 1.001}
-	b.Execute(Decision{Action: Bid}, wide)
-	b.Execute(Decision{Action: Ask}, wide) // round trip loses the spread
-	// Next order trips the stop check.
-	b.Execute(Decision{Action: Bid}, wide)
-	if !b.Halted() {
-		t.Fatalf("drawdown stop should have tripped, equity %v", b.Equity())
-	}
-	trades := b.Trades()
-	b.Execute(Decision{Action: Bid}, wide)
-	if b.Trades() != trades {
-		t.Fatal("halted broker must not trade")
-	}
-	if b.Rejected() == 0 {
-		t.Fatal("halted orders must count as rejections")
 	}
 }

@@ -491,9 +491,6 @@ func (r *Replay) Len() int { return len(r.tr.Clients) }
 // Params implements Source.
 func (r *Replay) Params(id int) ClientParams { return r.tr.Clients[id] }
 
-// Materialize implements Source.
-func (r *Replay) Materialize(p ClientParams) (Client, error) { return Materialize(p) }
-
 // Windows implements Source.
 func (r *Replay) Windows() []ResolvedWindow { return r.tr.Meta.Windows }
 

@@ -100,11 +100,11 @@ func TestReplaySourceMatchesSpecSource(t *testing.T) {
 		if rep.Params(id) != src.Params(id) {
 			t.Fatalf("client %d params differ through the codec", id)
 		}
-		a, err := src.Materialize(src.Params(id))
+		a, err := Materialize(src.Params(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := rep.Materialize(rep.Params(id))
+		b, err := Materialize(rep.Params(id))
 		if err != nil {
 			t.Fatal(err)
 		}

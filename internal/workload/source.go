@@ -63,9 +63,6 @@ type Source interface {
 	// Params returns client id's parameters. Calls must be cheap; the
 	// admission watermark consults Util before Materialize is paid for.
 	Params(id int) ClientParams
-	// Materialize generates the client's task set. It is a pure function
-	// of p, so a replayed parameter record rebuilds the identical client.
-	Materialize(p ClientParams) (Client, error)
 	// Windows returns the population's rate windows in time order, or nil
 	// for an unwindowed population.
 	Windows() []ResolvedWindow
@@ -171,9 +168,6 @@ func (b *Builtin) Params(id int) ClientParams {
 	p.PeriodMin, p.PeriodMax = ClassPeriodRange(p.Class)
 	return p
 }
-
-// Materialize implements Source.
-func (b *Builtin) Materialize(p ClientParams) (Client, error) { return Materialize(p) }
 
 // SpecSource is a compiled spec: the full parameter table of every client,
 // with window-warped arrival instants. Compiling is one sequential pass —
@@ -295,9 +289,6 @@ func (s *SpecSource) Len() int { return len(s.params) }
 
 // Params implements Source.
 func (s *SpecSource) Params(id int) ClientParams { return s.params[id] }
-
-// Materialize implements Source.
-func (s *SpecSource) Materialize(p ClientParams) (Client, error) { return Materialize(p) }
 
 // Windows implements Source.
 func (s *SpecSource) Windows() []ResolvedWindow { return s.profile.windows }

@@ -73,16 +73,20 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestBuiltinSourceMatchesGenerateClient pins the Builtin source to the
-// population the cluster layer shipped with (the byte-identity contract of
-// the default path rides on these draws).
-func TestBuiltinSourceMatchesGenerateClient(t *testing.T) {
+// TestBuiltinSourceParams pins the Builtin source to the population the
+// cluster layer shipped with (the byte-identity contract of the default path
+// rides on these draws): a client is a pure function of (seed, id), whatever
+// the population size, and its tasks' periods stay in its class's range.
+func TestBuiltinSourceParams(t *testing.T) {
 	src := NewBuiltin(42, 100)
 	counts := [NumClasses]int{}
 	for id := 0; id < 100; id++ {
 		p := src.Params(id)
 		if p.ID != id {
 			t.Fatalf("client %d: id %d", id, p.ID)
+		}
+		if q := NewBuiltin(42, id+1).Params(id); q != p {
+			t.Fatalf("client %d: %+v in a population of %d, %+v in one of 100", id, q, id+1, p)
 		}
 		counts[p.Class]++
 		lo, hi := ClassUtilRange(p.Class)
@@ -99,7 +103,7 @@ func TestBuiltinSourceMatchesGenerateClient(t *testing.T) {
 		if p.Arrival != 0 || p.Lifetime != 0 || p.Parallel != 0 {
 			t.Errorf("client %d: builtin clients are always-on, got %+v", id, p)
 		}
-		c, err := src.Materialize(p)
+		c, err := Materialize(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,6 +112,11 @@ func TestBuiltinSourceMatchesGenerateClient(t *testing.T) {
 		}
 		if !strings.HasPrefix(c.Set.Tasks[0].Name, "c") {
 			t.Errorf("client %d: task name %q", id, c.Set.Tasks[0].Name)
+		}
+		for _, tk := range c.Set.Tasks {
+			if tk.Period < plo || tk.Period > phi {
+				t.Errorf("client %d (%v): period %v outside [%v, %v]", id, p.Class, tk.Period, plo, phi)
+			}
 		}
 	}
 	for class, n := range counts {
